@@ -36,6 +36,8 @@ pub struct Catalog {
     entries: HashMap<TableId, TableEntry>,
     by_name: HashMap<String, TableId>,
     next_id: u32,
+    /// Bumped by every mutation (see [`Catalog::generation`]).
+    generation: u64,
 }
 
 impl Catalog {
@@ -58,6 +60,7 @@ impl Catalog {
         }
         let id = TableId(self.next_id);
         self.next_id += 1;
+        self.generation += 1;
         self.by_name.insert(schema.name.clone(), id);
         let stats = TableStats::empty(schema.arity());
         self.entries.insert(
@@ -98,8 +101,18 @@ impl Catalog {
             .ok_or_else(|| Error::UnknownTable(id.to_string()))
     }
 
-    /// Mutable entry by id.
+    /// Mutation counter: moves whenever a table is registered or an entry
+    /// is borrowed mutably (statistics, placement, index annotations). A
+    /// reader that cached anything derived from the catalog — the online
+    /// advisor's estimation context — is current exactly while the
+    /// generation it read is.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Mutable entry by id. Counts as a mutation ([`Catalog::generation`]).
     pub fn entry_mut(&mut self, id: TableId) -> Result<&mut TableEntry> {
+        self.generation += 1;
         self.entries
             .get_mut(&id)
             .ok_or_else(|| Error::UnknownTable(id.to_string()))
@@ -213,6 +226,29 @@ mod tests {
             .unwrap();
         let names: Vec<&str> = c.entries().iter().map(|e| e.schema.name.as_str()).collect();
         assert_eq!(names, vec!["alpha", "zeta"]);
+    }
+
+    #[test]
+    fn every_mutation_moves_the_generation() {
+        let mut c = Catalog::new();
+        let g0 = c.generation();
+        let id = c
+            .register(schema("a"), TablePlacement::Single(StoreKind::Row))
+            .unwrap();
+        let g1 = c.generation();
+        assert!(g1 > g0, "register");
+        c.set_stats(id, TableStats::empty(1)).unwrap();
+        let g2 = c.generation();
+        assert!(g2 > g1, "set_stats");
+        c.set_placement(id, TablePlacement::Single(StoreKind::Column))
+            .unwrap();
+        let g3 = c.generation();
+        assert!(g3 > g2, "set_placement");
+        c.entry_mut(id).unwrap().indexed_columns.push(0);
+        let g4 = c.generation();
+        assert!(g4 > g3, "entry_mut");
+        let _ = (c.entry(id).unwrap(), c.entries(), c.current_layout());
+        assert_eq!(c.generation(), g4, "reads leave it alone");
     }
 
     #[test]

@@ -161,10 +161,14 @@ impl StorageLayout {
     /// Look up a table's placement (default: row store, HANA's default for
     /// newly created tables).
     pub fn placement(&self, table: &str) -> TablePlacement {
-        self.placements
-            .get(table)
-            .cloned()
-            .unwrap_or(TablePlacement::Single(StoreKind::Row))
+        self.placement_ref(table).clone()
+    }
+
+    /// [`StorageLayout::placement`] by borrow — the form the estimator
+    /// resolves placements through, so pricing a query clones nothing.
+    pub fn placement_ref(&self, table: &str) -> &TablePlacement {
+        static ROW: TablePlacement = TablePlacement::Single(StoreKind::Row);
+        self.placements.get(table).unwrap_or(&ROW)
     }
 
     /// Serialize to JSON (layouts are persisted and diffed as artifacts).

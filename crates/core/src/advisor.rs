@@ -4,15 +4,19 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use hsd_catalog::{ExtendedStats, StorageLayout, TablePlacement, TableStats};
+use hsd_catalog::{
+    Catalog, ExtendedStats, PartitionSpec, StorageLayout, TablePlacement, TableStats, Tier,
+};
 use hsd_engine::{HybridDatabase, StatisticsRecorder};
 use hsd_query::{Query, Workload};
 use hsd_storage::StoreKind;
 use hsd_types::{Result, TableSchema};
 
-use crate::cost::{CostModel, ModelHandle};
+use crate::budget::GlobalSelection;
+use crate::cost::{store_index, CostModel, ModelHandle};
 use crate::estimator::{
-    estimate_query, estimate_workload, estimate_workload_layout, EstimationCtx, TableCtx,
+    dim_store_of, estimate_query_layout, estimate_query_placed, placement_fragment_drivers,
+    EstimationCtx, TableCtx,
 };
 use crate::partition::{recommend_partition, PartitionAdvisorConfig};
 
@@ -164,212 +168,283 @@ impl StorageAdvisor {
     ) -> Result<Recommendation> {
         let ctx = build_ctx(schemas, stats);
         let activity = analyze_workload(schemas, workload)?;
-        self.recommend_inner(schemas, &ctx, &activity, workload, enable_partitioning)
-    }
-
-    /// **Online mode** evaluation step: recommend from live catalog
-    /// statistics plus the recorded extended workload statistics and the
-    /// recent query window.
-    pub fn recommend_online(
-        &self,
-        db: &HybridDatabase,
-        recorded: &ExtendedStats,
-        window: &Workload,
-        enable_partitioning: bool,
-    ) -> Result<Recommendation> {
-        let schemas: Vec<Arc<TableSchema>> = db
-            .catalog()
-            .entries()
-            .iter()
-            .map(|e| e.schema.clone())
-            .collect();
-        let stats: BTreeMap<String, TableStats> = db
-            .catalog()
-            .entries()
-            .iter()
-            .map(|e| (e.schema.name.clone(), e.stats.clone()))
-            .collect();
-        let mut ctx = build_ctx(&schemas, &stats);
-        apply_observed_tail_rates(&mut ctx, recorded);
-        for entry in db.catalog().entries() {
-            if let Some(t) = ctx.tables.get_mut(&entry.schema.name) {
-                t.indexed = entry.indexed_columns.clone();
-                // The live delta tail is deliberately NOT fed into the
-                // placement search: placement is a steady-state decision,
-                // and a tail-inflated column-store estimate could tip it
-                // into recommending a full migration whose cheaper remedy
-                // is the maintenance scheduler's own merge (`merge_ms` ≪
-                // move cost). Tail costs are charged where they are
-                // actionable — in [`crate::maintenance::evaluate_merge`].
-            }
-        }
-        self.recommend_inner(&schemas, &ctx, recorded, window, enable_partitioning)
-    }
-
-    /// Modeled per-table delta-upkeep cost (ms) of a column-store placement
-    /// over `workload` — empty when maintenance-aware placement is off.
-    pub(crate) fn upkeep_costs(
-        &self,
-        ctx: &EstimationCtx,
-        workload: &Workload,
-    ) -> BTreeMap<String, f64> {
-        if !self.maintenance_aware {
-            return BTreeMap::new();
-        }
+        let queries: Vec<&Query> = workload.queries.iter().collect();
+        // One snapshot for the whole recommendation pass: a concurrent
+        // re-fit can land mid-pass without mixing coefficient versions.
         let model = self.model.snapshot();
-        crate::estimator::workload_maintenance_drivers(ctx, workload)
-            .into_iter()
-            .map(|(table, drivers)| {
-                let rows = ctx.tables.get(&table).map_or(0, |t| t.stats.row_count);
-                let cost =
-                    crate::maintenance::estimate_maintenance(&model, rows, drivers).total_ms();
-                (table, cost)
+        let mut pass = DecisionPass::new(self, &model, &ctx, &queries);
+        Ok(pass.recommend(schemas, &activity, enable_partitioning))
+    }
+}
+
+/// Schemas (name order) and estimation context of a live catalog: basic
+/// statistics plus the indexed columns — what the **online mode**
+/// ([`crate::online::OnlineAdvisor::evaluate`]) decides from, next to the
+/// recorded extended statistics and the recent query window.
+///
+/// The live delta tail is deliberately NOT part of it: placement is a
+/// steady-state decision, and a tail-inflated column-store estimate could
+/// tip it into recommending a full migration whose cheaper remedy is the
+/// maintenance scheduler's own merge (`merge_ms` ≪ move cost). Tail costs
+/// are charged where they are actionable — in
+/// [`crate::maintenance::evaluate_merge`] — and where they were paid — in
+/// [`crate::online::OnlineAdvisor::predict_ms`].
+pub(crate) fn catalog_ctx(catalog: &Catalog) -> (Vec<Arc<TableSchema>>, EstimationCtx) {
+    let mut schemas = Vec::with_capacity(catalog.len());
+    let mut ctx = EstimationCtx::new();
+    for entry in catalog.entries() {
+        let mut tctx = table_ctx(&entry.schema, entry.stats.clone());
+        tctx.indexed = entry.indexed_columns.clone();
+        ctx.insert(entry.schema.name.clone(), tctx);
+        schemas.push(entry.schema.clone());
+    }
+    (schemas, ctx)
+}
+
+// Candidate slots of a table in a [`DecisionPass`]: the two single stores
+// (every table), then the proposed split and its disk-demoted variant.
+const ROW: usize = 0;
+const COLUMN: usize = 1;
+const SPLIT: usize = 2;
+const DEMOTED: usize = 3;
+const SLOTS: usize = 4;
+
+/// One decision's pricing state: a per-table query index and a
+/// per-(query, placement of its tables) price memo, built once per
+/// `recommend_*` call and read by every stage — the table-level search, the
+/// `rs_only`/`cs_only` baselines, the partition candidates' shares, the
+/// knapsack candidates, the final estimate, and (for the online mode) the
+/// current layout's cost.
+///
+/// A query's price depends only on its own table's placement and its join
+/// dimension's store (see [`estimate_query_placed`]), so each distinct
+/// price is computed once and a stage costs a pass over the statements of
+/// the tables it varies — O(queries × candidates per table) for the whole
+/// decision, independent of how many tables the catalog holds.
+pub(crate) struct DecisionPass<'a> {
+    advisor: &'a StorageAdvisor,
+    model: &'a CostModel,
+    ctx: &'a EstimationCtx,
+    queries: &'a [&'a Query],
+    /// The context's tables, name order; a table's position is its id.
+    names: Vec<&'a str>,
+    /// Candidate placements per table, indexed by slot.
+    placements: Vec<Vec<TablePlacement>>,
+    /// `(fact, dimension)` table ids per query (`None`: not in the context,
+    /// or no join).
+    tables_of: Vec<(Option<usize>, Option<usize>)>,
+    /// Per table, the workload-order indexes of the queries touching it as
+    /// their primary table or join dimension.
+    queries_of: Vec<Vec<usize>>,
+    /// `price[query][fact slot][dimension store]`, NaN until computed.
+    price: Vec<[[f64; 2]; SLOTS]>,
+    /// `upkeep[table][slot]`, NaN until computed.
+    upkeep: Vec<[f64; SLOTS]>,
+}
+
+impl<'a> DecisionPass<'a> {
+    pub(crate) fn new(
+        advisor: &'a StorageAdvisor,
+        model: &'a CostModel,
+        ctx: &'a EstimationCtx,
+        queries: &'a [&'a Query],
+    ) -> Self {
+        let names: Vec<&str> = ctx.tables.keys().map(String::as_str).collect();
+        let id_of = |name: &str| names.binary_search(&name).ok();
+        let mut queries_of = vec![Vec::new(); names.len()];
+        let tables_of: Vec<_> = queries
+            .iter()
+            .enumerate()
+            .map(|(qi, q)| {
+                let fact = id_of(q.table());
+                let dim = q.join_dim().and_then(id_of);
+                for t in fact.into_iter().chain(dim.filter(|d| Some(*d) != fact)) {
+                    queries_of[t].push(qi);
+                }
+                (fact, dim)
             })
-            .collect()
+            .collect();
+        let singles = StoreKind::BOTH.map(TablePlacement::Single).to_vec();
+        DecisionPass {
+            advisor,
+            model,
+            ctx,
+            queries,
+            placements: vec![singles; names.len()],
+            tables_of,
+            queries_of,
+            price: vec![[[f64::NAN; 2]; SLOTS]; queries.len()],
+            upkeep: vec![[f64::NAN; SLOTS]; names.len()],
+            names,
+        }
     }
 
-    /// Modeled delta-upkeep cost (ms) `table` pays under `placement` over
-    /// `workload`: zero when maintenance-aware placement is off or the
+    fn id_of(&self, table: &str) -> Option<usize> {
+        self.names.binary_search(&table).ok()
+    }
+
+    /// Price of one query with its own table at `slot` and its join
+    /// dimension (if any) in `dim_store`.
+    fn price(&mut self, qi: usize, slot: usize, dim_store: StoreKind) -> f64 {
+        let cell = &mut self.price[qi][slot][store_index(dim_store)];
+        if cell.is_nan() {
+            static UNKNOWN: TablePlacement = TablePlacement::Single(StoreKind::Row);
+            let placement = match self.tables_of[qi].0 {
+                Some(t) => &self.placements[t][slot],
+                None => &UNKNOWN,
+            };
+            *cell =
+                estimate_query_placed(self.model, self.ctx, self.queries[qi], placement, dim_store);
+        }
+        *cell
+    }
+
+    /// Price of one query when table `t` takes slot `slot_of(t)`.
+    fn price_with(&mut self, qi: usize, slot_of: impl Fn(usize) -> usize) -> f64 {
+        let (fact, dim) = self.tables_of[qi];
+        let slot = fact.map_or(ROW, &slot_of);
+        let dim_store = dim.map_or(StoreKind::Row, |d| {
+            dim_store_of(&self.placements[d][slot_of(d)])
+        });
+        self.price(qi, slot, dim_store)
+    }
+
+    /// Query cost of the whole workload under one slot per table.
+    fn workload_ms(&mut self, slots: &[usize]) -> f64 {
+        (0..self.queries.len())
+            .map(|qi| self.price_with(qi, |t| slots[t]))
+            .sum()
+    }
+
+    /// Table `t`'s workload share at `slot`, every other table at `slots`:
+    /// every query whose primary table is `t`, plus joins that use it as
+    /// the dimension — a dimension kept columnar for join performance must
+    /// not flip to another placement with the joins left unpriced.
+    fn share_ms(&mut self, t: usize, slot: usize, slots: &[usize]) -> f64 {
+        (0..self.queries_of[t].len())
+            .map(|i| {
+                let qi = self.queries_of[t][i];
+                self.price_with(qi, |x| if x == t { slot } else { slots[x] })
+            })
+            .sum()
+    }
+
+    /// Modeled delta-upkeep cost (ms) table `t` pays under `placement` over
+    /// the workload: zero when maintenance-aware placement is off or the
     /// placement keeps no column-store region; the fragment-level bill for
     /// partitioned placements — or the full-table bill when the
     /// [`StorageAdvisor::fragment_upkeep`] ablation toggle is off.
-    pub(crate) fn placement_upkeep_ms(
-        &self,
-        ctx: &EstimationCtx,
-        workload: &Workload,
-        table: &str,
-        placement: &TablePlacement,
-    ) -> f64 {
-        if !self.maintenance_aware {
+    fn placement_upkeep_ms(&self, t: usize, placement: &TablePlacement) -> f64 {
+        if !self.advisor.maintenance_aware {
             return 0.0;
         }
         // The ablation bills a partitioned placement like a full column
         // table (the pre-fragment-costing behavior).
         let full_table = TablePlacement::Single(StoreKind::Column);
         let effective = match placement {
-            TablePlacement::Partitioned(_) if !self.fragment_upkeep => &full_table,
+            TablePlacement::Partitioned(_) if !self.advisor.fragment_upkeep => &full_table,
             other => other,
         };
-        let model = self.model.snapshot();
-        crate::estimator::placement_fragment_drivers(ctx, workload, table, effective).map_or(
+        let own = self.queries_of[t].iter().map(|&qi| self.queries[qi]);
+        placement_fragment_drivers(self.ctx, own, self.names[t], effective).map_or(
             0.0,
             |fragment| {
-                crate::maintenance::estimate_placement_maintenance(&model, fragment).total_ms()
+                crate::maintenance::estimate_placement_maintenance(self.model, fragment).total_ms()
             },
         )
     }
 
-    /// Total delta-upkeep charge of a layout: every table pays the modeled
-    /// upkeep of its own placement's column-store region (fragment-level
-    /// for partitioned placements).
-    pub(crate) fn layout_upkeep_ms(
-        &self,
-        ctx: &EstimationCtx,
-        workload: &Workload,
-        layout: &StorageLayout,
-    ) -> f64 {
-        ctx.tables
-            .keys()
-            .map(|table| self.placement_upkeep_ms(ctx, workload, table, &layout.placement(table)))
-            .sum()
+    /// [`DecisionPass::placement_upkeep_ms`] of a candidate slot, memoized.
+    fn upkeep_ms(&mut self, t: usize, slot: usize) -> f64 {
+        if self.upkeep[t][slot].is_nan() {
+            self.upkeep[t][slot] = self.placement_upkeep_ms(t, &self.placements[t][slot]);
+        }
+        self.upkeep[t][slot]
     }
 
-    fn recommend_inner(
-        &self,
+    /// Total delta-upkeep charge under one slot per table: every table pays
+    /// the modeled upkeep of its own placement's column-store region.
+    fn total_upkeep_ms(&mut self, slots: &[usize]) -> f64 {
+        (0..slots.len()).map(|t| self.upkeep_ms(t, slots[t])).sum()
+    }
+
+    /// Modeled cost (ms) of the workload under an arbitrary layout — query
+    /// estimates plus every placement's delta upkeep, priced with the same
+    /// context, model and query index as the recommendation, so the online
+    /// mode's current-vs-recommended comparison is like with like.
+    pub(crate) fn layout_ms(&self, layout: &StorageLayout) -> f64 {
+        let query_ms: f64 = self
+            .queries
+            .iter()
+            .map(|q| estimate_query_layout(self.model, self.ctx, layout, q))
+            .sum();
+        let upkeep_ms: f64 = (0..self.names.len())
+            .map(|t| self.placement_upkeep_ms(t, layout.placement_ref(self.names[t])))
+            .sum();
+        query_ms + upkeep_ms
+    }
+
+    /// Run the decision: table-level store search, partition candidates,
+    /// budget re-selection, and the report.
+    pub(crate) fn recommend(
+        &mut self,
         schemas: &[Arc<TableSchema>],
-        ctx: &EstimationCtx,
         activity: &ExtendedStats,
-        workload: &Workload,
         enable_partitioning: bool,
-    ) -> Result<Recommendation> {
+    ) -> Recommendation {
+        let advisor = self.advisor;
+        let n = self.names.len();
         // --- table level -------------------------------------------------
-        // One snapshot for the whole recommendation pass: a concurrent
-        // re-fit can land mid-pass without mixing coefficient versions.
-        let model = self.model.snapshot();
-        let upkeep = self.upkeep_costs(ctx, workload);
-        let search = TableLevelSearch::new(&model, ctx, workload, &upkeep);
-        let assignment = search.solve(self.exact_search_limit);
+        let search = TableLevelSearch::new(self);
+        let mut slots = search.solve(advisor.exact_search_limit);
         // --- baselines ---------------------------------------------------
-        let names: Vec<&str> = ctx.tables.keys().map(String::as_str).collect();
-        let rs_only: BTreeMap<String, StoreKind> = names
-            .iter()
-            .map(|n| (n.to_string(), StoreKind::Row))
-            .collect();
-        let cs_only: BTreeMap<String, StoreKind> = names
-            .iter()
-            .map(|n| (n.to_string(), StoreKind::Column))
-            .collect();
-        let rs_only_ms = estimate_workload(&model, ctx, &rs_only, workload);
+        let rs_only_ms = self.workload_ms(&vec![ROW; n]);
         let cs_only_ms =
-            estimate_workload(&model, ctx, &cs_only, workload) + upkeep.values().sum::<f64>();
+            self.workload_ms(&vec![COLUMN; n]) + self.total_upkeep_ms(&vec![COLUMN; n]);
         // --- partitioning ------------------------------------------------
         // The heuristic proposes a partition spec; the spec is then priced
         // as a first-class placement candidate — the table's workload share
-        // under the partitioned layout plus its *fragment-level* delta
-        // upkeep, against the chosen single store's share plus its upkeep —
-        // and adopted only when it models faster. (The full-table-charged
-        // ablation, `fragment_upkeep = false`, over-bills the candidate's
-        // upkeep and therefore rejects hybrid layouts a fragment-charged
-        // comparison accepts.)
-        let single_layout = {
-            let mut l = StorageLayout::new();
-            for (t, s) in &assignment {
-                l.set(t.clone(), TablePlacement::Single(*s));
-            }
-            l
-        };
-        let mut layout = StorageLayout::new();
-        let mut tables = Vec::new();
-        for schema in schemas {
-            let name = schema.name.clone();
-            let store = assignment.get(&name).copied().unwrap_or(StoreKind::Row);
-            let mut placement = TablePlacement::Single(store);
-            if enable_partitioning {
-                if let (Some(tctx), Some(act)) = (ctx.tables.get(&name), activity.tables.get(&name))
-                {
-                    if let Some(spec) =
-                        recommend_partition(schema, &tctx.stats, act, &self.partition_cfg)
-                    {
-                        let candidate = TablePlacement::Partitioned(spec);
-                        let mut cand_layout = single_layout.clone();
-                        cand_layout.set(name.clone(), candidate.clone());
-                        // The candidate's workload share: every query whose
-                        // primary table is this one, plus joins that use it
-                        // as the dimension — a dimension kept columnar for
-                        // join performance must not flip to a partitioned
-                        // layout with the joins left unpriced. (The layout
-                        // estimator approximates a *partitioned* join
-                        // dimension by the row store — its point-access
-                        // fragment — so the candidate side is priced
-                        // conservatively rather than ignored.)
-                        let share = |layout: &StorageLayout| -> f64 {
-                            workload
-                                .queries
-                                .iter()
-                                .filter(|q| touches(q, &name))
-                                .map(|q| {
-                                    crate::estimator::estimate_query_layout(&model, ctx, layout, q)
-                                })
-                                .sum()
-                        };
-                        let single_ms = share(&single_layout)
-                            + self.placement_upkeep_ms(ctx, workload, &name, &placement);
-                        let cand_ms = share(&cand_layout)
-                            + self.placement_upkeep_ms(ctx, workload, &name, &candidate);
-                        if cand_ms < single_ms {
-                            placement = candidate;
+        // under the partitioned placement plus its *fragment-level* delta
+        // upkeep, against the chosen single store's share plus its upkeep,
+        // every other table at its chosen store — and adopted only when it
+        // models faster. (The full-table-charged ablation,
+        // `fragment_upkeep = false`, over-bills the candidate's upkeep and
+        // therefore rejects hybrid layouts a fragment-charged comparison
+        // accepts.)
+        if enable_partitioning {
+            let stores = slots.clone();
+            for schema in schemas {
+                let Some(t) = self.id_of(&schema.name) else {
+                    continue;
+                };
+                let Some(spec) = activity.tables.get(&schema.name).and_then(|act| {
+                    let stats = &self.ctx.tables[&schema.name].stats;
+                    recommend_partition(schema, stats, act, &advisor.partition_cfg)
+                }) else {
+                    continue;
+                };
+                // The split's disk-demoted variant: same hot/cold shape,
+                // cold fragment priced out of memory and into tier
+                // surcharges — one more point on the knapsack's
+                // cost/footprint frontier, the relief valve when even the
+                // compressed column store won't fit. (Vertical cold
+                // fragments cannot demote; the engine keeps them
+                // memory-resident.)
+                let demoted =
+                    (spec.vertical.is_none() && spec.cold_tier == Tier::Memory).then(|| {
+                        PartitionSpec {
+                            cold_tier: Tier::Disk,
+                            ..spec.clone()
                         }
-                    }
+                    });
+                self.placements[t].push(TablePlacement::Partitioned(spec));
+                self.placements[t].extend(demoted.map(TablePlacement::Partitioned));
+                let single_ms = self.share_ms(t, stores[t], &stores) + self.upkeep_ms(t, stores[t]);
+                let split_ms = self.share_ms(t, SPLIT, &stores) + self.upkeep_ms(t, SPLIT);
+                if split_ms < single_ms {
+                    slots[t] = SPLIT;
                 }
             }
-            let (cost_row_ms, cost_column_ms) = search.per_table_costs(&name);
-            layout.set(name.clone(), placement.clone());
-            tables.push(TableRecommendation {
-                table: name,
-                cost_row_ms,
-                cost_column_ms,
-                placement,
-            });
         }
         // --- global memory budget ---------------------------------------
         // When a budget is set and the unconstrained choice exceeds it,
@@ -378,140 +453,113 @@ impl StorageAdvisor {
         // already satisfies leaves it untouched, so the greedy path is the
         // exact unconstrained special case.
         let mut budget_feasible = true;
-        let mut footprint_bytes = crate::budget::layout_footprint_bytes(ctx, &layout);
-        if let Some(budget) = self.memory_budget {
+        let mut footprint_bytes = self.footprint_bytes(&slots);
+        if let Some(budget) = advisor.memory_budget {
             if footprint_bytes > budget {
-                let selection = self.select_under_budget(ctx, workload, &layout, budget);
+                let selection;
+                (slots, selection) = self.select_under_budget(&slots, budget);
                 budget_feasible = selection.feasible;
-                footprint_bytes = selection.layout_footprint;
-                layout = selection.layout;
-                for t in &mut tables {
-                    t.placement = layout.placement(&t.table);
-                }
+                footprint_bytes = selection.total_footprint_bytes;
             }
         }
         // Query cost of the recommended layout plus the delta upkeep of
         // every placement that keeps a column-store region, charged at the
         // fragment level for partitioned placements.
-        let estimated_ms = estimate_workload_layout(&model, ctx, &layout, workload)
-            + self.layout_upkeep_ms(ctx, workload, &layout);
-        let statements = migration_statements(schemas, &layout);
-        let disk_bytes = crate::budget::layout_disk_bytes(ctx, &layout);
-        Ok(Recommendation {
+        let estimated_ms = self.workload_ms(&slots) + self.total_upkeep_ms(&slots);
+        let mut layout = StorageLayout::new();
+        let mut tables = Vec::with_capacity(schemas.len());
+        for schema in schemas {
+            let t = self.id_of(&schema.name);
+            let placement = t.map_or(TablePlacement::Single(StoreKind::Row), |t| {
+                self.placements[t][slots[t]].clone()
+            });
+            let (cost_row_ms, cost_column_ms) = t.map_or((0.0, 0.0), |t| search.per_table_costs(t));
+            layout.set(schema.name.clone(), placement.clone());
+            tables.push(TableRecommendation {
+                table: schema.name.clone(),
+                cost_row_ms,
+                cost_column_ms,
+                placement,
+            });
+        }
+        Recommendation {
+            statements: migration_statements(schemas, &layout),
+            disk_bytes: crate::budget::layout_disk_bytes(self.ctx, &layout),
             layout,
             estimated_ms,
             rs_only_ms,
             cs_only_ms,
             footprint_bytes,
-            disk_bytes,
-            budget_bytes: self.memory_budget,
+            budget_bytes: advisor.memory_budget,
             budget_feasible,
             tables,
-            statements,
-        })
+        }
     }
 
-    /// Re-select every table's placement under a binding memory budget.
+    /// Modeled in-memory footprint of one slot per table.
+    fn footprint_bytes(&self, slots: &[usize]) -> f64 {
+        self.ctx
+            .tables
+            .values()
+            .zip(slots)
+            .zip(&self.placements)
+            .map(|((tctx, &slot), placements)| {
+                crate::budget::placement_footprint_bytes(tctx, &placements[slot])
+            })
+            .sum()
+    }
+
+    /// Re-select every table's placement under a binding memory budget:
+    /// the new slot per table, and the selection's totals.
     ///
     /// Candidates per table: the two single stores plus — when the
-    /// unconstrained pass adopted one — its partitioned placement. Each
-    /// candidate's cost is the table's workload share (its own queries
-    /// plus joins using it as the dimension) priced under the layout where
-    /// only this table changes, plus the candidate's delta upkeep; its
-    /// footprint comes from [`crate::budget::placement_footprint_bytes`].
-    /// The knapsack walk ([`crate::budget::select_under_budget`]) then
-    /// picks the cheapest set that fits.
+    /// unconstrained pass adopted one — its partitioned placement and that
+    /// placement's disk-demoted variant. Each candidate's cost is the
+    /// table's workload share priced with only this table changed, plus the
+    /// candidate's delta upkeep; its footprint comes from
+    /// [`crate::budget::placement_footprint_bytes`]. The knapsack walk
+    /// ([`crate::budget::select_under_budget`]) then picks the cheapest set
+    /// that fits.
     fn select_under_budget(
-        &self,
-        ctx: &EstimationCtx,
-        workload: &Workload,
-        chosen: &StorageLayout,
+        &mut self,
+        chosen: &[usize],
         budget: f64,
-    ) -> BudgetedLayout {
-        // Per-table query index, so candidate costing touches each query
-        // once per table it involves rather than scanning the whole
-        // workload per candidate (the difference between O(tables ×
-        // queries) and O(join arity × queries) at 100s-of-tables scale).
-        let mut queries_of: BTreeMap<&str, Vec<&Query>> = BTreeMap::new();
-        for q in &workload.queries {
-            for t in q.tables() {
-                queries_of.entry(t).or_default().push(q);
+    ) -> (Vec<usize>, GlobalSelection) {
+        let ctx = self.ctx;
+        let mut candidate_slots = Vec::with_capacity(chosen.len());
+        let mut tables = Vec::with_capacity(chosen.len());
+        for (t, tctx) in ctx.tables.values().enumerate() {
+            let mut slots = vec![ROW, COLUMN];
+            if chosen[t] == SPLIT {
+                slots.extend((self.placements[t].len() > DEMOTED).then_some(DEMOTED));
+                slots.push(SPLIT);
             }
-        }
-        let empty: Vec<&Query> = Vec::new();
-        let model = self.model.snapshot();
-        let mut candidate_tables = Vec::new();
-        for (name, tctx) in &ctx.tables {
-            let mut placements = vec![
-                TablePlacement::Single(StoreKind::Row),
-                TablePlacement::Single(StoreKind::Column),
-            ];
-            if let TablePlacement::Partitioned(spec) = chosen.placement(name) {
-                // The adopted split, plus its disk-demoted variant: same
-                // hot/cold shape, cold fragment priced out of memory and
-                // into tier surcharges. The knapsack sees demotion as one
-                // more point on the cost/footprint frontier — the relief
-                // valve when even the compressed column store won't fit.
-                // (Vertical cold fragments cannot demote; the engine keeps
-                // them memory-resident.)
-                if spec.vertical.is_none() && spec.cold_tier == hsd_catalog::Tier::Memory {
-                    let mut demoted = spec.clone();
-                    demoted.cold_tier = hsd_catalog::Tier::Disk;
-                    placements.push(TablePlacement::Partitioned(demoted));
-                }
-                placements.push(TablePlacement::Partitioned(spec));
-            }
-            let queries = queries_of.get(name.as_str()).unwrap_or(&empty);
-            let candidates = placements
-                .into_iter()
-                .map(|placement| {
-                    let mut cand_layout = chosen.clone();
-                    cand_layout.set(name.clone(), placement.clone());
-                    let share: f64 = queries
-                        .iter()
-                        .map(|q| {
-                            crate::estimator::estimate_query_layout(&model, ctx, &cand_layout, q)
-                        })
-                        .sum();
+            let candidates = slots
+                .iter()
+                .map(|&slot| {
+                    let placement = self.placements[t][slot].clone();
                     crate::budget::PlacementCandidate {
-                        cost_ms: share + self.placement_upkeep_ms(ctx, workload, name, &placement),
+                        cost_ms: self.share_ms(t, slot, chosen) + self.upkeep_ms(t, slot),
                         footprint_bytes: crate::budget::placement_footprint_bytes(tctx, &placement),
                         disk_bytes: crate::budget::placement_disk_bytes(tctx, &placement),
                         placement,
                     }
                 })
                 .collect();
-            candidate_tables.push(crate::budget::TableCandidates {
-                table: name.clone(),
+            candidate_slots.push(slots);
+            tables.push(crate::budget::TableCandidates {
+                table: self.names[t].to_string(),
                 candidates,
             });
         }
-        let selection = crate::budget::select_under_budget(&candidate_tables, Some(budget));
-        let mut layout = chosen.clone();
-        for tc in &candidate_tables {
-            let idx = selection.choice[&tc.table];
-            layout.set(tc.table.clone(), tc.candidates[idx].placement.clone());
-        }
-        BudgetedLayout {
-            layout_footprint: selection.total_footprint_bytes,
-            feasible: selection.feasible,
-            layout,
-        }
+        let selection = crate::budget::select_under_budget(&tables, Some(budget));
+        let slots = candidate_slots
+            .iter()
+            .zip(&tables)
+            .map(|(slots, tc)| slots[selection.choice[&tc.table]])
+            .collect();
+        (slots, selection)
     }
-}
-
-/// Result of the budget re-selection step.
-struct BudgetedLayout {
-    layout: StorageLayout,
-    layout_footprint: f64,
-    feasible: bool,
-}
-
-/// Does `q` touch table `name` (as its primary table or join dimension)?
-fn touches(q: &Query, name: &str) -> bool {
-    q.table() == name
-        || matches!(q, Query::Aggregate(a)
-            if a.join.as_ref().is_some_and(|j| j.dim_table == name))
 }
 
 /// Build the estimation context from schemas + stats.
@@ -525,30 +573,31 @@ pub fn build_ctx(
             .get(&schema.name)
             .cloned()
             .unwrap_or_else(|| TableStats::empty(schema.arity()));
-        ctx.insert(
-            schema.name.clone(),
-            TableCtx {
-                stats: s,
-                indexed: Vec::new(),
-                column_types: schema.columns.iter().map(|c| c.ty).collect(),
-                pk_columns: schema.primary_key.clone(),
-                delta_tail: 0,
-                observed_tail_rate: None,
-            },
-        );
+        ctx.insert(schema.name.clone(), table_ctx(schema, s));
     }
     ctx
 }
 
+/// Estimation inputs of one table: no index annotations, no delta tail, no
+/// observed tail rate.
+fn table_ctx(schema: &TableSchema, stats: TableStats) -> TableCtx {
+    TableCtx {
+        stats,
+        indexed: Vec::new(),
+        column_types: schema.columns.iter().map(|c| c.ty).collect(),
+        pk_columns: schema.primary_key.clone(),
+        delta_tail: 0,
+        observed_tail_rate: None,
+    }
+}
+
 /// Feed the recorder's observed per-write tail rates into an estimation
-/// context, so [`crate::estimator::workload_maintenance_drivers`] tightens
-/// its static upper bound with live evidence. Online-mode helper (offline
-/// recommendations have no live dictionaries to observe).
+/// context, so [`placement_fragment_drivers`] tightens its static upper
+/// bound with live evidence. Online-mode helper (offline recommendations
+/// have no live dictionaries to observe).
 pub(crate) fn apply_observed_tail_rates(ctx: &mut EstimationCtx, recorded: &ExtendedStats) {
     for (name, tctx) in &mut ctx.tables {
-        if let Some(rate) = recorded.table(name).and_then(|a| a.observed_tail_rate()) {
-            tctx.observed_tail_rate = Some(rate);
-        }
+        tctx.observed_tail_rate = recorded.table(name).and_then(|a| a.observed_tail_rate());
     }
 }
 
@@ -576,7 +625,6 @@ pub fn analyze_workload(
 /// Decomposed workload costs: per-table single-store sums plus per-join-pair
 /// combination sums, enabling fast evaluation of any store assignment.
 struct TableLevelSearch {
-    tables: Vec<String>,
     /// `single[t][s]`: cost of all single-table queries on table `t` under
     /// store `s`.
     single: Vec<[f64; 2]>,
@@ -585,67 +633,39 @@ struct TableLevelSearch {
 }
 
 impl TableLevelSearch {
-    /// Decompose `workload` into per-table and per-join-pair store costs.
-    /// `upkeep` charges each table's column-store side its modeled delta
-    /// maintenance (empty for maintenance-blind comparisons) — the upkeep
+    /// Decompose the pass's workload into per-table and per-join-pair store
+    /// costs. Each table's column-store side is charged its modeled delta
+    /// maintenance (zero for maintenance-blind comparisons) — the upkeep
     /// depends only on the table's own store, so it stays separable and the
     /// search machinery is unchanged.
-    fn new(
-        model: &CostModel,
-        ctx: &EstimationCtx,
-        workload: &Workload,
-        upkeep: &BTreeMap<String, f64>,
-    ) -> Self {
-        let tables: Vec<String> = ctx.tables.keys().cloned().collect();
-        let index: BTreeMap<&str, usize> = tables
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.as_str(), i))
-            .collect();
-        let mut single = vec![[0.0f64; 2]; tables.len()];
+    fn new(pass: &mut DecisionPass) -> Self {
+        let mut single = vec![[0.0f64; 2]; pass.names.len()];
         let mut join_map: BTreeMap<(usize, usize), [[f64; 2]; 2]> = BTreeMap::new();
-        for q in &workload.queries {
-            match q {
-                Query::Aggregate(a) if a.join.is_some() => {
-                    let join = a.join.as_ref().expect("checked");
-                    let (Some(&f), Some(&d)) = (
-                        index.get(a.table.as_str()),
-                        index.get(join.dim_table.as_str()),
-                    ) else {
-                        continue;
-                    };
+        for qi in 0..pass.queries.len() {
+            match (pass.queries[qi].join_dim(), pass.tables_of[qi]) {
+                (Some(_), (Some(f), Some(d))) => {
                     let entry = join_map.entry((f, d)).or_insert([[0.0; 2]; 2]);
-                    for (fi, fs) in StoreKind::BOTH.iter().enumerate() {
-                        for (di, ds) in StoreKind::BOTH.iter().enumerate() {
-                            let mut assign = BTreeMap::new();
-                            assign.insert(a.table.clone(), *fs);
-                            assign.insert(join.dim_table.clone(), *ds);
-                            entry[fi][di] += estimate_query(model, ctx, &assign, q);
+                    for fs in [ROW, COLUMN] {
+                        for ds in StoreKind::BOTH {
+                            entry[fs][store_index(ds)] += pass.price(qi, fs, ds);
                         }
                     }
                 }
-                other => {
-                    let table = other.table();
-                    let Some(&t) = index.get(table) else { continue };
-                    for (si, s) in StoreKind::BOTH.iter().enumerate() {
-                        let mut assign = BTreeMap::new();
-                        assign.insert(table.to_string(), *s);
-                        single[t][si] += estimate_query(model, ctx, &assign, other);
+                (None, (Some(t), _)) => {
+                    for s in [ROW, COLUMN] {
+                        single[t][s] += pass.price(qi, s, StoreKind::Row);
                     }
                 }
+                // Statements on tables outside the context cost the same
+                // under every assignment.
+                _ => {}
             }
         }
-        for (t, name) in tables.iter().enumerate() {
-            if let Some(ms) = upkeep.get(name) {
-                single[t][1] += ms;
-            }
+        for (t, costs) in single.iter_mut().enumerate() {
+            costs[COLUMN] += pass.upkeep_ms(t, COLUMN);
         }
         let joins = join_map.into_iter().map(|((f, d), c)| (f, d, c)).collect();
-        TableLevelSearch {
-            tables,
-            single,
-            joins,
-        }
+        TableLevelSearch { single, joins }
     }
 
     fn cost_of(&self, stores: &[usize]) -> f64 {
@@ -661,33 +681,32 @@ impl TableLevelSearch {
 
     /// Exhaustive store-combination search for small schemas ("for the join
     /// of two tables this means four estimates ... a negligible overhead"),
-    /// greedy local search beyond `exact_limit` tables.
-    fn solve(&self, exact_limit: usize) -> BTreeMap<String, StoreKind> {
-        let n = self.tables.len();
+    /// greedy local search beyond `exact_limit` tables. Returns one store
+    /// slot ([`ROW`] / [`COLUMN`]) per table.
+    fn solve(&self, exact_limit: usize) -> Vec<usize> {
+        let n = self.single.len();
         let mut best: Vec<usize> = (0..n)
             .map(|t| {
-                if self.single[t][0] <= self.single[t][1] {
-                    0
+                if self.single[t][ROW] <= self.single[t][COLUMN] {
+                    ROW
                 } else {
-                    1
+                    COLUMN
                 }
             })
             .collect();
         if n == 0 {
-            return BTreeMap::new();
+            return best;
         }
         if n <= exact_limit {
             let mut best_cost = f64::INFINITY;
-            let mut best_assign = best.clone();
             for mask in 0u64..(1u64 << n) {
                 let stores: Vec<usize> = (0..n).map(|t| ((mask >> t) & 1) as usize).collect();
                 let cost = self.cost_of(&stores);
                 if cost < best_cost {
                     best_cost = cost;
-                    best_assign = stores;
+                    best = stores;
                 }
             }
-            best = best_assign;
         } else {
             // Greedy local search: flip single tables while it helps.
             let mut cost = self.cost_of(&best);
@@ -708,30 +727,14 @@ impl TableLevelSearch {
                 }
             }
         }
-        self.tables
-            .iter()
-            .zip(&best)
-            .map(|(name, &s)| {
-                (
-                    name.clone(),
-                    if s == 0 {
-                        StoreKind::Row
-                    } else {
-                        StoreKind::Column
-                    },
-                )
-            })
-            .collect()
+        best
     }
 
     /// Single-table cost split for reporting (join costs are attributed to
     /// the fact table, at the dimension's cheaper store).
-    fn per_table_costs(&self, table: &str) -> (f64, f64) {
-        let Some(t) = self.tables.iter().position(|n| n == table) else {
-            return (0.0, 0.0);
-        };
-        let mut rs = self.single[t][0];
-        let mut cs = self.single[t][1];
+    fn per_table_costs(&self, t: usize) -> (f64, f64) {
+        let mut rs = self.single[t][ROW];
+        let mut cs = self.single[t][COLUMN];
         for (f, _, costs) in &self.joins {
             if *f == t {
                 rs += costs[0][0].min(costs[0][1]);

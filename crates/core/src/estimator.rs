@@ -32,7 +32,7 @@ pub struct TableCtx {
     /// `f_tail` scan-degradation adjustment for tail-aware estimates. The
     /// advisor's placement search deliberately leaves this at 0 — a tail is
     /// a transient condition whose remedy is a scheduled merge, not a store
-    /// migration (see `StorageAdvisor::recommend_online`).
+    /// migration (see `advisor::catalog_ctx`).
     pub delta_tail: usize,
     /// Observed dictionary-tail entries per write statement, from the
     /// recorder's live sampling
@@ -66,38 +66,51 @@ impl EstimationCtx {
     }
 }
 
-/// Estimated selectivity (matched-row count) of a conjunctive filter.
-fn estimate_matches(ctx: &TableCtx, filter: &[ColRange]) -> f64 {
-    let n = ctx.stats.row_count as f64;
-    let mut sel = 1.0;
-    for r in filter {
-        let (lo, hi) = range_bounds(ctx, r);
-        sel *= ctx.stats.estimate_range_selectivity(r.column, &lo, &hi);
-    }
-    (sel * n).max(0.0)
+/// One table as a cost formula sees it: its context and the row count the
+/// formula scales with — the whole table, or one side of a hot/cold split.
+#[derive(Clone, Copy)]
+struct Part<'a> {
+    t: &'a TableCtx,
+    rows: usize,
 }
 
-fn range_bounds(ctx: &TableCtx, r: &ColRange) -> (Value, Value) {
-    let col = r.column;
-    let min = ctx
-        .stats
-        .columns
-        .get(col)
-        .and_then(|c| c.min.clone())
-        .unwrap_or(Value::Null);
-    let max = ctx
-        .stats
-        .columns
-        .get(col)
-        .and_then(|c| c.max.clone())
-        .unwrap_or(Value::Null);
+impl<'a> Part<'a> {
+    fn whole(t: &'a TableCtx) -> Self {
+        Part {
+            t,
+            rows: t.stats.row_count,
+        }
+    }
+
+    /// The `fraction` of the table's rows a horizontal split routes here.
+    fn scaled(t: &'a TableCtx, fraction: f64) -> Self {
+        Part {
+            t,
+            rows: (t.stats.row_count as f64 * fraction).round() as usize,
+        }
+    }
+}
+
+/// Estimated selectivity (matched-row count) of a conjunctive filter.
+fn estimate_matches(part: Part, filter: &[ColRange]) -> f64 {
+    let mut sel = 1.0;
+    for r in filter {
+        let (lo, hi) = range_bounds(part.t, r);
+        sel *= part.t.stats.estimate_range_selectivity(r.column, lo, hi);
+    }
+    (sel * part.rows as f64).max(0.0)
+}
+
+fn range_bounds<'a>(ctx: &'a TableCtx, r: &'a ColRange) -> (&'a Value, &'a Value) {
+    static NULL: Value = Value::Null;
+    let col = ctx.stats.columns.get(r.column);
     let lo = match r.lo_ref() {
-        Bound::Included(v) | Bound::Excluded(v) => v.clone(),
-        Bound::Unbounded => min,
+        Bound::Included(v) | Bound::Excluded(v) => v,
+        Bound::Unbounded => col.and_then(|c| c.min.as_ref()).unwrap_or(&NULL),
     };
     let hi = match r.hi_ref() {
-        Bound::Included(v) | Bound::Excluded(v) => v.clone(),
-        Bound::Unbounded => max,
+        Bound::Included(v) | Bound::Excluded(v) => v,
+        Bound::Unbounded => col.and_then(|c| c.max.as_ref()).unwrap_or(&NULL),
     };
     (lo, hi)
 }
@@ -105,11 +118,11 @@ fn range_bounds(ctx: &TableCtx, r: &ColRange) -> (Value, Value) {
 /// The scan-degradation multiplier for the table's accumulated dictionary
 /// tail (`f_tail`), clamped to never *reward* a tail. The row store's
 /// neutral constant 1 makes this a no-op there.
-fn tail_factor(m: &StoreModel, tctx: &TableCtx) -> f64 {
-    if tctx.delta_tail == 0 {
+fn tail_factor(m: &StoreModel, part: Part) -> f64 {
+    if part.t.delta_tail == 0 {
         return 1.0;
     }
-    let frac = tctx.delta_tail as f64 / (tctx.stats.row_count.max(1)) as f64;
+    let frac = part.t.delta_tail as f64 / part.rows.max(1) as f64;
     m.f_tail.eval(frac).max(1.0)
 }
 
@@ -128,6 +141,48 @@ fn is_pk_point(ctx: &TableCtx, filter: &[ColRange]) -> bool {
         })
 }
 
+/// The store a *join dimension* is priced in: a partitioned dimension is
+/// approximated by the row store, its point-access fragment.
+pub(crate) fn dim_store_of(placement: &TablePlacement) -> StoreKind {
+    match placement {
+        TablePlacement::Single(s) => *s,
+        TablePlacement::Partitioned(_) => StoreKind::Row,
+    }
+}
+
+/// Estimate one query's runtime (ms) given the placement of its own table
+/// and the store of its join dimension (ignored by join-free queries).
+///
+/// This is the one pricing routine; every public entry point resolves the
+/// (at most two) placements a query depends on and calls it. A query's
+/// estimate therefore depends on nothing else in the layout or the context
+/// — the locality the advisor's per-query memo relies on — and costs the
+/// same whether the catalog holds eight tables or eight hundred.
+pub(crate) fn estimate_query_placed(
+    model: &CostModel,
+    ctx: &EstimationCtx,
+    query: &Query,
+    placement: &TablePlacement,
+    dim_store: StoreKind,
+) -> f64 {
+    let tctx = ctx.table(query.table());
+    match (placement, tctx) {
+        (TablePlacement::Single(s), _) => {
+            estimate_single(model, ctx, query, tctx.map(Part::whole), *s, dim_store)
+        }
+        // No statistics for the table: fall back to the single-store
+        // estimate instead of pricing the partitioned placement as free — a
+        // stats-less table must cost the *same* under every layout, not bias
+        // the comparison toward partitioning.
+        (TablePlacement::Partitioned(_), None) => {
+            estimate_single(model, ctx, query, None, StoreKind::Row, dim_store)
+        }
+        (TablePlacement::Partitioned(spec), Some(t)) => {
+            estimate_partitioned(model, ctx, query, t, spec, dim_store)
+        }
+    }
+}
+
 /// Estimate one query's runtime (ms) under a per-table store assignment.
 ///
 /// `assignment` maps table name → store; unlisted tables default to the row
@@ -138,48 +193,56 @@ pub fn estimate_query(
     assignment: &BTreeMap<String, StoreKind>,
     query: &Query,
 ) -> f64 {
-    let store_of = |t: &str| -> StoreKind { assignment.get(t).copied().unwrap_or(StoreKind::Row) };
-    match query {
-        Query::Aggregate(q) => match &q.join {
-            None => estimate_aggregate(model, ctx, store_of(&q.table), q, None),
+    let store_of = |t: &str| assignment.get(t).copied().unwrap_or(StoreKind::Row);
+    let dim_store = query.join_dim().map_or(StoreKind::Row, store_of);
+    let placement = TablePlacement::Single(store_of(query.table()));
+    estimate_query_placed(model, ctx, query, &placement, dim_store)
+}
+
+/// Single-store estimate over `part` of the query's table (`None`: the
+/// table has no statistics).
+fn estimate_single(
+    model: &CostModel,
+    ctx: &EstimationCtx,
+    query: &Query,
+    part: Option<Part>,
+    store: StoreKind,
+    dim_store: StoreKind,
+) -> f64 {
+    let m = model.store(store);
+    match (query, part) {
+        (Query::Insert(q), _) => {
+            let n = part.map_or(0.0, |p| p.rows as f64);
+            m.ins_row.eval(n).max(0.0) * q.rows.len() as f64
+        }
+        (Query::Aggregate(q), _) => match &q.join {
+            None => part.map_or(0.0, |p| estimate_aggregate(m, p, store, q, false)),
             Some(join) => {
-                let fact_store = store_of(&q.table);
-                let dim_store = store_of(&join.dim_table);
                 let dim_rows = ctx
                     .table(&join.dim_table)
                     .map_or(0.0, |t| t.stats.row_count as f64);
-                let agg = estimate_aggregate(model, ctx, fact_store, q, Some(dim_store));
+                let agg = part.map_or(0.0, |p| estimate_aggregate(m, p, store, q, true));
                 let build = model.dim_build[store_index(dim_store)].eval(dim_rows);
-                agg * model.join_factor_of(fact_store, dim_store) + build.max(0.0)
+                agg * model.join_factor_of(store, dim_store) + build.max(0.0)
             }
         },
-        Query::Select(q) => estimate_select(model, ctx, store_of(&q.table), q),
-        Query::Insert(q) => {
-            let store = store_of(&q.table);
-            let n = ctx
-                .table(&q.table)
-                .map_or(0.0, |t| t.stats.row_count as f64);
-            let per_row = model.store(store).ins_row.eval(n).max(0.0);
-            per_row * q.rows.len() as f64
-        }
-        Query::Update(q) => estimate_update(model, ctx, store_of(&q.table), q),
+        (_, None) => 0.0,
+        (Query::Select(q), Some(p)) => estimate_select(m, p, store, q),
+        (Query::Update(q), Some(p)) => estimate_update(m, p, store, q),
     }
 }
 
-/// Aggregation estimate. For join queries (`dim_store` set) the group-by is
-/// on the dimension side; the join factor is applied by the caller.
+/// Aggregation estimate. For join queries (`joined`) the group-by may be on
+/// the dimension side; the join factor is applied by the caller.
 fn estimate_aggregate(
-    model: &CostModel,
-    ctx: &EstimationCtx,
+    m: &StoreModel,
+    part: Part,
     store: StoreKind,
     q: &AggregateQuery,
-    dim_store: Option<StoreKind>,
+    joined: bool,
 ) -> f64 {
-    let m = model.store(store);
-    let Some(tctx) = ctx.table(&q.table) else {
-        return 0.0;
-    };
-    let n = tctx.stats.row_count as f64;
+    let tctx = part.t;
+    let n = part.rows as f64;
     // Σ over aggregates of (base-cost multiplier · data-type constant) —
     // "the additional aggregate adds another base cost term including its
     // adjustment to the data type".
@@ -203,20 +266,20 @@ fn estimate_aggregate(
     } else {
         comp_sum / q.aggregates.len() as f64
     };
-    let grouped = q.group_by.is_some()
-        || dim_store.is_some() && q.join.as_ref().is_some_and(|j| j.group_by_dim.is_some());
+    let grouped =
+        q.group_by.is_some() || joined && q.join.as_ref().is_some_and(|j| j.group_by_dim.is_some());
     let c_group = if grouped { m.c_group_by } else { 1.0 };
     // The accumulated delta tail degrades every column-store scan until the
     // next merge — the dictionary-tail penalty the merge scheduler trades
     // against the merge cost.
-    let tail = tail_factor(m, tctx);
+    let tail = tail_factor(m, part);
     if q.filter.is_empty() {
         agg_terms * c_group * m.f_rows.eval(n).max(0.0) * m.f_compression.eval(compression) * tail
     } else {
         // Filtered aggregation: pay the selection to locate rows, then
         // aggregate over the matched subset.
-        let matched = estimate_matches(tctx, &q.filter);
-        let locate = locate_cost(m, tctx, &q.filter, store);
+        let matched = estimate_matches(part, &q.filter);
+        let locate = locate_cost(m, part, &q.filter, store);
         locate
             + agg_terms
                 * c_group
@@ -228,65 +291,45 @@ fn estimate_aggregate(
 
 /// Cost of locating the rows matching `filter` (shared by selects, updates,
 /// and filtered aggregates).
-fn locate_cost(m: &StoreModel, tctx: &TableCtx, filter: &[ColRange], store: StoreKind) -> f64 {
-    if is_pk_point(tctx, filter) {
+fn locate_cost(m: &StoreModel, part: Part, filter: &[ColRange], store: StoreKind) -> f64 {
+    if is_pk_point(part.t, filter) {
         return m.sel_point_ms;
     }
-    let n = tctx.stats.row_count as f64;
-    let matched = estimate_matches(tctx, filter);
-    let indexed = match store {
-        // The column store's dictionary provides the implicit index.
-        StoreKind::Column => true,
-        StoreKind::Row => filter.iter().any(|r| tctx.indexed.contains(&r.column)),
-    };
-    let per_row = if indexed && store == StoreKind::Row {
-        m.sel_per_row_indexed
-    } else {
-        m.sel_per_row_scan
-    };
+    let n = part.rows as f64;
+    let matched = estimate_matches(part, filter);
+    // The column store's dictionary provides the implicit index; only a
+    // row-store secondary index changes the per-row price.
+    let per_row =
+        if store == StoreKind::Row && filter.iter().any(|r| part.t.indexed.contains(&r.column)) {
+            m.sel_per_row_indexed
+        } else {
+            m.sel_per_row_scan
+        };
     // Tail entries disable the column store's fused scan kernel for the
     // affected blocks, so predicate evaluation degrades with the tail.
-    per_row * n * tail_factor(m, tctx) + m.sel_per_match * matched
+    per_row * n * tail_factor(m, part) + m.sel_per_match * matched
 }
 
-fn estimate_select(
-    model: &CostModel,
-    ctx: &EstimationCtx,
-    store: StoreKind,
-    q: &SelectQuery,
-) -> f64 {
-    let m = model.store(store);
-    let Some(tctx) = ctx.table(&q.table) else {
-        return 0.0;
-    };
-    let arity = tctx.column_types.len().max(1);
+fn estimate_select(m: &StoreModel, part: Part, store: StoreKind, q: &SelectQuery) -> f64 {
+    let arity = part.t.column_types.len().max(1);
     let k = q.columns.as_ref().map_or(arity, Vec::len) as f64;
     let col_factor = m.f_selected_columns.eval(k).max(0.0);
-    if is_pk_point(tctx, &q.filter) {
+    if is_pk_point(part.t, &q.filter) {
         return m.sel_point_ms * col_factor;
     }
-    let matched = estimate_matches(tctx, &q.filter);
-    let locate = locate_cost(m, tctx, &q.filter, store);
+    let matched = estimate_matches(part, &q.filter);
+    let locate = locate_cost(m, part, &q.filter, store);
     // Emission: per matched row, scaled by tuple-reconstruction width.
     locate + m.sel_per_match * matched * (col_factor - 1.0).max(0.0)
 }
 
-fn estimate_update(
-    model: &CostModel,
-    ctx: &EstimationCtx,
-    store: StoreKind,
-    q: &UpdateQuery,
-) -> f64 {
-    let m = model.store(store);
-    let Some(tctx) = ctx.table(&q.table) else {
-        return 0.0;
-    };
-    let matched = if is_pk_point(tctx, &q.filter) {
+fn estimate_update(m: &StoreModel, part: Part, store: StoreKind, q: &UpdateQuery) -> f64 {
+    let matched = if is_pk_point(part.t, &q.filter) {
         1.0
     } else {
-        estimate_matches(tctx, &q.filter)
+        estimate_matches(part, &q.filter)
     };
-    let locate = locate_cost(m, tctx, &q.filter, store);
+    let locate = locate_cost(m, part, &q.filter, store);
     let k = q.sets.len().max(1) as f64;
     locate + m.upd_row_ms * matched * m.f_affected_columns.eval(k).max(0.0)
 }
@@ -316,7 +359,7 @@ pub fn estimate_workload(
 /// ([`crate::maintenance::estimate_maintenance`]): a query-cost-only store
 /// comparison cannot see that a write-heavy column table pays for its
 /// merges, so the advisor derives the upkeep drivers from the same workload
-/// it estimates query costs for.
+/// it estimates query costs for ([`placement_fragment_drivers`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MaintenanceDrivers {
     /// Modeled dictionary-tail growth in entries. Each update statement
@@ -328,54 +371,6 @@ pub struct MaintenanceDrivers {
     /// Scan-type statements (aggregations and non-point selects) that pay
     /// the `f_tail` degradation until the next merge.
     pub scans: f64,
-}
-
-/// Derive the per-table [`MaintenanceDrivers`] of a workload window.
-///
-/// Tail growth starts from the static upper bound (one entry per assigned
-/// column / inserted row — repeated values intern nothing, so actual growth
-/// can only be lower). When the estimation context carries an **observed**
-/// tail rate ([`TableCtx::observed_tail_rate`], fed back from the
-/// recorder's live dictionary sampling in the online mode), the estimate is
-/// tightened to `rate × write statements`, capped by the upper bound — so a
-/// skewed workload that keeps re-writing the same few values no longer gets
-/// charged as if every assignment interned a fresh entry.
-pub fn workload_maintenance_drivers(
-    ctx: &EstimationCtx,
-    workload: &Workload,
-) -> BTreeMap<String, MaintenanceDrivers> {
-    let mut out: BTreeMap<String, MaintenanceDrivers> = BTreeMap::new();
-    let mut write_stmts: BTreeMap<String, f64> = BTreeMap::new();
-    for q in &workload.queries {
-        let entry = out.entry(q.table().to_string()).or_default();
-        match q {
-            Query::Update(u) => {
-                entry.tail_growth += u.sets.len().max(1) as f64;
-                *write_stmts.entry(q.table().to_string()).or_default() += 1.0;
-            }
-            Query::Insert(i) => {
-                entry.tail_growth += i.rows.len() as f64;
-                *write_stmts.entry(q.table().to_string()).or_default() += 1.0;
-            }
-            Query::Aggregate(_) => entry.scans += 1.0,
-            Query::Select(s) => {
-                let point = ctx
-                    .table(&s.table)
-                    .is_some_and(|t| is_pk_point(t, &s.filter));
-                if !point {
-                    entry.scans += 1.0;
-                }
-            }
-        }
-    }
-    for (table, drivers) in &mut out {
-        let Some(rate) = ctx.table(table).and_then(|t| t.observed_tail_rate) else {
-            continue;
-        };
-        let writes = write_stmts.get(table).copied().unwrap_or(0.0);
-        drivers.tail_growth = drivers.tail_growth.min(rate.max(0.0) * writes);
-    }
-    out
 }
 
 /// Maintenance drivers of the delta-carrying region of one *placement*:
@@ -400,10 +395,20 @@ pub struct FragmentDrivers {
     pub drivers: MaintenanceDrivers,
 }
 
-/// Derive the [`FragmentDrivers`] of `table` under `placement` from a
-/// workload window — the fragment-level analogue of
-/// [`workload_maintenance_drivers`]. Returns `None` when the placement has
-/// no column-store region (a single row-store table pays no delta upkeep).
+/// Derive the [`FragmentDrivers`] of `table` under `placement` from the
+/// statements of a workload window (those addressing other tables are
+/// skipped, so callers may pass the whole window or just the table's own
+/// statements). Returns `None` when the placement has no column-store
+/// region (a single row-store table pays no delta upkeep).
+///
+/// Tail growth starts from the static upper bound — one entry per assigned
+/// column / inserted row; repeated values intern nothing, so actual growth
+/// can only be lower. When the context carries an **observed** tail rate
+/// ([`TableCtx::observed_tail_rate`], fed back from the recorder's live
+/// dictionary sampling in the online mode), the estimate is tightened to
+/// `rate × write statements`, capped by the upper bound — so a skewed
+/// workload that keeps re-writing the same few values is not charged as if
+/// every assignment interned a fresh entry.
 ///
 /// Routing rules, mirroring the executor and [`estimate_query_layout`]:
 ///
@@ -418,13 +423,11 @@ pub struct FragmentDrivers {
 /// * **Scans** (aggregations, non-point selects) pay the cold fragment's
 ///   tail penalty — except selects a vertical split routes entirely
 ///   (projection *and* filter) to the row fragment.
-/// * The observed tail rate ([`TableCtx::observed_tail_rate`]) tightens
-///   the static bound exactly as in [`workload_maintenance_drivers`]; the
-///   recorder samples the cold fragment's live tail on partitioned
-///   layouts, so the rate already reflects fragment-level growth.
-pub fn placement_fragment_drivers(
+/// * The recorder samples the cold fragment's live tail on partitioned
+///   layouts, so the observed rate already reflects fragment-level growth.
+pub fn placement_fragment_drivers<'q>(
     ctx: &EstimationCtx,
-    workload: &Workload,
+    queries: impl IntoIterator<Item = &'q Query>,
     table: &str,
     placement: &TablePlacement,
 ) -> Option<FragmentDrivers> {
@@ -442,7 +445,7 @@ pub fn placement_fragment_drivers(
     let cold_fraction = 1.0 - hot_fraction;
     let mut drivers = MaintenanceDrivers::default();
     let mut write_stmts = 0.0f64;
-    for q in &workload.queries {
+    for q in queries {
         if q.table() != table {
             continue;
         }
@@ -514,48 +517,30 @@ fn select_row_fragment_only(spec: &hsd_catalog::PartitionSpec, q: &SelectQuery) 
 // Layout-aware estimation (partitioned placements)
 
 /// Estimate one query under a full [`StorageLayout`], approximating
-/// partitioned tables by their hot/cold row fractions.
+/// partitioned tables by their hot/cold row fractions. Placements are
+/// resolved by borrow: nothing proportional to the catalog is built.
 pub fn estimate_query_layout(
     model: &CostModel,
     ctx: &EstimationCtx,
     layout: &StorageLayout,
     query: &Query,
 ) -> f64 {
-    // Single-store view of the layout for tables that are not partitioned.
-    let mut single: BTreeMap<String, StoreKind> = BTreeMap::new();
-    for name in ctx.tables.keys() {
-        if let TablePlacement::Single(s) = layout.placement(name) {
-            single.insert(name.clone(), s);
-        }
-    }
-    let table = query.table();
-    match layout.placement(table) {
-        TablePlacement::Single(_) => estimate_query(model, ctx, &single, query),
-        TablePlacement::Partitioned(spec) => {
-            let Some(tctx) = ctx.table(table) else {
-                // No statistics for the table: fall back to the single-store
-                // estimate instead of pricing the partitioned placement as
-                // free — a stats-less table must cost the *same* under every
-                // layout, not bias the comparison toward partitioning.
-                return estimate_query(model, ctx, &single, query);
-            };
-            let hot_fraction = crate::partition::horizontal_hot_fraction(&tctx.stats, &spec);
-            estimate_partitioned(model, ctx, &single, query, tctx, &spec, hot_fraction)
-        }
-    }
+    let dim_store = query
+        .join_dim()
+        .map_or(StoreKind::Row, |d| dim_store_of(layout.placement_ref(d)));
+    let placement = layout.placement_ref(query.table());
+    estimate_query_placed(model, ctx, query, placement, dim_store)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn estimate_partitioned(
     model: &CostModel,
     ctx: &EstimationCtx,
-    single: &BTreeMap<String, StoreKind>,
     query: &Query,
     tctx: &TableCtx,
     spec: &hsd_catalog::PartitionSpec,
-    hot_fraction: f64,
+    dim_store: StoreKind,
 ) -> f64 {
-    let table = query.table().to_string();
+    let hot_fraction = crate::partition::horizontal_hot_fraction(&tctx.stats, spec);
     let n = tctx.stats.row_count as f64;
     // Tier surcharge inputs: a disk-resident cold fragment adds decode
     // bandwidth to scans, fetch latency to point reads, and a segment
@@ -568,18 +553,10 @@ fn estimate_partitioned(
         0.0
     };
     let tier = &model.tier;
-    // Build scaled contexts for the hot and cold parts.
-    let scaled = |fraction: f64| -> EstimationCtx {
-        let mut c = ctx.clone();
-        if let Some(t) = c.tables.get_mut(&table) {
-            t.stats.row_count = (n * fraction).round() as usize;
-        }
-        c
-    };
-    let with_store = |s: StoreKind| -> BTreeMap<String, StoreKind> {
-        let mut a = single.clone();
-        a.insert(table.clone(), s);
-        a
+    // One side of the split, priced as a single store over its row share.
+    let side = |fraction: f64, store: StoreKind| -> f64 {
+        let part = Part::scaled(tctx, fraction);
+        estimate_single(model, ctx, query, Some(part), store, dim_store)
     };
     match query {
         Query::Insert(_) => {
@@ -589,29 +566,13 @@ fn estimate_partitioned(
             } else {
                 StoreKind::Column
             };
-            estimate_query(
-                model,
-                &scaled(hot_fraction.max(0.01)),
-                &with_store(store),
-                query,
-            )
+            side(hot_fraction.max(0.01), store)
         }
         Query::Update(q) => {
             // Vertical split: updates touching only row-fragment columns run
             // at row-store cost; otherwise column cost dominates.
-            let store = update_store(spec, q);
-            let hot = estimate_query(
-                model,
-                &scaled(hot_fraction),
-                &with_store(StoreKind::Row),
-                query,
-            );
-            let cold = estimate_query(
-                model,
-                &scaled(1.0 - hot_fraction),
-                &with_store(store),
-                query,
-            );
+            let hot = side(hot_fraction, StoreKind::Row);
+            let cold = side(cold_fraction, update_store(spec, q));
             // A point update hits exactly one partition; weight by
             // fraction. A cold-routed write against a disk-tier fragment
             // additionally fetches the segment and rewrites it whole
@@ -624,19 +585,8 @@ fn estimate_partitioned(
             hot * hot_fraction + cold * cold_fraction + disk_write
         }
         Query::Select(q) => {
-            let store = select_store(spec, q);
-            let hot = estimate_query(
-                model,
-                &scaled(hot_fraction),
-                &with_store(StoreKind::Row),
-                query,
-            );
-            let cold = estimate_query(
-                model,
-                &scaled(1.0 - hot_fraction),
-                &with_store(store),
-                query,
-            );
+            let hot = side(hot_fraction, StoreKind::Row);
+            let cold = side(cold_fraction, select_store(spec, q));
             if is_pk_point(tctx, &q.filter) {
                 // A point read lands cold with probability `cold_fraction`
                 // and then pays the segment fetch latency.
@@ -656,21 +606,11 @@ fn estimate_partitioned(
             // Aggregation unions both partitions: row-store scan over the
             // hot rows plus column-store scan over the cold rows.
             let hot = if hot_fraction > 0.0 {
-                estimate_query(
-                    model,
-                    &scaled(hot_fraction),
-                    &with_store(StoreKind::Row),
-                    query,
-                )
+                side(hot_fraction, StoreKind::Row)
             } else {
                 0.0
             };
-            let cold = estimate_query(
-                model,
-                &scaled(1.0 - hot_fraction),
-                &with_store(StoreKind::Column),
-                query,
-            );
+            let cold = side(cold_fraction, StoreKind::Column);
             hot + cold
                 + if spec.horizontal.is_some() {
                     model.union_overhead_ms
@@ -945,23 +885,27 @@ mod tests {
                 1,
             ))))
             .collect();
-        let w = Workload::from_queries(queries);
+        let column = TablePlacement::Single(StoreKind::Column);
+        let drivers = |c: &EstimationCtx| {
+            placement_fragment_drivers(c, &queries, "t", &column)
+                .unwrap()
+                .drivers
+        };
         // Without feedback: the upper bound.
-        let blind = workload_maintenance_drivers(&ctx(), &w);
-        assert_eq!(blind["t"].tail_growth, 300.0);
-        assert_eq!(blind["t"].scans, 1.0);
+        let blind = drivers(&ctx());
+        assert_eq!(blind.tail_growth, 300.0);
+        assert_eq!(blind.scans, 1.0);
         // With an observed rate of 0.05 entries per write statement the
         // estimate collapses to 100 × 0.05 = 5 — the two diverge by 60×.
         let mut observed = ctx();
         observed.tables.get_mut("t").unwrap().observed_tail_rate = Some(0.05);
-        let fed = workload_maintenance_drivers(&observed, &w);
-        assert_eq!(fed["t"].tail_growth, 5.0);
-        assert_eq!(fed["t"].scans, 1.0);
+        let fed = drivers(&observed);
+        assert_eq!(fed.tail_growth, 5.0);
+        assert_eq!(fed.scans, 1.0);
         // The observed rate can only tighten, never exceed, the bound.
         let mut inflated = ctx();
         inflated.tables.get_mut("t").unwrap().observed_tail_rate = Some(50.0);
-        let capped = workload_maintenance_drivers(&inflated, &w);
-        assert_eq!(capped["t"].tail_growth, 300.0);
+        assert_eq!(drivers(&inflated).tail_growth, 300.0);
     }
 
     #[test]
@@ -1149,16 +1093,16 @@ mod tests {
                 10,
             ))
             .collect();
-        let w = Workload::from_queries(queries);
+        let w = &queries;
         // Single row store: no column region, no drivers.
         assert!(
-            placement_fragment_drivers(&c, &w, "t", &TablePlacement::Single(StoreKind::Row))
+            placement_fragment_drivers(&c, w, "t", &TablePlacement::Single(StoreKind::Row))
                 .is_none()
         );
         // Single column store: the full-table drivers (one entry per
         // inserted row + one per update assignment; every aggregate scans).
         let full =
-            placement_fragment_drivers(&c, &w, "t", &TablePlacement::Single(StoreKind::Column))
+            placement_fragment_drivers(&c, w, "t", &TablePlacement::Single(StoreKind::Column))
                 .unwrap();
         assert_eq!(full.rows, 10_000);
         assert_eq!(full.drivers.tail_growth, 140.0);
@@ -1174,7 +1118,7 @@ mod tests {
             vertical: None,
             ..Default::default()
         });
-        let frag = placement_fragment_drivers(&c, &w, "t", &hot_cold).unwrap();
+        let frag = placement_fragment_drivers(&c, w, "t", &hot_cold).unwrap();
         let hot = crate::partition::horizontal_hot_fraction(
             &c.table("t").unwrap().stats,
             match &hot_cold {
@@ -1200,7 +1144,7 @@ mod tests {
             vertical: Some(VerticalSpec { row_cols: vec![1] }),
             ..Default::default()
         });
-        let v = placement_fragment_drivers(&c, &w, "t", &vertical).unwrap();
+        let v = placement_fragment_drivers(&c, w, "t", &vertical).unwrap();
         assert_eq!(v.drivers.tail_growth, 0.0);
         assert_eq!(v.drivers.scans, 10.0);
     }

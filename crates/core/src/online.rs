@@ -14,16 +14,21 @@
 //! ([`hsd_engine::MergeConfig::disabled`]) makes the advisor the sole merge
 //! scheduler.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
+use hsd_catalog::StorageLayout;
 use hsd_engine::{mover, HybridDatabase, StatisticsRecorder};
-use hsd_query::{Query, Workload};
-use hsd_types::Result;
+use hsd_query::Query;
+use hsd_types::{Result, TableSchema};
 
-use crate::advisor::{Recommendation, StorageAdvisor};
+use crate::advisor::{
+    apply_observed_tail_rates, catalog_ctx, DecisionPass, Recommendation, StorageAdvisor,
+};
 use crate::calibration::online::{
     DriftGauge, OnlineCalibrator, OnlineCalibratorConfig, RefitReport,
 };
+use crate::estimator::{estimate_query_layout, EstimationCtx};
 use crate::maintenance::{evaluate_merge, MaintenanceAction, MergePartition};
 
 /// Settings of the online advisor.
@@ -126,6 +131,32 @@ struct ScheduledMerge {
     epoch_at_schedule: u64,
 }
 
+/// The catalog as the estimator reads it — schemas, estimation context and
+/// current layout — kept across statements and rebuilt only when
+/// [`hsd_catalog::Catalog::generation`] says a DDL statement, a data move,
+/// an index or a statistics refresh changed something. The context is held
+/// in its placement-search form (no delta tails; see
+/// [`crate::advisor::catalog_ctx`]).
+#[derive(Debug, Default)]
+struct CatalogView {
+    /// Catalog generation the view was built at (`None`: never built).
+    generation: Option<u64>,
+    schemas: Vec<Arc<TableSchema>>,
+    ctx: EstimationCtx,
+    layout: StorageLayout,
+}
+
+impl CatalogView {
+    fn refresh(&mut self, db: &HybridDatabase) {
+        let catalog = db.catalog();
+        if self.generation != Some(catalog.generation()) {
+            (self.schemas, self.ctx) = catalog_ctx(&catalog);
+            self.layout = catalog.current_layout();
+            self.generation = Some(catalog.generation());
+        }
+    }
+}
+
 /// An adaptation the online advisor wants to apply.
 #[derive(Debug, Clone)]
 pub struct AdaptationRecommendation {
@@ -140,7 +171,9 @@ pub struct AdaptationRecommendation {
 }
 
 /// Online advisor: wraps a [`StorageAdvisor`] with statistics recording,
-/// interval-based re-evaluation, and workload-aware merge scheduling.
+/// interval-based re-evaluation, and workload-aware merge scheduling. One
+/// instance watches one database (it caches what it derived from that
+/// database's catalog).
 ///
 /// # Example
 ///
@@ -177,7 +210,10 @@ pub struct OnlineAdvisor {
     advisor: StorageAdvisor,
     cfg: OnlineConfig,
     recorder: StatisticsRecorder,
-    window: Vec<Query>,
+    /// The most recent statements, oldest first — the estimation window,
+    /// priced in place.
+    window: VecDeque<Query>,
+    view: CatalogView,
     since_last_eval: usize,
     since_last_maintenance: usize,
     /// Per-table scan counts (aggregations + selects) at the last
@@ -218,7 +254,8 @@ impl OnlineAdvisor {
             advisor,
             cfg,
             recorder: StatisticsRecorder::new(),
-            window: Vec::new(),
+            window: VecDeque::new(),
+            view: CatalogView::default(),
             since_last_eval: 0,
             since_last_maintenance: 0,
             scan_snapshot: BTreeMap::new(),
@@ -277,34 +314,22 @@ impl OnlineAdvisor {
     /// layout and live table state. This is the "predicted" half of the
     /// residual channel; it deliberately prices the *live* dictionary tail
     /// (unlike the placement search, which zeroes it) because the measured
-    /// execution paid that tail.
-    pub fn predict_ms(&self, db: &HybridDatabase, query: &Query) -> f64 {
-        let schemas: Vec<_> = db
-            .catalog()
-            .entries()
-            .iter()
-            .map(|e| e.schema.clone())
-            .collect();
-        let stats = db
-            .catalog()
-            .entries()
-            .iter()
-            .map(|e| (e.schema.name.clone(), e.stats.clone()))
-            .collect();
-        let mut ctx = crate::advisor::build_ctx(&schemas, &stats);
-        crate::advisor::apply_observed_tail_rates(&mut ctx, self.recorder.stats());
-        for entry in db.catalog().entries() {
-            if let Some(t) = ctx.tables.get_mut(&entry.schema.name) {
-                t.indexed = entry.indexed_columns.clone();
-                t.delta_tail = db.delta_tail(&entry.schema.name).unwrap_or(0);
-            }
+    /// execution paid that tail. Only the query's own table is read from
+    /// the engine — the one tail its estimate depends on.
+    pub fn predict_ms(&mut self, db: &HybridDatabase, query: &Query) -> f64 {
+        self.view.refresh(db);
+        let model = self.advisor.model.snapshot();
+        let table = query.table();
+        let tail = db.delta_tail(table).unwrap_or(0);
+        let view = &mut self.view;
+        if let Some(t) = view.ctx.tables.get_mut(table) {
+            t.delta_tail = tail;
         }
-        crate::estimator::estimate_query_layout(
-            &self.advisor.model.snapshot(),
-            &ctx,
-            &db.current_layout(),
-            query,
-        )
+        let predicted_ms = estimate_query_layout(&model, &view.ctx, &view.layout, query);
+        if let Some(t) = view.ctx.tables.get_mut(table) {
+            t.delta_tail = 0;
+        }
+        predicted_ms
     }
 
     /// Forward one background merge slice's measured cost into the residual
@@ -344,9 +369,9 @@ impl OnlineAdvisor {
         query: &Query,
     ) -> Result<Option<AdaptationRecommendation>> {
         if self.window.len() == self.cfg.window_capacity {
-            self.window.remove(0);
+            self.window.pop_front();
         }
-        self.window.push(query.clone());
+        self.window.push_back(query.clone());
         self.since_last_maintenance += 1;
         if self.cfg.enable_maintenance
             && self.since_last_maintenance >= self.cfg.maintenance_interval
@@ -559,46 +584,11 @@ impl OnlineAdvisor {
     }
 
     /// Force a re-evaluation of the current layout.
-    pub fn evaluate(&self, db: &HybridDatabase) -> Result<Option<AdaptationRecommendation>> {
+    pub fn evaluate(&mut self, db: &HybridDatabase) -> Result<Option<AdaptationRecommendation>> {
         if self.window.is_empty() {
             return Ok(None);
         }
-        let window = Workload::from_queries(self.window.clone());
-        let rec = self.advisor.recommend_online(
-            db,
-            self.recorder.stats(),
-            &window,
-            self.cfg.enable_partitioning,
-        )?;
-        // Cost of the window under the database's *current* layout.
-        let schemas: Vec<_> = db
-            .catalog()
-            .entries()
-            .iter()
-            .map(|e| e.schema.clone())
-            .collect();
-        let stats = db
-            .catalog()
-            .entries()
-            .iter()
-            .map(|e| (e.schema.name.clone(), e.stats.clone()))
-            .collect();
-        let mut ctx = crate::advisor::build_ctx(&schemas, &stats);
-        // Same live tail-rate feedback the candidate layouts were priced
-        // with, so the current layout's upkeep compares like with like.
-        crate::advisor::apply_observed_tail_rates(&mut ctx, self.recorder.stats());
-        let current_layout = db.current_layout();
-        // Charge the current layout the same delta upkeep the candidate
-        // layouts were charged — fragment-level for partitioned placements
-        // — so improvements compare like with like.
-        let current_ms = crate::estimator::estimate_workload_layout(
-            &self.advisor.model.snapshot(),
-            &ctx,
-            &current_layout,
-            &window,
-        ) + self
-            .advisor
-            .layout_upkeep_ms(&ctx, &window, &current_layout);
+        let (rec, current_ms) = self.price_window(db);
         if current_ms <= 0.0 {
             return Ok(None);
         }
@@ -608,7 +598,7 @@ impl OnlineAdvisor {
         }
         let changed: Vec<String> = rec
             .layout
-            .diff(&current_layout)
+            .diff(&self.view.layout)
             .into_iter()
             .map(str::to_string)
             .collect();
@@ -621,6 +611,26 @@ impl OnlineAdvisor {
             improvement,
             changed_tables: changed,
         }))
+    }
+
+    /// The recommendation for the window and the window's modeled cost
+    /// under the database's *current* layout, both from one
+    /// [`DecisionPass`] — same context (indexed columns, observed tail
+    /// rates), same model snapshot, same upkeep charging — so the
+    /// improvement compares like with like.
+    fn price_window(&mut self, db: &HybridDatabase) -> (Recommendation, f64) {
+        self.view.refresh(db);
+        apply_observed_tail_rates(&mut self.view.ctx, self.recorder.stats());
+        let window: Vec<&Query> = self.window.iter().collect();
+        let model = self.advisor.model.snapshot();
+        let mut pass = DecisionPass::new(&self.advisor, &model, &self.view.ctx, &window);
+        let rec = pass.recommend(
+            &self.view.schemas,
+            self.recorder.stats(),
+            self.cfg.enable_partitioning,
+        );
+        let current_ms = pass.layout_ms(&self.view.layout);
+        (rec, current_ms)
     }
 
     /// Apply an adaptation (the "directly applied to the database system"
@@ -661,6 +671,7 @@ mod tests {
     };
     use hsd_storage::{ColRange, StoreKind};
     use hsd_types::Value;
+    use proptest::prop_assert_eq;
 
     fn model() -> CostModel {
         let mut m = CostModel::neutral();
@@ -1002,6 +1013,200 @@ mod tests {
             "calibrated predictions moved toward the measured truth \
              ({predicted} vs frozen {static_predicted})"
         );
+    }
+
+    /// Satellite regression: the current layout's cost used to be priced
+    /// without the catalog's indexed columns while the candidates were
+    /// priced with them, so an indexed table's current cost was overstated
+    /// and `improvement` inflated. When the recommended layout *is* the
+    /// current one, the two prices must coincide.
+    #[test]
+    fn current_layout_is_priced_like_the_candidates() {
+        use hsd_query::SelectQuery;
+        let s = spec();
+        let db = HybridDatabase::new();
+        db.create_single(s.schema().unwrap(), StoreKind::Row)
+            .unwrap();
+        db.bulk_load("w", s.rows()).unwrap();
+        db.create_index("w", s.grp_col(0)).unwrap();
+        let mut m = model();
+        m.row.sel_per_row_scan = 1e-4;
+        m.row.sel_per_row_indexed = 1e-6;
+        m.column.sel_per_row_scan = 1e-5;
+        let cfg = OnlineConfig {
+            evaluation_interval: usize::MAX,
+            ..Default::default()
+        };
+        let mut online = OnlineAdvisor::new(StorageAdvisor::new(m), cfg);
+        for i in 0..50 {
+            let q = Query::Select(SelectQuery {
+                table: "w".into(),
+                columns: None,
+                filter: vec![ColRange::eq(s.grp_col(0), s.value(i, s.grp_col(0)))],
+            });
+            db.execute(&q).unwrap();
+            online.observe(&db, &q).unwrap();
+        }
+        let (rec, current_ms) = online.price_window(&db);
+        assert_eq!(
+            rec.layout,
+            db.current_layout(),
+            "the indexed row store stays"
+        );
+        assert!(
+            (current_ms - rec.estimated_ms).abs() <= 1e-9 * current_ms,
+            "current {current_ms} vs recommended {}",
+            rec.estimated_ms
+        );
+        assert!(online.evaluate(&db).unwrap().is_none());
+    }
+
+    /// The parent's `predict_ms`, kept as the oracle: a context rebuilt from
+    /// the whole catalog, every table's live tail pinned.
+    fn predict_from_scratch(db: &HybridDatabase, model: &CostModel, q: &Query) -> f64 {
+        let catalog = db.catalog();
+        let schemas: Vec<_> = catalog.entries().iter().map(|e| e.schema.clone()).collect();
+        let stats = catalog
+            .entries()
+            .iter()
+            .map(|e| (e.schema.name.clone(), e.stats.clone()))
+            .collect();
+        let mut ctx = crate::advisor::build_ctx(&schemas, &stats);
+        for entry in catalog.entries() {
+            let t = ctx.tables.get_mut(&entry.schema.name).unwrap();
+            t.indexed = entry.indexed_columns.clone();
+            t.delta_tail = db.delta_tail(&entry.schema.name).unwrap_or(0);
+        }
+        estimate_query_layout(model, &ctx, &catalog.current_layout(), q)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Cache invalidation: through random interleavings of statements,
+        /// data moves, index and table creation, statistics refreshes, tier
+        /// demotion/promotion and applied adaptations, the persistent
+        /// catalog view predicts bit-for-bit what a context built from
+        /// scratch predicts, and decides what an advisor whose view is
+        /// rebuilt from scratch — same window, same recorded statistics —
+        /// decides.
+        #[test]
+        fn cached_view_never_goes_stale(seed in proptest::any::<u64>()) {
+            use hsd_catalog::{HorizontalSpec, PartitionSpec, VerticalSpec};
+            use hsd_query::{InsertQuery, SelectQuery};
+            let mut x = seed | 1;
+            let mut below = move |n: usize| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % n as u64) as usize
+            };
+            let rows = 300;
+            let db = HybridDatabase::new();
+            let mut specs = Vec::new();
+            let create = |specs: &mut Vec<TableSpec>, store: StoreKind| {
+                let s = TableSpec::paper_wide(format!("t{}", specs.len()), rows, 7);
+                db.create_single(s.schema().unwrap(), store).unwrap();
+                db.bulk_load(&s.name, s.rows()).unwrap();
+                specs.push(s);
+            };
+            create(&mut specs, StoreKind::Row);
+            create(&mut specs, StoreKind::Column);
+            db.set_merge_config(hsd_engine::MergeConfig::disabled());
+            let cfg = OnlineConfig {
+                evaluation_interval: usize::MAX,
+                min_improvement: 0.0,
+                maintenance_interval: 16,
+                merge_min_tail: 8,
+                ..Default::default()
+            };
+            let m = maintenance_model();
+            let mut cached = OnlineAdvisor::new(StorageAdvisor::new(m.clone()), cfg.clone());
+            let mut rebuilt = OnlineAdvisor::new(StorageAdvisor::new(m.clone()), cfg);
+            for step in 0..120 {
+                let s = specs[below(specs.len())].clone();
+                let name = s.name.as_str();
+                let key = Value::BigInt(below(rows) as i64);
+                match below(14) {
+                    0..=7 => {
+                        let q = match below(4) {
+                            0 => Query::Insert(InsertQuery {
+                                table: s.name.clone(),
+                                rows: vec![s.row((rows * 2 + step) as u64)],
+                            }),
+                            1 => Query::Update(UpdateQuery {
+                                table: s.name.clone(),
+                                sets: vec![(s.kf_col(0), Value::Double(1e6 + step as f64))],
+                                filter: vec![ColRange::eq(0, key)],
+                            }),
+                            2 => Query::Select(SelectQuery {
+                                table: s.name.clone(),
+                                columns: None,
+                                filter: vec![ColRange::eq(s.grp_col(0), s.value(step as u64, s.grp_col(0)))],
+                            }),
+                            _ => Query::Aggregate(AggregateQuery::simple(name, AggFunc::Sum, s.kf_col(0))),
+                        };
+                        db.execute(&q).unwrap();
+                        let predicted = cached.predict_ms(&db, &q);
+                        prop_assert_eq!(
+                            predicted.to_bits(),
+                            predict_from_scratch(&db, &m, &q).to_bits()
+                        );
+                        cached.observe_timed(&db, &q, 0.01).unwrap();
+                        rebuilt.observe_timed(&db, &q, 0.01).unwrap();
+                    }
+                    8 => {
+                        let horizontal = Some(HorizontalSpec {
+                            split_column: 0,
+                            split_value: Value::BigInt((rows / 2 + below(rows / 2)) as i64),
+                        });
+                        let target = match below(4) {
+                            0 => TablePlacement::Single(StoreKind::Row),
+                            1 => TablePlacement::Single(StoreKind::Column),
+                            2 => TablePlacement::Partitioned(PartitionSpec {
+                                horizontal,
+                                ..Default::default()
+                            }),
+                            _ => TablePlacement::Partitioned(PartitionSpec {
+                                horizontal,
+                                vertical: Some(VerticalSpec {
+                                    row_cols: vec![s.st_col(0)],
+                                }),
+                                ..Default::default()
+                            }),
+                        };
+                        mover::move_table(&db, name, &target).unwrap();
+                    }
+                    9 => {
+                        // Not every placement can carry a secondary index.
+                        let _ = db.create_index(name, s.grp_col(0));
+                    }
+                    10 => create(&mut specs, StoreKind::BOTH[below(2)]),
+                    11 => db.refresh_stats(name).unwrap(),
+                    12 => {
+                        // No-ops unless the table has a demotable / demoted
+                        // cold partition.
+                        if below(2) == 0 {
+                            let _ = mover::demote_cold(&db, name);
+                        } else {
+                            let _ = mover::promote_cold(&db, name);
+                        }
+                    }
+                    _ => {
+                        rebuilt.view = CatalogView::default();
+                        let (rec, current_ms) = cached.price_window(&db);
+                        let (fresh, fresh_ms) = rebuilt.price_window(&db);
+                        prop_assert_eq!(&rec.layout, &fresh.layout);
+                        prop_assert_eq!(rec.estimated_ms.to_bits(), fresh.estimated_ms.to_bits());
+                        prop_assert_eq!(current_ms.to_bits(), fresh_ms.to_bits());
+                        if let Some(adaptation) = cached.evaluate(&db).unwrap() {
+                            cached.apply(&db, &adaptation).unwrap();
+                            rebuilt.apply(&db, &adaptation).unwrap();
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

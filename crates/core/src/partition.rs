@@ -70,11 +70,11 @@ pub fn horizontal_hot_fraction(stats: &TableStats, spec: &PartitionSpec) -> f64 
     let Some(col) = stats.columns.get(h.split_column) else {
         return 0.0;
     };
-    let Some(max) = col.max.clone() else {
+    let Some(max) = col.max.as_ref() else {
         return 0.0;
     };
     stats
-        .estimate_range_selectivity(h.split_column, &h.split_value, &max)
+        .estimate_range_selectivity(h.split_column, &h.split_value, max)
         .clamp(0.0, 1.0)
 }
 

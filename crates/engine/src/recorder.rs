@@ -2,6 +2,7 @@
 //! statistics as queries execute.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use hsd_catalog::{ExtendedStats, TablePlacement, Tier};
 use hsd_query::{Query, SelectQuery, UpdateQuery};
@@ -130,31 +131,23 @@ impl StatisticsRecorder {
         predicted_ms: f64,
         measured_ms: f64,
     ) {
-        self.record(db, query);
+        let probe = Probe::of(db, query);
+        self.record_probed(&probe, query);
         if self.timing.len() >= TIMING_CAP {
             return;
         }
-        let table = query.table();
-        let (store, partitioned, disk_cold) = match db.catalog().entry_by_name(table) {
-            Ok(e) => match &e.placement {
-                TablePlacement::Single(s) => (*s, false, false),
-                // Partitioned scans are served by the column fragments; the
-                // cold tier decides whether the TierModel surcharge applies.
-                TablePlacement::Partitioned(spec) => {
-                    (StoreKind::Column, true, spec.cold_tier == Tier::Disk)
-                }
-            },
-            Err(_) => return,
+        let Some(entry) = &probe.entry else {
+            return;
         };
-        let op = classify(db, query);
+        let live = probe.live.unwrap_or_default();
         self.timing.push(TimingSample {
-            table: table.to_string(),
-            store,
-            partitioned,
-            disk_cold,
-            op,
-            rows: db.row_count(table).unwrap_or(0),
-            tail: db.delta_tail(table).unwrap_or(0),
+            table: query.table().to_string(),
+            store: entry.store,
+            partitioned: entry.partitioned,
+            disk_cold: entry.disk_cold,
+            op: classify(&entry.schema, query),
+            rows: live.rows,
+            tail: live.tail,
             predicted_ms,
             measured_ms,
         });
@@ -184,20 +177,26 @@ impl StatisticsRecorder {
     }
 
     /// Record one query. The database is consulted for schema arity and for
-    /// sampling the live dictionary-tail size (observed tail growth).
+    /// sampling the live dictionary-tail size (observed tail growth) — one
+    /// catalog guard and one pin of the query's own table, whatever the
+    /// size of the catalog.
     pub fn record(&mut self, db: &HybridDatabase, query: &Query) {
+        self.record_probed(&Probe::of(db, query), query);
+    }
+
+    fn record_probed(&mut self, probe: &Probe, query: &Query) {
         self.stats.total_statements += 1;
-        self.observe_tail(db, query);
+        self.observe_tail(probe, query);
+        let schema = probe.entry.as_ref().map(|e| &*e.schema);
+        let arity = schema.map_or(0, TableSchema::arity);
         match query {
             Query::Insert(q) => {
-                let arity = arity_of(db, &q.table);
                 let t = self.stats.table_mut(&q.table, arity);
                 t.inserts += 1;
             }
-            Query::Update(q) => self.record_update(db, q),
-            Query::Select(q) => self.record_select(db, q),
+            Query::Update(q) => self.record_update(schema, q),
+            Query::Select(q) => self.record_select(arity, q),
             Query::Aggregate(q) => {
-                let arity = arity_of(db, &q.table);
                 let t = self.stats.table_mut(&q.table, arity);
                 t.aggregations += 1;
                 for a in &q.aggregates {
@@ -217,8 +216,7 @@ impl StatisticsRecorder {
                 }
                 if let Some(join) = &q.join {
                     *t.join_partners.entry(join.dim_table.clone()).or_insert(0) += 1;
-                    let dim_arity = arity_of(db, &join.dim_table);
-                    let d = self.stats.table_mut(&join.dim_table, dim_arity);
+                    let d = self.stats.table_mut(&join.dim_table, probe.dim_arity);
                     *d.join_partners.entry(q.table.clone()).or_insert(0) += 1;
                     if let Some(g) = join.group_by_dim {
                         if g < d.columns.len() {
@@ -253,13 +251,16 @@ impl StatisticsRecorder {
     /// the advisor would then wrongly apply when pricing a full
     /// column-store candidate. Partitioned tables simply fall back to the
     /// static upper bound (`observed_tail_rate` stays `None`).
-    fn observe_tail(&mut self, db: &HybridDatabase, query: &Query) {
+    fn observe_tail(&mut self, probe: &Probe, query: &Query) {
         let table = query.table();
-        let Ok(tail) = db.delta_tail(table) else {
+        let Some(Live { tail, epoch, .. }) = probe.live else {
             return;
         };
-        let epoch = db.merge_epoch(table).unwrap_or(0);
-        let grown = match self.tail_cursor.insert(table.to_string(), (epoch, tail)) {
+        let cursor = match self.tail_cursor.get_mut(table) {
+            Some(cursor) => Some(std::mem::replace(cursor, (epoch, tail))),
+            None => self.tail_cursor.insert(table.to_string(), (epoch, tail)),
+        };
+        let grown = match cursor {
             // First sample: establish the baseline; whatever tail already
             // exists predates observation and must not count as growth.
             None => 0,
@@ -268,16 +269,15 @@ impl StatisticsRecorder {
                 tail.saturating_sub(base) as u64
             }
         };
-        let columnar = db
-            .catalog()
-            .entry_by_name(table)
-            .map(|e| matches!(e.placement, TablePlacement::Single(StoreKind::Column)))
-            .unwrap_or(false);
+        let columnar = probe
+            .entry
+            .as_ref()
+            .is_some_and(|e| !e.partitioned && e.store == StoreKind::Column);
         let is_write = matches!(query, Query::Insert(_) | Query::Update(_));
         if grown == 0 && !(columnar && is_write) {
             return;
         }
-        let arity = arity_of(db, table);
+        let arity = probe.entry.as_ref().map_or(0, |e| e.schema.arity());
         let t = self.stats.table_mut(table, arity);
         t.observed_tail_growth += grown;
         if columnar && is_write {
@@ -285,12 +285,9 @@ impl StatisticsRecorder {
         }
     }
 
-    fn record_update(&mut self, db: &HybridDatabase, q: &UpdateQuery) {
-        let schema = schema_of(db, &q.table);
-        let arity = schema.as_ref().map_or(q.sets.len() + 1, |s| s.arity());
-        let non_key = schema
-            .as_ref()
-            .map_or(arity, |s| s.arity() - s.primary_key.len());
+    fn record_update(&mut self, schema: Option<&TableSchema>, q: &UpdateQuery) {
+        let arity = schema.map_or(q.sets.len() + 1, |s| s.arity());
+        let non_key = schema.map_or(arity, |s| s.arity() - s.primary_key.len());
         let t = self.stats.table_mut(&q.table, arity);
         t.updates += 1;
         // "updates that are addressing many attributes": a strict majority
@@ -325,8 +322,7 @@ impl StatisticsRecorder {
         }
     }
 
-    fn record_select(&mut self, db: &HybridDatabase, q: &SelectQuery) {
-        let arity = arity_of(db, &q.table);
+    fn record_select(&mut self, arity: usize, q: &SelectQuery) {
         let t = self.stats.table_mut(&q.table, arity);
         t.selects += 1;
         for r in &q.filter {
@@ -352,12 +348,85 @@ impl StatisticsRecorder {
     }
 }
 
+/// The catalog side of a [`Probe`].
+#[derive(Debug)]
+struct ProbedEntry {
+    schema: Arc<TableSchema>,
+    /// Store the table's scans run against (`Column` for partitioned
+    /// layouts, whose scans are served by the column fragments).
+    store: StoreKind,
+    partitioned: bool,
+    /// Whether the cold partition is disk-resident (the `TierModel`
+    /// surcharge applies).
+    disk_cold: bool,
+}
+
+/// The shard side of a [`Probe`], read under one pin.
+#[derive(Debug, Clone, Copy, Default)]
+struct Live {
+    tail: usize,
+    epoch: u64,
+    rows: usize,
+}
+
+/// Everything one statement's bookkeeping reads from the engine: the
+/// statement's own table (and the arity of its join dimension) under one
+/// catalog guard, then the table's live counters under one pin. The guard
+/// is released before the pin (lock order: catalog → shard, never held
+/// together here).
+#[derive(Debug)]
+struct Probe {
+    entry: Option<ProbedEntry>,
+    dim_arity: usize,
+    live: Option<Live>,
+}
+
+impl Probe {
+    fn of(db: &HybridDatabase, query: &Query) -> Self {
+        let table = query.table();
+        let (entry, dim_arity) = {
+            let catalog = db.catalog();
+            let entry = catalog.entry_by_name(table).ok().map(|e| {
+                let (store, partitioned, disk_cold) = match &e.placement {
+                    TablePlacement::Single(s) => (*s, false, false),
+                    TablePlacement::Partitioned(spec) => {
+                        (StoreKind::Column, true, spec.cold_tier == Tier::Disk)
+                    }
+                };
+                ProbedEntry {
+                    schema: e.schema.clone(),
+                    store,
+                    partitioned,
+                    disk_cold,
+                }
+            });
+            let dim_arity = query
+                .join_dim()
+                .and_then(|d| catalog.entry_by_name(d).ok())
+                .map_or(0, |e| e.schema.arity());
+            (entry, dim_arity)
+        };
+        let live = db
+            .with_table(table, |d| Live {
+                tail: d.delta_tail(),
+                epoch: d.merge_epoch(),
+                rows: d.row_count(),
+            })
+            .ok();
+        Probe {
+            entry,
+            dim_arity,
+            live,
+        }
+    }
+}
+
 /// Map a query onto the coefficient family its measured time calibrates.
 /// Mirrors the estimator's case analysis: an unfiltered, join-free
 /// aggregate is a pure scan; a select whose filter is exactly an equality
 /// on every primary-key column is a point lookup; everything else that
 /// reads is a filtered scan.
-fn classify(db: &HybridDatabase, query: &Query) -> OpClass {
+fn classify(schema: &TableSchema, query: &Query) -> OpClass {
     match query {
         Query::Insert(_) => OpClass::Insert,
         Query::Update(_) => OpClass::Update,
@@ -369,9 +438,7 @@ fn classify(db: &HybridDatabase, query: &Query) -> OpClass {
             }
         }
         Query::Select(q) => {
-            let pk: Vec<usize> = schema_of(db, &q.table)
-                .map(|s| s.primary_key.clone())
-                .unwrap_or_default();
+            let pk = &schema.primary_key;
             let is_point = !pk.is_empty()
                 && q.filter.len() == pk.len()
                 && pk.iter().all(|c| {
@@ -386,17 +453,6 @@ fn classify(db: &HybridDatabase, query: &Query) -> OpClass {
             }
         }
     }
-}
-
-fn arity_of(db: &HybridDatabase, table: &str) -> usize {
-    schema_of(db, table).map_or(0, |s| s.arity())
-}
-
-fn schema_of(db: &HybridDatabase, table: &str) -> Option<std::sync::Arc<TableSchema>> {
-    db.catalog()
-        .entry_by_name(table)
-        .ok()
-        .map(|e| e.schema.clone())
 }
 
 #[cfg(test)]

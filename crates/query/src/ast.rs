@@ -170,15 +170,19 @@ impl Query {
         matches!(self, Query::Aggregate(_))
     }
 
+    /// The dimension table of a join query.
+    pub fn join_dim(&self) -> Option<&str> {
+        match self {
+            Query::Aggregate(q) => q.join.as_ref().map(|j| j.dim_table.as_str()),
+            _ => None,
+        }
+    }
+
     /// All tables the query touches (primary table plus join partner).
     pub fn tables(&self) -> Vec<&str> {
-        match self {
-            Query::Aggregate(q) => match &q.join {
-                Some(j) => vec![q.table.as_str(), j.dim_table.as_str()],
-                None => vec![q.table.as_str()],
-            },
-            other => vec![other.table()],
-        }
+        std::iter::once(self.table())
+            .chain(self.join_dim())
+            .collect()
     }
 }
 
