@@ -222,7 +222,7 @@ fn placements(rows: usize) -> [(&'static str, TablePlacement); 3] {
     [
         ("all_memory", TablePlacement::Single(StoreKind::Column)),
         // Split above every id: the whole table is one demoted cold
-        // fragment, decoded from its segment on every access.
+        // fragment, every statement reading its segment in place.
         ("all_disk", split(rows as i64, Tier::Disk)),
         // Hot 10% of ids in the memory row store, cold 90% demoted.
         ("hybrid", split((rows as f64 * 0.9) as i64, Tier::Disk)),

@@ -50,7 +50,7 @@ pub enum Tier {
     /// Resident in memory (the default; all placements before tiering).
     #[default]
     Memory,
-    /// Resident as an immutable on-disk column segment, loaded per scan.
+    /// Resident as an immutable on-disk column segment, read in place.
     Disk,
 }
 

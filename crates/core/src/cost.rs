@@ -255,8 +255,11 @@ impl StoreModel {
 /// Disk-tier pricing: what persistent-tier residency of a cold partition
 /// adds to each access class, on top of the store-specific costs above.
 ///
-/// The engine keeps a demoted cold partition as an on-disk segment and
-/// decodes it per query, so the tier dimension prices three things:
+/// The engine keeps a demoted cold partition as an on-disk segment. The
+/// terms below were shaped when every access decoded the whole segment;
+/// the engine now reads segments in place (only the columns or blocks a
+/// statement needs), so until they are re-fitted they over-price scans of
+/// few columns. The tier dimension prices three things:
 ///
 /// * **scans** pay a decode cost proportional to the segment size
 ///   ([`TierModel::scan_mib_ms`]);

@@ -597,7 +597,7 @@ fn estimate_partitioned(
                 };
                 hot * hot_fraction + cold * cold_fraction + disk_point
             } else {
-                // A ranged select decodes the whole cold segment
+                // A ranged select is priced as a scan of the cold segment
                 // (`cold_mib` is zero for memory-resident cold parts).
                 hot + cold + model.union_overhead_ms + tier.scan_mib_ms * cold_mib
             }

@@ -77,7 +77,7 @@ use crate::partition::TableData;
 /// Checkpoint container format version (the `version` field of the header
 /// frame). Bumped on incompatible changes; restore rejects unknown
 /// versions, falling back to older checkpoints or full replay.
-pub const CHECKPOINT_VERSION: i64 = 1;
+pub const CHECKPOINT_VERSION: i64 = 2;
 
 /// How many published checkpoints [`HybridDatabase::checkpoint`] retains.
 /// The newest is the fast-recovery path; the second-newest is the fallback
@@ -679,6 +679,43 @@ mod tests {
         let (db, report) = HybridDatabase::open_dir(&dir, DurabilityConfig::default()).unwrap();
         assert_eq!(report.checkpoint_seq, None);
         assert_eq!(report.checkpoints_skipped, 2);
+        assert_eq!(checksum(&db, "t"), before);
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Fragment frames embed segment bytes, so a checkpoint written before
+    /// the segment format changed is an *unsupported version*, not a
+    /// candidate for a legacy reader: it is skipped and the log replays in
+    /// full (the WAL is never truncated at a checkpoint).
+    #[test]
+    fn older_checkpoint_version_falls_back_to_full_replay() {
+        let dir = temp_dir("oldversion");
+        let before;
+        {
+            let (db, _) = HybridDatabase::open_dir(&dir, DurabilityConfig::default()).unwrap();
+            populate(&db);
+            db.sync_wal().unwrap();
+            before = checksum(&db, "t");
+        }
+        let v1 = [
+            Json::obj([
+                ("kind", Json::Str("header".into())),
+                ("version", Json::Int(CHECKPOINT_VERSION - 1)),
+                ("wal_len", Json::Int(0)),
+                ("tables", Json::Int(0)),
+            ]),
+            Json::obj([("kind", Json::Str("end".into())), ("tables", Json::Int(0))]),
+        ]
+        .map(|frame| encode_frame(0, frame.to_string().as_bytes()))
+        .concat();
+        let err = restore_checkpoint(&HybridDatabase::new(), &v1).unwrap_err();
+        assert!(err.to_string().contains("unsupported version 1"), "{err}");
+
+        std::fs::write(checkpoint_path(&dir.join("checkpoints"), 1), &v1).unwrap();
+        let (db, report) = HybridDatabase::open_dir(&dir, DurabilityConfig::default()).unwrap();
+        assert_eq!(report.checkpoint_seq, None);
+        assert_eq!(report.checkpoints_skipped, 1);
         assert_eq!(checksum(&db, "t"), before);
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);

@@ -20,11 +20,12 @@ use hsd_catalog::TableStats;
 use hsd_query::{
     AggFunc, Aggregate, AggregateQuery, InsertQuery, JoinSpec, Query, SelectQuery, UpdateQuery,
 };
-use hsd_storage::{ColRange, ColumnTable, RowSel, RowTable, SegmentStore, SelVec, Table, BLOCK};
+use hsd_storage::{ColRange, Columns, RowSel, RowTable, SegmentStore, SelVec, Table, BLOCK};
 use hsd_types::{ColumnIdx, Error, Result, Value};
 
 use crate::database::HybridDatabase;
-use crate::partition::{ColdPart, Loc, TableData, VerticalPair};
+use crate::durability::WalRecord;
+use crate::partition::{ColdPart, ColdView, DiskFragment, Loc, TableData, VerticalPair};
 
 /// Minimum total rows before a multi-partition scan fans out to threads;
 /// below this the spawn overhead dominates the scan itself.
@@ -226,25 +227,32 @@ fn finalize_groups(groups: Groups, aggregates: &[Aggregate]) -> Vec<GroupRow> {
 enum Part<'a> {
     Whole(&'a Table),
     Pair(&'a VerticalPair),
-    /// A disk-resident cold partition decoded into memory for the duration
-    /// of one query — the per-query load is the read-path price of the
-    /// disk tier (what the cost model's `TierModel` charges scans with).
-    Loaded(Table),
+    /// A disk-resident cold partition read in place: the columns this
+    /// statement scans, fetched from the segment ([`ColdView`]); point
+    /// reads go to the view's segment reader instead.
+    Cold(ColdView<'a>),
 }
 
-fn parts_of<'a>(data: &'a TableData, store: &SegmentStore) -> Result<Vec<Part<'a>>> {
-    parts_of_pruned(data, store, &[])
+/// The columns a scan filtering on `filter` and reading `extra` touches —
+/// what a disk-resident cold partition fetches for the statement.
+fn scan_columns(filter: &[ColRange], extra: impl IntoIterator<Item = ColumnIdx>) -> Vec<ColumnIdx> {
+    filter.iter().map(|r| r.column).chain(extra).collect()
+}
+
+fn parts_of<'a>(data: &'a TableData, scan_cols: &[ColumnIdx]) -> Result<Vec<Part<'a>>> {
+    parts_of_pruned(data, &[], scan_cols)
 }
 
 /// Partition elimination: when the filter constrains the horizontal split
 /// column, partitions whose domain cannot overlap are skipped. The cold
 /// partition holds only rows below the split value by construction; the hot
 /// partition is prunable only while it stays "pure" (see
-/// [`TableData::hot_is_pure`]).
+/// [`TableData::hot_is_pure`]). A disk-resident cold partition that
+/// survives pruning fetches `scan_cols` and nothing else.
 fn parts_of_pruned<'a>(
     data: &'a TableData,
-    store: &SegmentStore,
     filter: &[ColRange],
+    scan_cols: &[ColumnIdx],
 ) -> Result<Vec<Part<'a>>> {
     Ok(match data {
         TableData::Single(t) => vec![Part::Whole(t)],
@@ -257,7 +265,9 @@ fn parts_of_pruned<'a>(
                     ColdPart::Vertical(p) => parts.push(Part::Pair(p)),
                     // Pruned-away disk partitions never touch the store —
                     // partition elimination saves the segment read itself.
-                    ColdPart::DiskColumn(f) => parts.push(Part::Loaded(f.load(store)?)),
+                    ColdPart::DiskColumn(f) => {
+                        parts.push(Part::Cold(ColdView::fetch(f, scan_cols)?))
+                    }
                 }
             }
             if use_hot {
@@ -304,11 +314,22 @@ fn pruning(data: &TableData, filter: &[ColRange]) -> (bool, bool) {
 }
 
 impl Part<'_> {
+    /// The column-store read surface, when the part has one: the batched
+    /// group-by and join kernels run on it whether the columns are
+    /// resident or were fetched from a segment.
+    fn columnar(&self) -> Option<&dyn Columns> {
+        match self {
+            Part::Whole(Table::Column(ct)) => Some(ct),
+            Part::Cold(view) => Some(view),
+            Part::Whole(Table::Row(_)) | Part::Pair(_) => None,
+        }
+    }
+
     fn row_count(&self) -> usize {
         match self {
             Part::Whole(t) => t.row_count(),
             Part::Pair(p) => p.row_count(),
-            Part::Loaded(t) => t.row_count(),
+            Part::Cold(v) => v.row_count(),
         }
     }
 
@@ -316,7 +337,7 @@ impl Part<'_> {
         match self {
             Part::Whole(t) => t.filter_rows(ranges),
             Part::Pair(p) => p.filter_rows(ranges),
-            Part::Loaded(t) => t.filter_rows(ranges),
+            Part::Cold(v) => v.filter_selvec(ranges).to_row_ids(),
         }
     }
 
@@ -324,7 +345,7 @@ impl Part<'_> {
         match self {
             Part::Whole(t) => t.filter_selvec(ranges),
             Part::Pair(p) => p.filter_selvec(ranges),
-            Part::Loaded(t) => t.filter_selvec(ranges),
+            Part::Cold(v) => v.filter_selvec(ranges),
         }
     }
 
@@ -332,7 +353,7 @@ impl Part<'_> {
         match self {
             Part::Whole(t) => t.for_each_numeric_sel(col, sel, f),
             Part::Pair(p) => p.for_each_numeric_sel(col, sel, f),
-            Part::Loaded(t) => t.for_each_numeric_sel(col, sel, f),
+            Part::Cold(v) => v.column(col).for_each_numeric_sel(sel, f),
         }
     }
 
@@ -348,11 +369,12 @@ impl Part<'_> {
         }
     }
 
-    fn point_lookup(&self, key: &[Value]) -> Option<u32> {
+    /// Point request: the row holding primary key `key`.
+    fn point_lookup(&self, key: &[Value]) -> Result<Option<u32>> {
         match self {
-            Part::Whole(t) => t.point_lookup(key),
-            Part::Pair(p) => p.point_lookup(key),
-            Part::Loaded(t) => t.point_lookup(key),
+            Part::Whole(t) => Ok(t.point_lookup(key)),
+            Part::Pair(p) => Ok(p.point_lookup(key)),
+            Part::Cold(v) => v.reader().locate(key),
         }
     }
 
@@ -360,15 +382,17 @@ impl Part<'_> {
         match self {
             Part::Whole(t) => t.value_at(idx, col),
             Part::Pair(p) => p.value_at(idx, col),
-            Part::Loaded(t) => t.value_at(idx, col),
+            Part::Cold(v) => v.column(col).value_at(idx as usize),
         }
     }
 
-    fn collect_rows(&self, rows: &[u32], cols: Option<&[ColumnIdx]>) -> Vec<Vec<Value>> {
+    /// Point request: materialise `rows` (a cold view fetches them from the
+    /// segment row-wise, whatever columns it holds for scanning).
+    fn collect_rows(&self, rows: &[u32], cols: Option<&[ColumnIdx]>) -> Result<Vec<Vec<Value>>> {
         match self {
-            Part::Whole(t) => t.collect_rows(RowSel::Subset(rows), cols),
-            Part::Pair(p) => p.collect_rows(rows, cols),
-            Part::Loaded(t) => t.collect_rows(RowSel::Subset(rows), cols),
+            Part::Whole(t) => Ok(t.collect_rows(RowSel::Subset(rows), cols)),
+            Part::Pair(p) => Ok(p.collect_rows(rows, cols)),
+            Part::Cold(v) => v.reader().rows(rows, cols),
         }
     }
 
@@ -376,7 +400,7 @@ impl Part<'_> {
         match self {
             Part::Whole(t) => t.for_each_value(col, sel, f),
             Part::Pair(p) => p.for_each_value(col, sel, f),
-            Part::Loaded(t) => t.for_each_value(col, sel, f),
+            Part::Cold(v) => v.column(col).for_each_value(sel, f),
         }
     }
 }
@@ -389,15 +413,14 @@ fn exec_insert(db: &HybridDatabase, q: &InsertQuery) -> Result<QueryOutput> {
     let cfg = db.merge_config();
     let wal_on = db.wal_active();
     let shard = db.shard(&q.table)?;
-    let applied: usize;
     let mut failure = None;
-    {
+    let republished = {
         let mut data = shard.latch();
         // Inserts land in the hot partition when one exists; only a
         // hot-less layout with a disk-resident cold partition needs the
         // write-through load.
-        let needs_cold_load =
-            cold_is_disk(&data) && matches!(&*data, TableData::Partitioned { hot: None, .. });
+        let needs_cold_load = disk_fragment(&data).is_some()
+            && matches!(&*data, TableData::Partitioned { hot: None, .. });
         let mut apply_rows = |data: &mut TableData| {
             let mut applied = 0usize;
             for row in &q.rows {
@@ -411,35 +434,58 @@ fn exec_insert(db: &HybridDatabase, q: &InsertQuery) -> Result<QueryOutput> {
             }
             applied
         };
-        applied = if needs_cold_load {
-            data.with_cold_loaded(db.segment_store(), |d| Ok(apply_rows(d)))?
+        let (applied, republished) = if needs_cold_load {
+            data.with_cold_loaded(db.segment_store(), apply_rows)?
         } else {
-            apply_rows(&mut data)
+            (apply_rows(&mut data), Ok(()))
         };
+        log_lost_demotion(db, &q.table, &republished)?;
         let merged = failure.is_none() && crate::maintenance::after_write(&mut data, &cfg);
         // Log after the in-memory apply but before the latch releases, so
         // the table's WAL order matches its apply order; the applied
         // prefix of a failing multi-row statement is still logged (there
         // is no rollback), so recovery reproduces the same state.
         if wal_on && applied > 0 {
-            db.log_record(&crate::durability::WalRecord::Insert {
+            db.log_record(&WalRecord::Insert {
                 table: q.table.clone(),
                 rows: q.rows[..applied].to_vec(),
                 load: false,
             })?;
         }
         if wal_on && merged {
-            db.log_record(&crate::durability::WalRecord::MergeComplete {
+            db.log_record(&WalRecord::MergeComplete {
                 table: q.table.clone(),
                 partition: crate::partition::MergePartition::Whole,
                 merge_epoch: data.merge_epoch(),
             })?;
         }
+        republished
+    };
+    if let Err(e) = republished {
+        crate::mover::sync_partition_spec(db, &q.table)?;
+        return Err(e);
     }
     match failure {
         Some(e) => Err(e),
         None => Ok(QueryOutput::Affected(q.rows.len())),
     }
+}
+
+/// Under the latch, after a write-through: a failed republish left the cold
+/// partition memory-resident, tier flag included (see
+/// [`TableData::with_cold_loaded`]). Log that as a promotion, so replay
+/// ends on the same tier (in either order with the statement's own record:
+/// the tier change and the data change commute). Once the latch is
+/// released the caller tells the catalog
+/// ([`crate::mover::sync_partition_spec`]) and reports the publish error;
+/// the statement itself is applied and logged.
+fn log_lost_demotion(db: &HybridDatabase, table: &str, republished: &Result<()>) -> Result<()> {
+    if republished.is_err() {
+        db.log_record(&WalRecord::Promote {
+            table: table.to_string(),
+        })?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -450,57 +496,82 @@ fn exec_update(db: &HybridDatabase, q: &UpdateQuery) -> Result<QueryOutput> {
     let cfg = db.merge_config();
     let wal_on = db.wal_active();
     let shard = db.shard(&q.table)?;
-    let affected = {
+    let (applied, republished) = {
         let mut guard = shard.latch();
         let data = &mut *guard;
         let point = pk_point_key(data, &q.filter);
-        // An update that can touch a disk-resident cold partition goes
-        // through write-through: load the segment, apply the normal path,
-        // re-encode and republish. The rewrite is the upkeep cost the
-        // advisor's `TierModel::rewrite_mib_ms` prices.
-        let needs_cold_load = cold_is_disk(data)
-            && match &point {
-                Some(key) => !hot_point_hit(data, key),
-                None => pruning(data, &q.filter).0,
-            };
-        let affected = if needs_cold_load {
-            data.with_cold_loaded(db.segment_store(), |data| {
-                apply_update(data, q, point.as_deref())
-            })?
-        } else {
-            apply_update(data, q, point.as_deref())?
+        let (mut use_cold, use_hot) = match &point {
+            Some(key) => (!hot_point_hit(data, key), true),
+            None => pruning(data, &q.filter),
         };
-        let merged = crate::maintenance::after_write(data, &cfg);
-        // WAL appends stay under the latch: per-table log order == apply
-        // order.
-        if wal_on && affected > 0 {
-            db.log_record(&crate::durability::WalRecord::Update {
-                table: q.table.clone(),
-                sets: q.sets.clone(),
-                filter: q.filter.clone(),
-            })?;
+        // An update that changes a row of a disk-resident cold partition
+        // goes through write-through: load the segment, apply the normal
+        // path, re-encode and republish — the upkeep cost the advisor's
+        // `TierModel::rewrite_mib_ms` prices. Whether it changes one is
+        // asked of the segment in place first, so a statement whose matches
+        // are all hot never loads or rewrites anything.
+        let mut write_through = false;
+        if let (true, Some(frag)) = (use_cold, disk_fragment(data)) {
+            use_cold = cold_matches(frag, point.as_deref(), &q.filter)?;
+            write_through = use_cold;
         }
-        if wal_on && merged {
-            db.log_record(&crate::durability::WalRecord::MergeComplete {
-                table: q.table.clone(),
-                partition: crate::partition::MergePartition::Whole,
-                merge_epoch: data.merge_epoch(),
-            })?;
+        let apply =
+            |data: &mut TableData| apply_update(data, q, point.as_deref(), use_cold, use_hot);
+        let (applied, republished) = if write_through {
+            data.with_cold_loaded(db.segment_store(), apply)?
+        } else {
+            (apply(data), Ok(()))
+        };
+        log_lost_demotion(db, &q.table, &republished)?;
+        if let Ok(affected) = applied {
+            let merged = crate::maintenance::after_write(data, &cfg);
+            // WAL appends stay under the latch: per-table log order ==
+            // apply order.
+            if wal_on && affected > 0 {
+                db.log_record(&WalRecord::Update {
+                    table: q.table.clone(),
+                    sets: q.sets.clone(),
+                    filter: q.filter.clone(),
+                })?;
+            }
+            if wal_on && merged {
+                db.log_record(&WalRecord::MergeComplete {
+                    table: q.table.clone(),
+                    partition: crate::partition::MergePartition::Whole,
+                    merge_epoch: data.merge_epoch(),
+                })?;
+            }
         }
-        affected
+        (applied, republished)
     };
-    Ok(QueryOutput::Affected(affected))
+    if let Err(e) = republished {
+        crate::mover::sync_partition_spec(db, &q.table)?;
+        return Err(e);
+    }
+    Ok(QueryOutput::Affected(applied?))
 }
 
-/// Whether the table's cold partition is disk-resident.
-fn cold_is_disk(data: &TableData) -> bool {
-    matches!(
-        data,
+/// The table's disk-resident cold partition, if it has one.
+fn disk_fragment(data: &TableData) -> Option<&DiskFragment> {
+    match data {
         TableData::Partitioned {
-            cold: ColdPart::DiskColumn(_),
+            cold: ColdPart::DiskColumn(f),
             ..
-        }
-    )
+        } => Some(f),
+        _ => None,
+    }
+}
+
+/// Whether any row of a disk-resident cold partition matches the statement:
+/// a point key is located in place, a filter is evaluated on the fetched
+/// filter columns.
+fn cold_matches(frag: &DiskFragment, point: Option<&[Value]>, filter: &[ColRange]) -> Result<bool> {
+    Ok(match point {
+        Some(key) => frag.reader().locate(key)?.is_some(),
+        None => !ColdView::fetch(frag, &scan_columns(filter, []))?
+            .filter_selvec(filter)
+            .is_none_selected(),
+    })
 }
 
 /// Whether a point key resolves in the hot partition (no cold access
@@ -512,15 +583,21 @@ fn hot_point_hit(data: &TableData, key: &[Value]) -> bool {
     )
 }
 
-/// The layout-dispatched body of an update statement (assumes any disk
-/// cold partition that the statement can touch has been loaded).
-fn apply_update(data: &mut TableData, q: &UpdateQuery, point: Option<&[Value]>) -> Result<usize> {
+/// The layout-dispatched body of an update statement over the partitions
+/// `use_cold` / `use_hot` admit (a disk-resident cold partition the
+/// statement changes has been loaded by the caller).
+fn apply_update(
+    data: &mut TableData,
+    q: &UpdateQuery,
+    point: Option<&[Value]>,
+    use_cold: bool,
+    use_hot: bool,
+) -> Result<usize> {
     // Point-update fast path over the PK index.
     if let Some(key) = point {
-        return update_point(data, key, &q.sets);
+        return update_point(data, key, &q.sets, use_cold);
     }
     let mut affected = 0;
-    let (use_cold, use_hot) = pruning(data, &q.filter);
     match data {
         TableData::Single(t) => {
             let rows = t.filter_rows(&q.filter);
@@ -541,7 +618,7 @@ fn apply_update(data: &mut TableData, q: &UpdateQuery, point: Option<&[Value]>) 
                         return Err(Error::InvalidOperation(format!(
                             "update reached disk-resident cold partition of {} \
                              without write-through load",
-                            f.schema.name
+                            f.reader().schema().name
                         )));
                     }
                 }
@@ -573,7 +650,12 @@ fn pk_point_key(data: &TableData, filter: &[ColRange]) -> Option<Vec<Value>> {
     Some(key)
 }
 
-fn update_point(data: &mut TableData, key: &[Value], sets: &[(ColumnIdx, Value)]) -> Result<usize> {
+fn update_point(
+    data: &mut TableData,
+    key: &[Value],
+    sets: &[(ColumnIdx, Value)],
+    use_cold: bool,
+) -> Result<usize> {
     match data {
         TableData::Single(t) => match t.point_lookup(key) {
             Some(idx) => t.update_rows(&[idx], sets),
@@ -584,6 +666,9 @@ fn update_point(data: &mut TableData, key: &[Value], sets: &[(ColumnIdx, Value)]
                 if let Some(idx) = h.point_lookup(key) {
                     return h.update_rows(&[idx], sets);
                 }
+            }
+            if !use_cold {
+                return Ok(0);
             }
             match cold {
                 ColdPart::Single(t) => match t.point_lookup(key) {
@@ -597,7 +682,7 @@ fn update_point(data: &mut TableData, key: &[Value], sets: &[(ColumnIdx, Value)]
                 ColdPart::DiskColumn(f) => Err(Error::InvalidOperation(format!(
                     "point update reached disk-resident cold partition of {} \
                      without write-through load",
-                    f.schema.name
+                    f.reader().schema().name
                 ))),
             }
         }
@@ -614,7 +699,7 @@ fn exec_select(db: &HybridDatabase, q: &SelectQuery) -> Result<QueryOutput> {
     let cols = q.columns.as_deref();
     // Point-select fast path. The hot partition is probed before any part
     // list is built: the primary key is unique, so a hot hit both answers
-    // the query and — for a disk-resident cold partition — avoids decoding
+    // the query and — for a disk-resident cold partition — avoids touching
     // a segment the row cannot be in.
     if let Some(key) = pk_point_key(data, &q.filter) {
         if let TableData::Partitioned { hot: Some(h), .. } = data {
@@ -626,22 +711,25 @@ fn exec_select(db: &HybridDatabase, q: &SelectQuery) -> Result<QueryOutput> {
         }
         // Hot miss: fall through to the (pruned) partition list, so an
         // equality on the split column still skips a provably disjoint
-        // cold side without loading it.
-        for part in parts_of_pruned(data, db.segment_store(), &q.filter)? {
-            if let Some(idx) = part.point_lookup(&key) {
-                return Ok(QueryOutput::Rows(part.collect_rows(&[idx], cols)));
+        // cold side without touching it. A point request scans nothing: a
+        // disk-resident cold partition locates the key and fetches the one
+        // row in place.
+        for part in parts_of_pruned(data, &q.filter, &[])? {
+            if let Some(idx) = part.point_lookup(&key)? {
+                return Ok(QueryOutput::Rows(part.collect_rows(&[idx], cols)?));
             }
         }
         return Ok(QueryOutput::Rows(Vec::new()));
     }
-    let parts = parts_of_pruned(data, db.segment_store(), &q.filter)?;
+    // Scan the filter columns, then fetch the matching rows.
+    let parts = parts_of_pruned(data, &q.filter, &scan_columns(&q.filter, []))?;
     let per_part = scan_parts(&parts, |part| {
         let rows = part.filter_rows(&q.filter);
         part.collect_rows(&rows, cols)
     });
     let mut out = Vec::new();
     for rows in per_part {
-        out.extend(rows);
+        out.extend(rows?);
     }
     Ok(QueryOutput::Rows(out))
 }
@@ -654,7 +742,8 @@ fn exec_aggregate(db: &HybridDatabase, q: &AggregateQuery) -> Result<QueryOutput
     let pin = shard.pin();
     let data = &*pin;
     validate_agg_columns(data, q)?;
-    let parts = parts_of_pruned(data, db.segment_store(), &q.filter)?;
+    let scanned = q.aggregates.iter().map(|a| a.column).chain(q.group_by);
+    let parts = parts_of_pruned(data, &q.filter, &scan_columns(&q.filter, scanned))?;
     let scan_part = |part: &Part<'_>| -> Groups {
         let selection = if q.filter.is_empty() {
             None
@@ -709,10 +798,11 @@ fn aggregate_part(
     match group_by {
         None => aggregate_part_ungrouped(part, selection, aggregates, groups),
         Some(g) => match part {
-            Part::Whole(Table::Column(ct)) | Part::Loaded(Table::Column(ct)) => {
+            Part::Whole(Table::Column(ct)) => {
                 aggregate_column_grouped(ct, selection, aggregates, g, groups)
             }
-            Part::Whole(Table::Row(rt)) | Part::Loaded(Table::Row(rt)) => {
+            Part::Cold(view) => aggregate_column_grouped(view, selection, aggregates, g, groups),
+            Part::Whole(Table::Row(rt)) => {
                 aggregate_row_grouped(rt, selection, aggregates, g, groups)
             }
             Part::Pair(p) => aggregate_pair_grouped(p, selection, aggregates, g, groups),
@@ -747,8 +837,8 @@ fn aggregate_part_ungrouped(
 
 fn is_numeric_col(part: &Part<'_>, col: ColumnIdx) -> bool {
     let schema = match part {
-        Part::Whole(t) => t.schema().clone(),
-        Part::Loaded(t) => t.schema().clone(),
+        Part::Whole(t) => t.schema(),
+        Part::Cold(v) => v.reader().schema(),
         Part::Pair(p) => {
             return match p.loc(col) {
                 Loc::Row(i) => p.row_fragment().schema().columns[i].ty.is_numeric(),
@@ -807,7 +897,7 @@ fn accumulate_row(
 /// per-row group lookup is one bounds-checked index instead of a hash-map
 /// probe. Large (near-unique) group dictionaries fall back to the hash map.
 fn aggregate_column_grouped(
-    ct: &ColumnTable,
+    ct: &dyn Columns,
     selection: Option<&SelVec>,
     aggregates: &[Aggregate],
     group_col: ColumnIdx,
@@ -1084,7 +1174,10 @@ fn exec_join_aggregate(
     // a code-indexed array read instead of a `Value` hash.
     let mut group_keys: Vec<Option<Value>> = Vec::new();
     let mut dim_map: HashMap<&Value, u32> = HashMap::new();
-    let dim_parts = parts_of(dim, db.segment_store())?;
+    let dim_parts = parts_of(
+        dim,
+        &scan_columns(&[], std::iter::once(join.dim_pk).chain(join.group_by_dim)),
+    )?;
     match join.group_by_dim {
         None => {
             group_keys.push(None);
@@ -1097,7 +1190,7 @@ fn exec_join_aggregate(
         Some(g) => {
             let mut group_index: HashMap<&Value, u32> = HashMap::new();
             for part in &dim_parts {
-                if let Part::Whole(Table::Column(ct)) | Part::Loaded(Table::Column(ct)) = part {
+                if let Some(ct) = part.columnar() {
                     // Dictionary path: group index per group *code*; the
                     // per-row loop never hashes a `Value`.
                     let gcol = ct.column(g);
@@ -1140,7 +1233,8 @@ fn exec_join_aggregate(
     validate_agg_columns(fact, q)?;
     // Dense accumulators per group index, merged into value-keyed groups at
     // the end: the per-row hot loop never hashes a `Value`.
-    let parts = parts_of_pruned(fact, db.segment_store(), &q.filter)?;
+    let scanned = std::iter::once(join.fact_fk).chain(q.aggregates.iter().map(|a| a.column));
+    let parts = parts_of_pruned(fact, &q.filter, &scan_columns(&q.filter, scanned))?;
     let scan_part = |part: &Part<'_>| -> Vec<Vec<Acc>> {
         let mut accs: Vec<Vec<Acc>> = vec![vec![Acc::new(); q.aggregates.len()]; group_keys.len()];
         let selection = if q.filter.is_empty() {
@@ -1148,11 +1242,11 @@ fn exec_join_aggregate(
         } else {
             Some(part.filter_selvec(&q.filter))
         };
-        match part {
-            Part::Whole(Table::Column(ct)) | Part::Loaded(Table::Column(ct)) => {
+        match (part.columnar(), part) {
+            (Some(ct), _) => {
                 join_aggregate_column(ct, selection.as_ref(), q, join, &dim_map, &mut accs)
             }
-            Part::Pair(p) => {
+            (None, Part::Pair(p)) => {
                 // When the join key and every aggregate resolve in the
                 // column fragment (PKs live in both fragments), run the
                 // dictionary-join fast path against the fragment; row
@@ -1200,7 +1294,7 @@ fn exec_join_aggregate(
                     ),
                 }
             }
-            other => {
+            (None, other) => {
                 join_aggregate_generic(other, selection.as_ref(), q, join, &dim_map, &mut accs)
             }
         }
@@ -1229,7 +1323,7 @@ fn exec_join_aggregate(
 /// indexes once (dictionary join), then the hot loop is code lookups only —
 /// block-decoded, like the grouped aggregation path.
 fn join_aggregate_column(
-    ct: &ColumnTable,
+    ct: &dyn Columns,
     selection: Option<&SelVec>,
     q: &AggregateQuery,
     join: &JoinSpec,
@@ -1323,16 +1417,30 @@ pub(crate) fn collect_logical_stats(data: &TableData, store: &SegmentStore) -> R
     let rows = data.row_count();
     let mut stats = TableStats::empty(arity);
     stats.row_count = rows;
-    for part in parts_of(data, store)? {
+    // Statistics read every column's dictionary: for a disk-resident cold
+    // partition that is the whole-fragment path, not a per-statement view.
+    let loaded;
+    let parts = match data {
+        TableData::Partitioned {
+            hot,
+            cold: ColdPart::DiskColumn(f),
+            ..
+        } => {
+            loaded = f.load(store)?;
+            std::iter::once(&loaded)
+                .chain(hot)
+                .map(Part::Whole)
+                .collect()
+        }
+        _ => parts_of(data, &[])?,
+    };
+    for part in parts {
         let (part_stats, map): (TableStats, Vec<Option<(usize, usize)>>) = match &part {
             Part::Whole(t) => (
                 TableStats::collect(t),
                 (0..arity).map(|c| Some((0, c))).collect(),
             ),
-            Part::Loaded(t) => (
-                TableStats::collect(t),
-                (0..arity).map(|c| Some((0, c))).collect(),
-            ),
+            Part::Cold(_) => unreachable!("disk-resident cold partitions were loaded above"),
             Part::Pair(p) => {
                 let row_stats = TableStats::collect(p.row_fragment());
                 let col_stats = TableStats::collect(p.col_fragment());

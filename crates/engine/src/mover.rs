@@ -13,7 +13,7 @@
 //! recovery contract of [`crate::durability`]).
 
 use hsd_catalog::{StorageLayout, TablePlacement, Tier};
-use hsd_storage::{encode_segment, SegmentStore, Table};
+use hsd_storage::{SegmentStore, Table};
 use hsd_types::{Error, Result, Value};
 
 use crate::database::HybridDatabase;
@@ -45,6 +45,22 @@ fn log_merge_complete(
         partition,
         merge_epoch: data.merge_epoch(),
     })
+}
+
+/// Bring the catalog's placement annotation of a partitioned `table` in
+/// line with its physical spec. Call with no shard latch held: catalog
+/// locks are acquired strictly outside shard latches.
+pub(crate) fn sync_partition_spec(db: &HybridDatabase, table: &str) -> Result<()> {
+    let spec = db.with_table(table, |data| match data {
+        TableData::Partitioned { spec, .. } => Some(spec.clone()),
+        TableData::Single(_) => None,
+    })?;
+    if let Some(spec) = spec {
+        let id = db.catalog().id_of(table)?;
+        db.catalog_mut()
+            .set_placement(id, TablePlacement::Partitioned(spec))?;
+    }
+    Ok(())
 }
 
 /// Apply `layout` to the database. Tables whose placement already matches
@@ -93,7 +109,8 @@ pub fn move_table(db: &HybridDatabase, table: &str, target: &TablePlacement) -> 
             &mut *guard,
             TableData::Single(Table::new(schema.clone(), hsd_storage::StoreKind::Row)),
         );
-        let rows = old.into_rows();
+        // Cannot fail: the cold partition was promoted just above.
+        let rows = old.into_rows()?;
         let mut fresh = TableData::new(schema, target)?;
         load_partition_aware(&mut fresh, target, rows)?;
         compact_after_load(&mut fresh);
@@ -135,7 +152,7 @@ fn promote_in_place(data: &mut TableData, store: &SegmentStore) -> Result<bool> 
 }
 
 /// Demote `data`'s (memory-resident, unsplit, column-store) cold partition
-/// to a segment in place: encode, publish, and swap the stub in. The cold
+/// to a segment in place: publish it and swap the fragment in. The cold
 /// partition should be compacted first — demotion encodes whatever delta
 /// tail exists, but a folded dictionary packs tighter.
 fn demote_in_place(data: &mut TableData, table: &str, store: &SegmentStore) -> Result<u64> {
@@ -156,18 +173,9 @@ fn demote_in_place(data: &mut TableData, table: &str, store: &SegmentStore) -> R
              hold column-store data only"
         ))),
         ColdPart::Single(Table::Column(ct)) => {
-            let bytes = encode_segment(ct);
-            let name = cold_segment_name(table);
-            let stub = DiskFragment {
-                schema: ct.schema().clone(),
-                segment: name.clone(),
-                rows: ct.row_count(),
-                disk_bytes: bytes.len() as u64,
-                merge_epoch: ct.merge_epoch(),
-            };
-            store.put(&name, bytes)?;
-            let disk_bytes = stub.disk_bytes;
-            *cold = ColdPart::DiskColumn(stub);
+            let frag = DiskFragment::publish(store, &cold_segment_name(table), ct)?;
+            let disk_bytes = frag.disk_bytes;
+            *cold = ColdPart::DiskColumn(frag);
             spec.cold_tier = Tier::Disk;
             Ok(disk_bytes)
         }
@@ -188,7 +196,7 @@ pub fn demote_cold(db: &HybridDatabase, table: &str) -> Result<u64> {
     db.check_writable(table)?;
     let shard = db.shard(table)?;
     let store = db.segment_store().clone();
-    let (disk_bytes, spec) = {
+    let disk_bytes = {
         let mut guard = shard.latch();
         if matches!(
             &*guard,
@@ -208,14 +216,9 @@ pub fn demote_cold(db: &HybridDatabase, table: &str) -> Result<u64> {
         db.log_record(&WalRecord::Demote {
             table: table.to_string(),
         })?;
-        let TableData::Partitioned { spec, .. } = &*guard else {
-            unreachable!("demote_in_place succeeded on a partitioned table");
-        };
-        (disk_bytes, spec.clone())
+        disk_bytes
     };
-    let id = db.catalog().id_of(table)?;
-    db.catalog_mut()
-        .set_placement(id, TablePlacement::Partitioned(spec))?;
+    sync_partition_spec(db, table)?;
     Ok(disk_bytes)
 }
 
@@ -225,7 +228,7 @@ pub fn promote_cold(db: &HybridDatabase, table: &str) -> Result<()> {
     db.check_writable(table)?;
     let shard = db.shard(table)?;
     let store = db.segment_store().clone();
-    let spec = {
+    {
         let mut guard = shard.latch();
         if !promote_in_place(&mut guard, &store)? {
             return Ok(());
@@ -233,16 +236,9 @@ pub fn promote_cold(db: &HybridDatabase, table: &str) -> Result<()> {
         db.log_record(&WalRecord::Promote {
             table: table.to_string(),
         })?;
-        let TableData::Partitioned { spec, .. } = &*guard else {
-            unreachable!("promote_in_place succeeded on a partitioned table");
-        };
-        spec.clone()
-    };
+    }
     store.remove(&cold_segment_name(table))?;
-    let id = db.catalog().id_of(table)?;
-    db.catalog_mut()
-        .set_placement(id, TablePlacement::Partitioned(spec))?;
-    Ok(())
+    sync_partition_spec(db, table)
 }
 
 /// Load rows respecting a horizontal split: historic rows (below the split
@@ -439,7 +435,7 @@ pub fn rebalance_horizontal(
 ) -> Result<usize> {
     db.check_writable(table)?;
     let shard = db.shard(table)?;
-    let (moved, spec) = {
+    let moved = {
         let mut guard = shard.latch();
         let TableData::Partitioned {
             hot: Some(hot),
@@ -458,6 +454,13 @@ pub fn rebalance_horizontal(
                 "table {table} has no horizontal spec"
             )));
         };
+        // Checked before the hot partition is drained: aged rows are
+        // inserted into the cold partition, which a segment cannot take.
+        if matches!(cold, ColdPart::DiskColumn(_)) {
+            return Err(Error::InvalidOperation(format!(
+                "table {table}: promote the disk-resident cold partition before rebalancing"
+            )));
+        }
         // Drain the hot partition and re-split under the new boundary.
         let drained =
             std::mem::replace(hot, Table::new(schema.clone(), hsd_storage::StoreKind::Row));
@@ -482,13 +485,9 @@ pub fn rebalance_horizontal(
             table: table.to_string(),
             split_value: new_split_value.clone(),
         })?;
-        (moved, spec.clone())
+        moved
     };
-    // Keep the catalog annotation in sync (catalog locks are acquired
-    // strictly outside shard latches).
-    let id = db.catalog().id_of(table)?;
-    db.catalog_mut()
-        .set_placement(id, TablePlacement::Partitioned(spec))?;
+    sync_partition_spec(db, table)?;
     db.refresh_stats(table)?;
     Ok(moved)
 }
@@ -645,9 +644,15 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_rejects_unpartitioned() {
+    fn rebalance_rejects_unpartitioned_and_disk_resident() {
         let db = loaded_db();
         assert!(rebalance_horizontal(&db, "t", &Value::BigInt(5)).is_err());
+        // A demoted cold partition is refused before anything is drained.
+        move_table(&db, "t", &split_placement(Tier::Disk)).unwrap();
+        let before = checksum(&db);
+        assert!(rebalance_horizontal(&db, "t", &Value::BigInt(95)).is_err());
+        assert_eq!(checksum(&db), before);
+        assert_eq!(db.row_count("t").unwrap(), 100);
     }
 
     #[test]
@@ -782,7 +787,7 @@ mod tests {
             TablePlacement::Partitioned(spec) => assert_eq!(spec.cold_tier, Tier::Disk),
             other => panic!("expected partitioned placement, got {other:?}"),
         }
-        // Queries decode the segment per scan.
+        // Queries read the segment in place.
         assert_eq!(checksum(&db), before);
         assert_eq!(db.row_count("t").unwrap(), 100);
 
@@ -823,6 +828,126 @@ mod tests {
         }))
         .unwrap();
         assert_eq!(db.disk_bytes("t").unwrap(), seg_before);
+    }
+
+    fn update(filter: Vec<hsd_storage::ColRange>, st: i32) -> hsd_query::Query {
+        hsd_query::Query::Update(hsd_query::UpdateQuery {
+            table: "t".into(),
+            sets: vec![(2, Value::Int(st))],
+            filter,
+        })
+    }
+
+    #[test]
+    fn write_through_loads_only_when_a_cold_row_changes() {
+        use hsd_storage::ColRange;
+        let db = loaded_db();
+        let mut layout = StorageLayout::new();
+        layout.set("t", split_placement(Tier::Disk));
+        apply_layout(&db, &layout).unwrap();
+        let name = cold_segment_name("t");
+        // The in-memory store hands out the published bytes themselves, so
+        // pointer equality means "not republished".
+        let published = db.segment_store().get(&name).unwrap();
+        let untouched = |db: &HybridDatabase| {
+            std::sync::Arc::ptr_eq(&published, &db.segment_store().get(&name).unwrap())
+        };
+        // A range on a non-split column cannot be pruned, but every match
+        // (v >= 95 <=> id >= 95) is hot: the cold view answers "no cold
+        // row" from the one filter column and nothing is loaded.
+        let out = db.execute(&update(vec![ColRange::ge(1, Value::Double(95.0))], 5));
+        assert_eq!(out.unwrap(), crate::QueryOutput::Affected(5));
+        assert!(untouched(&db));
+        // Neither is a point update of a key that exists nowhere.
+        let out = db.execute(&update(vec![ColRange::eq(0, Value::BigInt(4242))], 5));
+        assert_eq!(out.unwrap(), crate::QueryOutput::Affected(0));
+        assert!(untouched(&db));
+        // One cold match (ids 89 and 90 straddle the split) rewrites it.
+        let between = ColRange::between(1, Value::Double(89.0), Value::Double(90.0));
+        let out = db.execute(&update(vec![between], 6));
+        assert_eq!(out.unwrap(), crate::QueryOutput::Affected(2));
+        assert!(!untouched(&db));
+        assert!(cold_is_disk(&db));
+        let rows = db
+            .execute(&hsd_query::Query::Select(hsd_query::SelectQuery {
+                table: "t".into(),
+                columns: Some(vec![0]),
+                filter: vec![ColRange::eq(2, Value::Int(6))],
+            }))
+            .unwrap();
+        assert_eq!(
+            rows.rows().unwrap(),
+            [vec![Value::BigInt(89)], vec![Value::BigInt(90)]]
+        );
+    }
+
+    #[test]
+    fn failed_republish_keeps_data_flag_and_log_consistent() {
+        use crate::durability::DurabilityConfig;
+        use hsd_storage::ColRange;
+        let dir = std::env::temp_dir().join(format!("hsd_republish_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cold_tier =
+            |db: &HybridDatabase| match &db.catalog().entry_by_name("t").unwrap().placement {
+                TablePlacement::Partitioned(spec) => spec.cold_tier,
+                other => panic!("expected a partitioned placement, got {other:?}"),
+            };
+        let expect;
+        {
+            let (db, _) = HybridDatabase::open_dir(&dir, DurabilityConfig::default()).unwrap();
+            db.create_single(schema(), StoreKind::Row).unwrap();
+            db.bulk_load(
+                "t",
+                (0..100).map(|i| vec![Value::BigInt(i), Value::Double(i as f64), Value::Int(0)]),
+            )
+            .unwrap();
+            move_table(&db, "t", &split_placement(Tier::Disk)).unwrap();
+            let before = checksum(&db);
+            let resident = db.memory_bytes();
+            // The next publish cannot create its temp file.
+            let blocker = dir.join("segments").join("t.cold.seg.tmp");
+            std::fs::create_dir(&blocker).unwrap();
+            let err = db
+                .execute(&hsd_query::Query::Update(hsd_query::UpdateQuery {
+                    table: "t".into(),
+                    sets: vec![(1, Value::Double(7777.0))],
+                    filter: vec![ColRange::eq(0, Value::BigInt(3))],
+                }))
+                .unwrap_err();
+            assert!(matches!(err, Error::Io(_)), "{err}");
+            // The statement is applied; the cold partition now lives in
+            // memory and everything that describes its tier agrees.
+            expect = before - 3.0 + 7777.0;
+            assert!((checksum(&db) - expect).abs() < 1e-6);
+            assert!(!cold_is_disk(&db));
+            assert_eq!(cold_tier(&db), Tier::Memory);
+            assert_eq!(db.disk_bytes("t").unwrap(), 0);
+            assert!(db.memory_bytes() > resident);
+            db.sync_wal().unwrap();
+            std::fs::remove_dir(&blocker).unwrap();
+        }
+        // The log carries the update and the tier change: replay ends in the
+        // same state.
+        let (db, report) = HybridDatabase::open_dir(&dir, DurabilityConfig::default()).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert!((checksum(&db) - expect).abs() < 1e-6);
+        assert_eq!(cold_tier(&db), Tier::Memory);
+        assert!(!cold_is_disk(&db));
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn draining_a_disk_resident_table_is_a_typed_error() {
+        let db = loaded_db();
+        let mut layout = StorageLayout::new();
+        layout.set("t", split_placement(Tier::Disk));
+        apply_layout(&db, &layout).unwrap();
+        let drained = db.with_table("t", |d| d.clone().into_rows()).unwrap();
+        assert!(matches!(drained, Err(Error::InvalidOperation(_))));
+        // The mover promotes first, so moving such a table away works.
+        move_table(&db, "t", &TablePlacement::Single(StoreKind::Row)).unwrap();
+        assert_eq!(db.row_count("t").unwrap(), 100);
     }
 
     #[test]

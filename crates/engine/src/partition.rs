@@ -5,7 +5,8 @@ use std::sync::Arc;
 
 use hsd_catalog::{HorizontalSpec, PartitionSpec, TablePlacement, Tier, VerticalSpec};
 use hsd_storage::{
-    decode_segment, encode_segment, ColRange, RowSel, SegmentStore, SelVec, StoreKind, Table,
+    decode_segment, encode_segment, ColRange, ColumnData, ColumnTable, Columns, RowSel,
+    SegmentReader, SegmentStore, SelVec, StoreKind, Table,
 };
 use hsd_types::{ColumnIdx, Error, Result, TableSchema, Value};
 
@@ -373,10 +374,13 @@ impl VerticalPair {
 }
 
 /// A cold partition that has been demoted to disk: the column-store data
-/// lives in an immutable [`hsd_storage::segment`] file and only this stub
-/// stays resident. Queries load the segment on demand; writes promote it
-/// back to memory first (write-through, see the executor's
-/// `with_cold_loaded`).
+/// lives in an immutable [`hsd_storage::segment`] file, read **in place**
+/// through the fragment's own [`SegmentReader`] — only the segment's footer
+/// directory stays resident. Statements fetch what their request class
+/// needs (whole columns for scans via a [`ColdView`], one zone and one
+/// dictionary block per column for point reads); writes load the whole
+/// fragment back to memory first (write-through, see
+/// [`TableData::with_cold_loaded`]).
 ///
 /// The segment is a *derived cache* of WAL + checkpoint state: recovery
 /// re-creates it from the replayed table rather than trusting the file, so
@@ -384,32 +388,96 @@ impl VerticalPair {
 /// recovery-correctness problem.
 #[derive(Debug, Clone)]
 pub struct DiskFragment {
-    /// Schema of the demoted fragment (the full table schema — vertical
-    /// cold fragments are never demoted).
-    pub schema: Arc<TableSchema>,
     /// Segment name within the engine's [`SegmentStore`].
     pub segment: String,
-    /// Row count of the demoted fragment (kept resident so planning and
-    /// `row_count` never touch disk).
-    pub rows: usize,
     /// Encoded segment size in bytes (the disk-footprint the advisor's
     /// budget accounting charges).
     pub disk_bytes: u64,
-    /// Merge epoch of the encoded table at demotion time, preserved across
-    /// demote/promote cycles so maintenance bookkeeping stays monotonic.
-    pub merge_epoch: u64,
+    /// Reads the published segment in place; schema, row count and merge
+    /// epoch come from its footer, so planning never touches the data.
+    reader: Arc<SegmentReader>,
 }
 
 impl DiskFragment {
-    /// Load the fragment back into an in-memory column table.
+    /// Encode `table`, publish it atomically under `name` and open the
+    /// published segment for in-place reads — the one way a disk fragment
+    /// comes into being (demotion, write-through republish, restore).
+    pub fn publish(store: &SegmentStore, name: &str, table: &ColumnTable) -> Result<Self> {
+        let bytes = encode_segment(table);
+        let disk_bytes = bytes.len() as u64;
+        store.put(name, bytes)?;
+        let reader = SegmentReader::open(table.schema().clone(), store.open(name)?)?;
+        Ok(DiskFragment {
+            segment: name.to_string(),
+            disk_bytes,
+            reader: Arc::new(reader),
+        })
+    }
+
+    /// The in-place reader over the published segment.
+    pub fn reader(&self) -> &SegmentReader {
+        &self.reader
+    }
+
+    /// Load the whole fragment back into an in-memory column table (the
+    /// promote / write-through / snapshot path).
     ///
     /// Fails with [`Error::Io`] if the segment is
     /// missing or damaged — callers surface that as an unavailable cold
     /// partition, not as data loss (recovery can always rebuild it).
     pub fn load(&self, store: &SegmentStore) -> Result<Table> {
         let bytes = store.get(&self.segment)?;
-        let table = decode_segment(self.schema.clone(), &bytes)?;
+        let table = decode_segment(self.reader.schema().clone(), &bytes)?;
         Ok(Table::Column(table))
+    }
+}
+
+/// One statement's scan view over a disk-resident cold partition: the
+/// columns the statement names, restored from the segment, behind the same
+/// [`Columns`] surface a resident [`ColumnTable`] offers — so the executor's
+/// filter, aggregation and join kernels run on it unchanged. Point reads
+/// bypass the view's columns and go through [`ColdView::reader`].
+#[derive(Debug)]
+pub struct ColdView<'a> {
+    reader: &'a SegmentReader,
+    columns: Vec<Option<ColumnData>>,
+}
+
+impl<'a> ColdView<'a> {
+    /// Fetch `cols` (duplicates are fetched once) of `frag` for scanning.
+    pub fn fetch(frag: &'a DiskFragment, cols: &[ColumnIdx]) -> Result<Self> {
+        let reader = frag.reader();
+        let mut columns: Vec<Option<ColumnData>> =
+            (0..reader.schema().arity()).map(|_| None).collect();
+        for &c in cols {
+            let slot = columns
+                .get_mut(c)
+                .ok_or_else(|| Error::UnknownColumn(format!("{}[{c}]", reader.schema().name)))?;
+            if slot.is_none() {
+                *slot = Some(reader.column(c)?);
+            }
+        }
+        Ok(ColdView { reader, columns })
+    }
+
+    /// The segment reader, for the point request class.
+    pub fn reader(&self) -> &'a SegmentReader {
+        self.reader
+    }
+}
+
+impl Columns for ColdView<'_> {
+    fn row_count(&self) -> usize {
+        self.reader.row_count()
+    }
+
+    /// # Panics
+    /// Panics if `col` was not among the columns the view was fetched with
+    /// (the executor names every column a statement scans up front).
+    fn column(&self, col: ColumnIdx) -> &ColumnData {
+        self.columns[col]
+            .as_ref()
+            .unwrap_or_else(|| panic!("column {col} was not fetched for this cold view"))
     }
 }
 
@@ -430,7 +498,7 @@ impl ColdPart {
         match self {
             ColdPart::Single(t) => t.row_count(),
             ColdPart::Vertical(p) => p.row_count(),
-            ColdPart::DiskColumn(f) => f.rows,
+            ColdPart::DiskColumn(f) => f.reader().row_count(),
         }
     }
 
@@ -443,7 +511,7 @@ impl ColdPart {
             ColdPart::Vertical(p) => p.insert(row),
             ColdPart::DiskColumn(f) => Err(Error::InvalidOperation(format!(
                 "insert into disk-resident cold partition of {} without write-through load",
-                f.schema.name
+                f.reader().schema().name
             ))),
         }
     }
@@ -602,26 +670,30 @@ impl TableData {
     }
 
     /// Collect every logical row (cold first, then hot), draining `self`.
-    pub fn into_rows(self) -> Vec<Vec<Value>> {
-        match self {
+    ///
+    /// Fails with [`Error::InvalidOperation`] on a disk-resident cold
+    /// partition: draining needs the data in memory, so the mover promotes
+    /// first.
+    pub fn into_rows(self) -> Result<Vec<Vec<Value>>> {
+        Ok(match self {
             TableData::Single(t) => t.into_rows(),
             TableData::Partitioned { hot, cold, .. } => {
                 let mut rows = match cold {
                     ColdPart::Single(t) => t.into_rows(),
                     ColdPart::Vertical(p) => p.into_rows(),
-                    // The mover promotes disk-resident cold partitions back
-                    // to memory before any layout change drains the table.
-                    ColdPart::DiskColumn(f) => panic!(
-                        "draining {} with a disk-resident cold partition (promote first)",
-                        f.schema.name
-                    ),
+                    ColdPart::DiskColumn(f) => {
+                        return Err(Error::InvalidOperation(format!(
+                            "draining {} with a disk-resident cold partition (promote first)",
+                            f.reader().schema().name
+                        )))
+                    }
                 };
                 if let Some(h) = hot {
                     rows.extend(h.into_rows());
                 }
                 rows
             }
-        }
+        })
     }
 
     /// Approximate heap bytes across partitions.
@@ -633,8 +705,11 @@ impl TableData {
                 let c = match cold {
                     ColdPart::Single(t) => t.memory_bytes(),
                     ColdPart::Vertical(p) => p.memory_bytes(),
-                    // Only the stub is resident; the data lives on disk.
-                    ColdPart::DiskColumn(_) => std::mem::size_of::<DiskFragment>(),
+                    // The data lives on disk; the stub and the reader's
+                    // footer directory are what stays resident.
+                    ColdPart::DiskColumn(f) => {
+                        std::mem::size_of::<DiskFragment>() + f.reader().resident_bytes()
+                    }
                 };
                 h + c
             }
@@ -810,53 +885,57 @@ impl TableData {
             TableData::Partitioned { cold, .. } => match cold {
                 ColdPart::Single(t) => t.merge_epoch(),
                 ColdPart::Vertical(p) => p.col_fragment().merge_epoch(),
-                ColdPart::DiskColumn(f) => f.merge_epoch,
+                ColdPart::DiskColumn(f) => f.reader().merge_epoch(),
             },
         }
     }
 
-    /// Run `f` with a disk-resident cold partition temporarily loaded back
-    /// into memory, then re-encode and republish the segment afterwards
-    /// (**write-through**). Tables whose cold partition is memory-resident
-    /// just run `f` — the helper is transparent for them.
+    /// Run `f` with a disk-resident cold partition loaded back into memory,
+    /// then re-encode and republish the segment (**write-through**). Tables
+    /// whose cold partition is memory-resident just run `f`. Callers load
+    /// only when the statement changes a cold row: every load is followed by
+    /// a full re-encode, publish and fsync — the upkeep cost the advisor's
+    /// tier model charges writes against disk-resident data.
     ///
+    /// The outer error is a failed load: nothing ran, nothing changed. Once
+    /// loaded, `f`'s result comes back together with the republish outcome.
     /// The segment is republished even when `f` fails partway: the engine
     /// has no statement rollback, the WAL records the applied prefix, and
-    /// the segment must reflect the same state replay would reproduce.
-    /// This load → mutate → rewrite cycle is exactly the upkeep cost the
-    /// advisor's tier model charges writes against disk-resident data.
+    /// the segment must reflect the same state replay would reproduce. If
+    /// the republish itself fails, the (mutated) cold partition stays in
+    /// memory and the spec's tier flag says so — the data and the flag never
+    /// disagree; the caller logs the tier change and reports the error.
     pub fn with_cold_loaded<R>(
         &mut self,
         store: &SegmentStore,
-        f: impl FnOnce(&mut TableData) -> Result<R>,
-    ) -> Result<R> {
-        let frag = match self {
-            TableData::Partitioned {
-                cold: ColdPart::DiskColumn(fr),
-                ..
-            } => fr.clone(),
-            _ => return f(self),
+        f: impl FnOnce(&mut TableData) -> R,
+    ) -> Result<(R, Result<()>)> {
+        let TableData::Partitioned {
+            cold: ColdPart::DiskColumn(frag),
+            ..
+        } = self
+        else {
+            return Ok((f(self), Ok(())));
         };
+        let segment = frag.segment.clone();
         let loaded = frag.load(store)?;
         if let TableData::Partitioned { cold, .. } = self {
             *cold = ColdPart::Single(loaded);
         }
         let result = f(self);
-        if let TableData::Partitioned { cold, .. } = self {
+        let mut republished = Ok(());
+        if let TableData::Partitioned { cold, spec, .. } = self {
             if let ColdPart::Single(Table::Column(ct)) = cold {
-                let bytes = encode_segment(ct);
-                let stub = DiskFragment {
-                    schema: frag.schema.clone(),
-                    segment: frag.segment.clone(),
-                    rows: ct.row_count(),
-                    disk_bytes: bytes.len() as u64,
-                    merge_epoch: ct.merge_epoch(),
-                };
-                store.put(&frag.segment, bytes)?;
-                *cold = ColdPart::DiskColumn(stub);
+                match DiskFragment::publish(store, &segment, ct) {
+                    Ok(frag) => *cold = ColdPart::DiskColumn(frag),
+                    Err(e) => {
+                        spec.cold_tier = Tier::Memory;
+                        republished = Err(e);
+                    }
+                }
             }
         }
-        result
+        Ok((result, republished))
     }
 
     /// Abandon any in-flight incremental delta merge on the column-store
@@ -1024,7 +1103,7 @@ mod tests {
             }
             other => panic!("unexpected layout {other:?}"),
         }
-        let rows = td.into_rows();
+        let rows = td.into_rows().unwrap();
         assert_eq!(rows.len(), 10);
     }
 

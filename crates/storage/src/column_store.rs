@@ -748,22 +748,76 @@ impl ColumnData {
     /// column (in-flight shadow state is never persisted — it is
     /// reconstructible and cancellation is lossless).
     ///
-    /// # Panics
-    /// Panics if any code is out of range for the dictionary.
-    pub fn from_parts(dict: Dictionary, codes: BitPackedVec, epoch: u64) -> Self {
-        for code in codes.iter() {
-            assert!(
-                (code as usize) < dict.len(),
-                "restored code {code} out of dictionary range {}",
-                dict.len()
-            );
-        }
-        ColumnData {
+    /// Fails with [`Error::Io`] if any code is out of range for the
+    /// dictionary (the parts come from outside the process).
+    pub fn try_from_parts(dict: Dictionary, codes: BitPackedVec, epoch: u64) -> Result<Self> {
+        let col = ColumnData {
             dict,
             codes: CodeVec::Packed(codes),
             pending: None,
             epoch,
+        };
+        let mut max = 0u32;
+        col.for_each_code_block(|codes| max = codes.iter().fold(max, |m, &c| m.max(c)));
+        if !col.is_empty() && max as usize >= col.dict.len() {
+            return Err(Error::Io(format!(
+                "restored code {max} out of dictionary range {}",
+                col.dict.len()
+            )));
         }
+        Ok(col)
+    }
+
+    /// [`ColumnData::try_from_parts`] for parts the caller built itself.
+    ///
+    /// # Panics
+    /// Panics if any code is out of range for the dictionary.
+    pub fn from_parts(dict: Dictionary, codes: BitPackedVec, epoch: u64) -> Self {
+        Self::try_from_parts(dict, codes, epoch).unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// The read surface of a column-store fragment: a row count and borrowed
+/// columns. Everything the batched scan pipeline needs — filters,
+/// block-decoded aggregation, dictionary joins — runs on the
+/// [`ColumnData`] this returns, so a resident [`ColumnTable`] and a view
+/// holding only the columns a statement fetched from a disk segment are
+/// scanned by the same code.
+pub trait Columns {
+    /// Number of rows in every column.
+    fn row_count(&self) -> usize;
+
+    /// Borrow column `col`.
+    fn column(&self, col: ColumnIdx) -> &ColumnData;
+
+    /// The selection matching *all* of `ranges` (conjunction) as a bitmap.
+    ///
+    /// Each conjunct is evaluated block-decoded and branch-free against the
+    /// previous conjunct's selection ([`ColumnData::filter_selvec`]); the
+    /// conjunction short-circuits as soon as any intermediate selection is
+    /// empty, skipping the remaining predicates entirely.
+    fn filter_selvec(&self, ranges: &[ColRange]) -> SelVec {
+        let mut current: Option<SelVec> = None;
+        for range in ranges {
+            let next = self
+                .column(range.column)
+                .filter_selvec(range, current.as_ref());
+            if next.is_none_selected() {
+                return next;
+            }
+            current = Some(next);
+        }
+        current.unwrap_or_else(|| SelVec::all(self.row_count()))
+    }
+}
+
+impl Columns for ColumnTable {
+    fn row_count(&self) -> usize {
+        self.rows
+    }
+
+    fn column(&self, col: ColumnIdx) -> &ColumnData {
+        &self.columns[col]
     }
 }
 
@@ -866,22 +920,10 @@ impl ColumnTable {
         self.filter_selvec(ranges).to_row_ids()
     }
 
-    /// The selection matching *all* of `ranges` (conjunction) as a bitmap.
-    ///
-    /// Each conjunct is evaluated block-decoded and branch-free against the
-    /// previous conjunct's selection ([`ColumnData::filter_selvec`]); the
-    /// conjunction short-circuits as soon as any intermediate selection is
-    /// empty, skipping the remaining predicates entirely.
+    /// The selection matching *all* of `ranges` (conjunction) as a bitmap
+    /// ([`Columns::filter_selvec`]).
     pub fn filter_selvec(&self, ranges: &[ColRange]) -> SelVec {
-        let mut current: Option<SelVec> = None;
-        for range in ranges {
-            let next = self.columns[range.column].filter_selvec(range, current.as_ref());
-            if next.is_none_selected() {
-                return next;
-            }
-            current = Some(next);
-        }
-        current.unwrap_or_else(|| SelVec::all(self.rows))
+        Columns::filter_selvec(self, ranges)
     }
 
     /// Scalar (element-at-a-time) variant of [`ColumnTable::filter_rows`]:

@@ -70,11 +70,11 @@ pub mod table;
 pub mod wal;
 
 pub use bitpack::{BitPackedVec, BLOCK};
-pub use column_store::{ColumnData, ColumnTable, MergePlan, MergeProgress};
+pub use column_store::{ColumnData, ColumnTable, Columns, MergePlan, MergeProgress};
 pub use dictionary::Dictionary;
 pub use predicate::{ColRange, RowSel};
 pub use row_store::RowTable;
-pub use segment::{decode_segment, encode_segment, SegmentStore};
+pub use segment::{decode_segment, encode_segment, SegmentHandle, SegmentReader, SegmentStore};
 pub use selvec::SelVec;
 pub use table::{PkKey, StoreKind, Table};
 pub use wal::{

@@ -5,8 +5,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use hsd_storage::segment::{decode_segment, encode_segment};
 use hsd_storage::{
-    BitPackedVec, ColRange, ColumnTable, Dictionary, RowSel, RowTable, SelVec, StoreKind, Table,
+    BitPackedVec, ColRange, ColumnData, ColumnTable, Dictionary, RowSel, RowTable, SegmentReader,
+    SegmentStore, SelVec, StoreKind, Table,
 };
 use hsd_types::{ColumnDef, ColumnType, TableSchema, Value};
 
@@ -41,7 +43,141 @@ fn build_both(rows: &[(i32, f64)]) -> (RowTable, ColumnTable) {
     (rt, ct)
 }
 
+/// Composite primary key `(k1, k2)`, a nullable integer (NULL entries
+/// make the dictionary variable-width), variable-length text, a constant
+/// column (code width 0) and a flag (code width 1).
+fn segment_schema() -> Arc<TableSchema> {
+    Arc::new(
+        TableSchema::new(
+            "seg",
+            vec![
+                ColumnDef::new("k1", ColumnType::Integer),
+                ColumnDef::new("k2", ColumnType::Varchar),
+                ColumnDef::nullable("v", ColumnType::Integer),
+                ColumnDef::new("t", ColumnType::Varchar),
+                ColumnDef::new("c", ColumnType::Integer),
+                ColumnDef::new("f", ColumnType::Boolean),
+            ],
+            vec![0, 1],
+        )
+        .unwrap(),
+    )
+}
+
+/// A table over [`segment_schema`]: `rows` are `(k1, v, text length)`;
+/// `late` of them arrive (and `updates` land) after the delta merge, so
+/// dictionary tails — the primary key's included — stay live; `widen`
+/// re-packs every code vector to 31 or 32 bits (one or two codes per word).
+fn segment_table(
+    rows: &[(i32, i32, usize)],
+    late: usize,
+    updates: &[(usize, i32)],
+    widen: u8,
+) -> ColumnTable {
+    let mut t = ColumnTable::new(segment_schema());
+    for (i, &(k1, v, text_len)) in rows.iter().enumerate() {
+        if i + late == rows.len() {
+            t.compact();
+        }
+        t.insert(&[
+            Value::Int(k1),
+            Value::text(format!("key-{i}")),
+            if v % 5 == 0 {
+                Value::Null
+            } else {
+                Value::Int(v)
+            },
+            Value::text("x".repeat(text_len)),
+            Value::Int(7),
+            Value::Bool(i % 2 == 0),
+        ])
+        .unwrap();
+    }
+    if late == 0 {
+        t.compact();
+    }
+    for &(row, v) in updates {
+        if !rows.is_empty() {
+            let row = (row % rows.len()) as u32;
+            t.update_rows(
+                &[row],
+                &[(2, Value::Int(v)), (3, Value::text(format!("upd{v}")))],
+            )
+            .unwrap();
+        }
+    }
+    if widen == 0 {
+        return t;
+    }
+    let columns = (0..6)
+        .map(|c| {
+            let col = t.column(c);
+            let mut codes = col.packed_codes().unwrap().clone();
+            codes.repack(30 + widen);
+            ColumnData::from_parts(col.dictionary().clone(), codes, col.merge_epoch())
+        })
+        .collect();
+    ColumnTable::from_parts(segment_schema(), columns).unwrap()
+}
+
 proptest! {
+    /// The in-place reader and the whole-fragment decoder are two views of
+    /// the same bytes: every column, every point hit and every miss agree.
+    #[test]
+    fn segment_reader_matches_decoded_table(
+        rows in prop::collection::vec((0i32..6, 0i32..40, 0usize..24), 0..420),
+        late in 0usize..30,
+        updates in prop::collection::vec((0usize..420, 1000i32..1010), 0..6),
+        widen in 0u8..3,
+        shape in 0usize..6,
+    ) {
+        // Empty and single-row tables are shapes of their own.
+        let rows = &rows[..rows.len().min(if shape < 2 { shape } else { usize::MAX })];
+        let table = segment_table(rows, late, &updates, widen);
+        let bytes = encode_segment(&table);
+        prop_assert_eq!(&encode_segment(&table), &bytes, "encoding is byte-stable");
+        let decoded = decode_segment(segment_schema(), &bytes).unwrap();
+        prop_assert_eq!(&encode_segment(&decoded), &bytes, "decode + encode is the identity");
+        prop_assert_eq!(decoded.row_count(), rows.len());
+
+        let store = SegmentStore::mem();
+        store.put("seg", bytes).unwrap();
+        let reader = SegmentReader::open(segment_schema(), store.open("seg").unwrap()).unwrap();
+        prop_assert_eq!(reader.row_count(), rows.len());
+        prop_assert_eq!(reader.merge_epoch(), decoded.merge_epoch());
+        for c in 0..6 {
+            let (got, want) = (reader.column(c).unwrap(), decoded.column(c));
+            prop_assert_eq!(got.packed_codes(), want.packed_codes());
+            prop_assert_eq!(got.dictionary().sorted_len(), want.dictionary().sorted_len());
+            prop_assert!(got.dictionary().values().eq(want.dictionary().values()));
+            prop_assert_eq!(got.merge_epoch(), want.merge_epoch());
+        }
+        let all: Vec<u32> = (0..rows.len() as u32).collect();
+        prop_assert_eq!(
+            reader.rows(&all, None).unwrap(),
+            all.iter().map(|&r| decoded.row(r)).collect::<Vec<_>>()
+        );
+        for &r in &all {
+            let key = [decoded.value_at(r, 0).clone(), decoded.value_at(r, 1).clone()];
+            prop_assert_eq!(reader.locate(&key).unwrap(), Some(r));
+            prop_assert_eq!(reader.rows(&[r], Some(&[3, 0])).unwrap(), vec![vec![
+                decoded.value_at(r, 3).clone(),
+                decoded.value_at(r, 0).clone(),
+            ]]);
+            // Both parts exist in their dictionaries, but not together.
+            let crossed = [Value::Int((rows[r as usize].0 + 1) % 6), key[1].clone()];
+            prop_assert_eq!(reader.locate(&crossed).unwrap(), decoded.point_lookup(&crossed));
+        }
+        for miss in [
+            [Value::Int(99), Value::text("key-0")],
+            [Value::Int(0), Value::text("absent")],
+            [Value::Null, Value::Null],
+        ] {
+            prop_assert_eq!(reader.locate(&miss).unwrap(), None);
+            prop_assert_eq!(decoded.point_lookup(&miss), None);
+        }
+    }
+
     #[test]
     fn bitpack_round_trip(vals in prop::collection::vec(0u32..1_000_000, 0..300)) {
         let v: BitPackedVec = vals.iter().copied().collect();
