@@ -1,6 +1,5 @@
 //! Ablations of the design choices called out in DESIGN.md:
 //!
-//! * bit-packed vs. plain `u32` code vectors (scan cost / memory);
 //! * dictionary tail (delta) vs. compacted dictionary (selection cost);
 //! * the sorted dictionary's implicit index (code-interval matching) vs. a
 //!   row-store scan without a secondary index;
@@ -19,7 +18,7 @@ use hsd_query::{
     AggFunc, Aggregate, AggregateQuery, JoinSpec, MixedWorkloadConfig, Query, TableSpec,
     WorkloadGenerator,
 };
-use hsd_storage::{ColRange, ColumnTable, RowSel, RowTable};
+use hsd_storage::{ColRange, ColumnTable, RowTable};
 use hsd_types::{ColumnDef, ColumnType, TableSchema, Value};
 
 const ROWS: usize = 200_000;
@@ -51,27 +50,6 @@ fn fill(t: &mut ColumnTable) {
     t.compact();
 }
 
-/// Bit-packed vs plain code vectors: aggregation scan speed and heap size.
-fn bench_bitpack(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_bitpack_scan");
-    group
-        .measurement_time(Duration::from_secs(2))
-        .sample_size(30);
-    for (label, packed) in [("packed", true), ("plain_u32", false)] {
-        let mut t = ColumnTable::with_encoding(schema(), packed);
-        fill(&mut t);
-        println!("[ablation_bitpack] {label}: {} bytes", t.memory_bytes());
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter(|| {
-                let mut sum = 0.0;
-                t.for_each_numeric(1, RowSel::All, |v| sum += v);
-                sum
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Dictionary tail (un-merged delta) vs compacted dictionary: range filter.
 fn bench_delta_tail(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_delta_tail_filter");
@@ -80,7 +58,7 @@ fn bench_delta_tail(c: &mut Criterion) {
         .sample_size(30);
     let range = ColRange::between(1, Value::Double(100.0), Value::Double(400.0));
     for (label, compact) in [("compacted", true), ("with_tail", false)] {
-        let mut t = ColumnTable::with_encoding(schema(), true);
+        let mut t = ColumnTable::new(schema());
         fill(&mut t);
         // 5% of rows updated to fresh values -> dictionary tail grows.
         let rows: Vec<u32> = (0..ROWS as u32).step_by(20).collect();
@@ -111,7 +89,7 @@ fn bench_implicit_index(c: &mut Criterion) {
         .sample_size(30);
     let range = ColRange::between(2, Value::Int(0), Value::Int(99));
 
-    let mut ct = ColumnTable::with_encoding(schema(), true);
+    let mut ct = ColumnTable::new(schema());
     fill(&mut ct);
     group.bench_function("column_dictionary_index", |b| {
         b.iter(|| ct.filter_rows(std::slice::from_ref(&range)).len())
@@ -247,7 +225,6 @@ fn bench_advisor_search(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_bitpack,
     bench_delta_tail,
     bench_implicit_index,
     bench_advisor_search

@@ -10,7 +10,6 @@
 
 pub mod fig9;
 pub mod scan_workload;
-pub mod summary;
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -49,8 +48,7 @@ pub fn advisor_model_or_calibrate(bin: &str, smoke: bool) -> CostModel {
 
 /// A headline ratio as JSON, guarding zero/missing baselines: emit `"n/a"`
 /// instead of `inf`/`NaN`, so `BENCH_*.json` artifacts never carry
-/// non-finite numbers and `bench_summary`'s table renders `n/a` rather
-/// than dividing garbage.
+/// non-finite numbers.
 pub fn ratio_json(numerator: f64, denominator: f64) -> hsd_types::Json {
     if denominator > 0.0 {
         let r = numerator / denominator;
@@ -68,11 +66,6 @@ pub fn scale() -> f64 {
         .and_then(|s| s.parse::<f64>().ok())
         .filter(|s| *s > 0.0)
         .unwrap_or(0.1)
-}
-
-/// Number of workload queries after scaling (floor 50).
-pub fn scaled_queries(paper_queries: usize) -> usize {
-    ((paper_queries as f64 * scale().min(1.0)).round() as usize).max(50)
 }
 
 /// Number of rows after scaling (floor 10k).
@@ -192,7 +185,6 @@ mod tests {
     fn scaling_helpers() {
         // default scale is 0.1 unless HSD_SCALE overrides; floors apply
         assert!(scaled_rows(2_000_000) >= 10_000);
-        assert!(scaled_queries(500) >= 50);
         let spec = wide_spec("t", 40_000, 1);
         assert_eq!(spec.kf_distinct, 2_000);
         assert_eq!(spec.arity(), 30);

@@ -1,7 +1,6 @@
-//! Shared workload for the scan-throughput benchmarks (`benches/scan.rs`
-//! and the `bench_scan` binary): a 1M-row column-store table with a
-//! mid-cardinality bit-packed attribute, plus the predicates the benchmarks
-//! scan with.
+//! Shared workload for the scan-throughput benchmarks (`benches/scan.rs`):
+//! a 1M-row column-store table with a mid-cardinality bit-packed
+//! attribute, plus the predicates the benchmarks scan with.
 
 use std::sync::Arc;
 
@@ -43,9 +42,8 @@ pub fn schema() -> Arc<TableSchema> {
 }
 
 /// Build (and compact) the benchmark table with `ROWS` deterministic rows.
-/// `packed = false` is the plain-`u32` code-vector ablation.
-pub fn build_table(packed: bool) -> ColumnTable {
-    let mut t = ColumnTable::with_encoding(schema(), packed);
+pub fn build_table() -> ColumnTable {
+    let mut t = ColumnTable::new(schema());
     for i in 0..ROWS as u64 {
         let h = splitmix64(i);
         t.insert(&[

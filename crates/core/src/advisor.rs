@@ -77,24 +77,6 @@ pub struct StorageAdvisor {
     /// Maximum table count for exhaustive store-combination search; larger
     /// schemas fall back to greedy local search.
     pub exact_search_limit: usize,
-    /// Whether store comparisons charge column-store candidates their
-    /// modeled delta upkeep (merge amortization plus inter-merge tail
-    /// penalty, [`crate::maintenance::estimate_maintenance`]). On by
-    /// default; disable for the maintenance-blind ablation, which compares
-    /// stores by query cost alone and therefore keeps write-heavy tables in
-    /// the column store even when their merges eat the scan savings.
-    pub maintenance_aware: bool,
-    /// Whether partitioned placements are charged maintenance at the
-    /// **fragment** level
-    /// ([`crate::estimator::placement_fragment_drivers`]): only the cold
-    /// column fragment's share of tail growth, scan pressure, and rows. On
-    /// by default; disable for the full-table-charged ablation, which
-    /// bills a partitioned candidate as if the whole table were one column
-    /// table — over-charging exactly the hybrid layouts whose hot
-    /// row-store partition absorbs the writes, and therefore
-    /// under-recommending them. Irrelevant when `maintenance_aware` is
-    /// off.
-    pub fragment_upkeep: bool,
     /// Optional global memory budget (bytes). `None` keeps the
     /// unconstrained per-table choice (the greedy path, retained as the
     /// ablation baseline). `Some(b)` scales the advisor to the paper's
@@ -122,8 +104,6 @@ impl StorageAdvisor {
             model,
             partition_cfg: PartitionAdvisorConfig::default(),
             exact_search_limit: 12,
-            maintenance_aware: true,
-            fragment_upkeep: true,
             memory_budget: None,
         }
     }
@@ -133,26 +113,6 @@ impl StorageAdvisor {
         StorageAdvisor {
             memory_budget: Some(budget_bytes),
             ..self
-        }
-    }
-
-    /// The same advisor with maintenance-aware placement disabled (the
-    /// query-cost-only ablation baseline).
-    pub fn maintenance_blind(model: CostModel) -> Self {
-        StorageAdvisor {
-            maintenance_aware: false,
-            ..StorageAdvisor::new(model)
-        }
-    }
-
-    /// The same advisor with fragment-level upkeep charging disabled: still
-    /// maintenance-aware, but partitioned placements are billed the
-    /// full-table upkeep (the pre-fragment-costing ablation baseline for
-    /// `bench_partition_upkeep`).
-    pub fn fragment_blind(model: CostModel) -> Self {
-        StorageAdvisor {
-            fragment_upkeep: false,
-            ..StorageAdvisor::new(model)
         }
     }
 
@@ -330,23 +290,11 @@ impl<'a> DecisionPass<'a> {
     }
 
     /// Modeled delta-upkeep cost (ms) table `t` pays under `placement` over
-    /// the workload: zero when maintenance-aware placement is off or the
-    /// placement keeps no column-store region; the fragment-level bill for
-    /// partitioned placements — or the full-table bill when the
-    /// [`StorageAdvisor::fragment_upkeep`] ablation toggle is off.
+    /// the workload: zero when the placement keeps no column-store region,
+    /// the fragment-level bill for partitioned placements.
     fn placement_upkeep_ms(&self, t: usize, placement: &TablePlacement) -> f64 {
-        if !self.advisor.maintenance_aware {
-            return 0.0;
-        }
-        // The ablation bills a partitioned placement like a full column
-        // table (the pre-fragment-costing behavior).
-        let full_table = TablePlacement::Single(StoreKind::Column);
-        let effective = match placement {
-            TablePlacement::Partitioned(_) if !self.advisor.fragment_upkeep => &full_table,
-            other => other,
-        };
         let own = self.queries_of[t].iter().map(|&qi| self.queries[qi]);
-        placement_fragment_drivers(self.ctx, own, self.names[t], effective).map_or(
+        placement_fragment_drivers(self.ctx, own, self.names[t], placement).map_or(
             0.0,
             |fragment| {
                 crate::maintenance::estimate_placement_maintenance(self.model, fragment).total_ms()
@@ -407,10 +355,7 @@ impl<'a> DecisionPass<'a> {
         // under the partitioned placement plus its *fragment-level* delta
         // upkeep, against the chosen single store's share plus its upkeep,
         // every other table at its chosen store — and adopted only when it
-        // models faster. (The full-table-charged ablation,
-        // `fragment_upkeep = false`, over-bills the candidate's upkeep and
-        // therefore rejects hybrid layouts a fragment-charged comparison
-        // accepts.)
+        // models faster.
         if enable_partitioning {
             let stores = slots.clone();
             for schema in schemas {
@@ -1124,42 +1069,44 @@ mod tests {
             )));
         }
         let w = Workload::from_queries(queries);
-        // Maintenance-blind: query cost alone still favors the column store
-        // (the scans save far more than the updates cost extra).
-        let blind = StorageAdvisor::maintenance_blind(m.clone());
-        assert!(!blind.maintenance_aware);
-        let rec_blind = blind
-            .recommend_offline(&schemas, &stats, &w, false)
-            .unwrap();
-        assert_eq!(
-            rec_blind.layout.placement("w"),
-            TablePlacement::Single(StoreKind::Column),
-            "query-cost-only comparison keeps the write-heavy table columnar"
+        // Query cost alone favors the column store: the scans save far
+        // more than the updates cost extra.
+        let ctx = build_ctx(&schemas, &stats);
+        let query_ms = |store| {
+            crate::estimator::estimate_workload_layout(
+                &m,
+                &ctx,
+                &StorageLayout::uniform(["w"], store),
+                &w,
+            )
+        };
+        let (query_cs, query_rs) = (query_ms(StoreKind::Column), query_ms(StoreKind::Row));
+        assert!(
+            query_cs < query_rs,
+            "query-cost-only pricing keeps the write-heavy table columnar: {query_cs} vs {query_rs}"
         );
-        // Maintenance-aware: the modeled merge amortization of 4000 tail
-        // entries dominates the scan savings and flips the placement.
-        let aware = StorageAdvisor::new(m);
-        let rec_aware = aware
+        // The advisor also charges delta upkeep: the modeled merge
+        // amortization of 4000 tail entries dominates the scan savings and
+        // flips the placement.
+        let rec = StorageAdvisor::new(m)
             .recommend_offline(&schemas, &stats, &w, false)
             .unwrap();
         assert_eq!(
-            rec_aware.layout.placement("w"),
+            rec.layout.placement("w"),
             TablePlacement::Single(StoreKind::Row),
             "delta upkeep must flip the write-heavy table to the row store"
         );
-        // The reported per-table column cost now carries the upkeep.
-        let blind_cs = rec_blind.tables[0].cost_column_ms;
-        let aware_cs = rec_aware.tables[0].cost_column_ms;
+        // The reported per-table column cost carries the upkeep; the row
+        // cost is the query cost alone.
+        let charged_cs = rec.tables[0].cost_column_ms;
         assert!(
-            aware_cs > blind_cs,
-            "column-side cost must include upkeep: {aware_cs} vs {blind_cs}"
+            charged_cs > query_cs,
+            "column-side cost must include upkeep: {charged_cs} vs {query_cs}"
         );
-        assert_eq!(
-            rec_blind.tables[0].cost_row_ms,
-            rec_aware.tables[0].cost_row_ms
-        );
+        let charged_rs = rec.tables[0].cost_row_ms;
+        assert!((charged_rs - query_rs).abs() <= 1e-9 * query_rs.max(1.0));
         // And the argmin invariant still holds under the charged estimates.
-        assert!(rec_aware.estimated_ms <= rec_aware.rs_only_ms.min(rec_aware.cs_only_ms) + 1e-9);
+        assert!(rec.estimated_ms <= rec.rs_only_ms.min(rec.cs_only_ms) + 1e-9);
     }
 
     /// A budget the unconstrained layout already satisfies changes

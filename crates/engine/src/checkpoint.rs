@@ -63,6 +63,7 @@
 use std::path::{Path, PathBuf};
 
 use hsd_catalog::{placement_from_json, placement_to_json, TablePlacement};
+use hsd_storage::segment::publish_atomic;
 use hsd_storage::wal::{self, encode_frame};
 use hsd_storage::{decode_segment, encode_segment, SegmentStore, StoreKind, Table};
 use hsd_types::{Error, Json, Result};
@@ -455,17 +456,7 @@ impl HybridDatabase {
         let seq = existing.first().map_or(1, |(s, _)| s + 1);
         let path = checkpoint_path(&dir, seq);
         let tmp = dir.join(format!("checkpoint_{seq:06}.tmp"));
-        let publish = |()| -> std::io::Result<()> {
-            std::fs::write(&tmp, &bytes)?;
-            std::fs::File::open(&tmp)?.sync_all()?;
-            std::fs::rename(&tmp, &path)?;
-            // Persist the rename itself.
-            if let Ok(d) = std::fs::File::open(&dir) {
-                let _ = d.sync_all();
-            }
-            Ok(())
-        };
-        publish(()).map_err(|e| Error::Io(format!("publish checkpoint: {e}")))?;
+        publish_atomic(&tmp, &path, &bytes)?;
         for (_, old) in existing.iter().skip(CHECKPOINT_RETAIN - 1) {
             let _ = std::fs::remove_file(old);
         }

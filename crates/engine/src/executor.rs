@@ -853,16 +853,6 @@ fn is_numeric_col(part: &Part<'_>, col: ColumnIdx) -> bool {
 /// beyond this the hash-map path bounds memory to the groups actually seen.
 const DENSE_GROUPBY_MAX_DICT: usize = 1 << 16;
 
-/// Ablation switch for the dense group-by path (`bench_merge` compares the
-/// dense per-code array against the hash-map baseline on identical data).
-static DENSE_GROUP_BY: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Enable or disable the dense group-by fast path (enabled by default;
-/// benchmarking hook, not a tuning knob).
-pub fn set_dense_group_by(enabled: bool) {
-    DENSE_GROUP_BY.store(enabled, std::sync::atomic::Ordering::Relaxed);
-}
-
 /// Fold one selected row into its group's accumulators (shared by the
 /// dense and hash-map grouped-aggregation paths).
 #[inline]
@@ -916,9 +906,7 @@ fn aggregate_column_grouped(
     cols.extend(agg_cols.iter().copied());
     let n_aggs = aggregates.len();
     let dict_len = gcol.dictionary().len();
-    let dense = dict_len <= DENSE_GROUPBY_MAX_DICT
-        && DENSE_GROUP_BY.load(std::sync::atomic::Ordering::Relaxed);
-    if dense {
+    if dict_len <= DENSE_GROUPBY_MAX_DICT {
         // Dense path: one flat Acc row per group code, plus a seen-bitmap so
         // groups whose every aggregate input is NULL still appear.
         let mut accs: Vec<Acc> = vec![Acc::new(); dict_len * n_aggs];
@@ -1622,29 +1610,43 @@ mod tests {
 
     #[test]
     fn dense_and_hash_group_by_agree() {
-        let q = Query::Aggregate(AggregateQuery {
-            table: "t".into(),
-            aggregates: vec![
-                Aggregate {
-                    func: AggFunc::Sum,
-                    column: 1,
-                },
-                Aggregate {
-                    func: AggFunc::Count,
-                    column: 3,
-                },
-            ],
-            group_by: Some(2),
-            filter: vec![ColRange::ge(0, Value::BigInt(5))],
-            join: None,
-        });
-        let db = db_with(TablePlacement::Single(StoreKind::Column));
-        let dense = db.execute(&q).unwrap();
-        set_dense_group_by(false);
-        let hashed = db.execute(&q).unwrap();
-        set_dense_group_by(true);
-        assert_eq!(dense, hashed);
-        assert_eq!(dense.aggregates().unwrap().len(), 3);
+        // `kf` is unique per row, so its dictionary exceeds the dense
+        // path's limit and grouping on it takes the hash map; `grp` has
+        // three values and takes the dense array. Both must answer like
+        // the row store.
+        let n = DENSE_GROUPBY_MAX_DICT as i64 + 64;
+        let grouped = |group_col| {
+            Query::Aggregate(AggregateQuery {
+                table: "t".into(),
+                aggregates: vec![
+                    Aggregate {
+                        func: AggFunc::Sum,
+                        column: 1,
+                    },
+                    Aggregate {
+                        func: AggFunc::Count,
+                        column: 3,
+                    },
+                ],
+                group_by: Some(group_col),
+                filter: vec![ColRange::ge(0, Value::BigInt(n - 200))],
+                join: None,
+            })
+        };
+        let load = |store| {
+            let db = HybridDatabase::new();
+            db.create_table(schema(), TablePlacement::Single(store))
+                .unwrap();
+            db.bulk_load("t", rows(n)).unwrap();
+            db
+        };
+        let (col, row) = (load(StoreKind::Column), load(StoreKind::Row));
+        for (group_col, groups) in [(1, 200), (2, 3)] {
+            let q = grouped(group_col);
+            let out = col.execute(&q).unwrap();
+            assert_eq!(out, row.execute(&q).unwrap(), "group by {group_col}");
+            assert_eq!(out.aggregates().unwrap().len(), groups);
+        }
     }
 
     #[test]

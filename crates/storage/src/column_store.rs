@@ -8,7 +8,8 @@
 //! matches are collected in bitmap selection vectors ([`SelVec`]) that
 //! conjunctions combine with word-wise `AND`s. The element-at-a-time path
 //! ([`ColumnData::filter_scalar`], [`ColumnTable::filter_rows_scalar`])
-//! remains as the ablation baseline the scan benchmarks compare against.
+//! remains only as the parity oracle for the batched pipeline's property
+//! tests.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,81 +21,6 @@ use crate::dictionary::Dictionary;
 use crate::predicate::{ColRange, RowSel};
 use crate::selvec::SelVec;
 use crate::table::{pk_key_of, PkKey};
-
-/// Physical encoding of a code vector.
-///
-/// `Packed` is the production encoding; `Plain` exists for the bit-packing
-/// ablation benchmark and stores codes as raw `u32`s.
-#[derive(Debug, Clone)]
-pub enum CodeVec {
-    /// Bit-packed at the dictionary's current width.
-    Packed(BitPackedVec),
-    /// Plain `u32` codes (ablation variant).
-    Plain(Vec<u32>),
-}
-
-impl CodeVec {
-    fn new(packed: bool) -> Self {
-        if packed {
-            CodeVec::Packed(BitPackedVec::new())
-        } else {
-            CodeVec::Plain(Vec::new())
-        }
-    }
-
-    /// An empty vector with the same encoding as `self` (the shadow vector
-    /// an incremental merge fills).
-    fn like(&self) -> Self {
-        CodeVec::new(matches!(self, CodeVec::Packed(_)))
-    }
-
-    #[inline]
-    fn get(&self, idx: usize) -> u32 {
-        match self {
-            CodeVec::Packed(v) => v.get(idx),
-            CodeVec::Plain(v) => v[idx],
-        }
-    }
-
-    fn push(&mut self, code: u32) {
-        match self {
-            CodeVec::Packed(v) => v.push(code),
-            CodeVec::Plain(v) => v.push(code),
-        }
-    }
-
-    fn set(&mut self, idx: usize, code: u32) {
-        match self {
-            CodeVec::Packed(v) => v.set(idx, code),
-            CodeVec::Plain(v) => v[idx] = code,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            CodeVec::Packed(v) => v.len(),
-            CodeVec::Plain(v) => v.len(),
-        }
-    }
-
-    /// Decode the run `[start, start + out.len())` into `out`. The packed
-    /// encoding uses word-level unpacking; the plain ablation encoding is a
-    /// straight copy.
-    #[inline]
-    fn decode_into(&self, start: usize, out: &mut [u32]) {
-        match self {
-            CodeVec::Packed(v) => v.decode_into(start, out),
-            CodeVec::Plain(v) => out.copy_from_slice(&v[start..start + out.len()]),
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            CodeVec::Packed(v) => v.heap_bytes(),
-            CodeVec::Plain(v) => v.capacity() * 4,
-        }
-    }
-}
 
 /// Progress of one bounded slice of an incremental delta merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -146,7 +72,7 @@ struct PendingMerge {
     /// rebuild snapshot was taken.
     remap: Vec<u32>,
     /// Shadow code vector, filled for rows `[0, cursor)`.
-    new_codes: CodeVec,
+    new_codes: BitPackedVec,
     /// Rows copied so far.
     cursor: usize,
     /// Tail entries the snapshot is folding (reported on completion).
@@ -192,7 +118,7 @@ impl MergePlan {
 #[derive(Debug, Clone)]
 pub struct ColumnData {
     dict: Dictionary,
-    codes: CodeVec,
+    codes: BitPackedVec,
     /// In-flight incremental merge, if any.
     pending: Option<PendingMerge>,
     /// Merge epoch: incremented at every dictionary handoff — the shadow
@@ -205,10 +131,10 @@ pub struct ColumnData {
 
 impl ColumnData {
     /// Empty column.
-    pub fn new(packed: bool) -> Self {
+    fn empty() -> Self {
         ColumnData {
             dict: Dictionary::new(),
-            codes: CodeVec::new(packed),
+            codes: BitPackedVec::new(),
             pending: None,
             epoch: 0,
         }
@@ -262,7 +188,7 @@ impl ColumnData {
 
     /// Whether the column holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.codes.len() == 0
+        self.codes.is_empty()
     }
 
     /// Distinct values in the dictionary.
@@ -346,7 +272,7 @@ impl ColumnData {
         self.pending = Some(PendingMerge {
             new_dict,
             remap,
-            new_codes: self.codes.like(),
+            new_codes: BitPackedVec::new(),
             cursor: 0,
             folding: self.dict.tail_len(),
         });
@@ -382,7 +308,7 @@ impl ColumnData {
         self.pending = Some(PendingMerge {
             new_dict: plan.new_dict,
             remap: plan.remap,
-            new_codes: self.codes.like(),
+            new_codes: BitPackedVec::new(),
             cursor: 0,
             folding: plan.folding,
         });
@@ -489,43 +415,28 @@ impl ColumnData {
                         continue;
                     }
                 }
-                match (&self.codes, tail.is_empty()) {
-                    (CodeVec::Packed(v), true) => {
-                        v.match_interval_into(
-                            start,
-                            block_len,
-                            lo,
-                            hi,
-                            &mut out_words[word_base..word_end],
-                        );
-                    }
-                    (CodeVec::Plain(v), true) => {
-                        let codes = &v[start..start + block_len];
-                        for (wi, chunk) in codes.chunks(64).enumerate() {
-                            // Branch-free interval test; vectorizes to the
-                            // compare + movemask shape.
-                            let mut bits = 0u64;
-                            for (j, &c) in chunk.iter().enumerate() {
-                                bits |= ((c.wrapping_sub(lo) < span) as u64) << j;
-                            }
-                            out_words[word_base + wi] = bits;
+                if tail.is_empty() {
+                    self.codes.match_interval_into(
+                        start,
+                        block_len,
+                        lo,
+                        hi,
+                        &mut out_words[word_base..word_end],
+                    );
+                } else {
+                    // Tail codes present: decode the block and check the
+                    // sorted tail list alongside the interval.
+                    let codes = &mut buf[..block_len];
+                    self.codes.decode_into(start, codes);
+                    for (wi, chunk) in codes.chunks(64).enumerate() {
+                        let mut bits = 0u64;
+                        for (j, &c) in chunk.iter().enumerate() {
+                            bits |= ((c.wrapping_sub(lo) < span) as u64) << j;
                         }
-                    }
-                    (_, false) => {
-                        // Tail codes present: decode the block and check the
-                        // sorted tail list alongside the interval.
-                        let codes = &mut buf[..block_len];
-                        self.codes.decode_into(start, codes);
-                        for (wi, chunk) in codes.chunks(64).enumerate() {
-                            let mut bits = 0u64;
-                            for (j, &c) in chunk.iter().enumerate() {
-                                bits |= ((c.wrapping_sub(lo) < span) as u64) << j;
-                            }
-                            for (j, &c) in chunk.iter().enumerate() {
-                                bits |= (tail.binary_search(&c).is_ok() as u64) << j;
-                            }
-                            out_words[word_base + wi] = bits;
+                        for (j, &c) in chunk.iter().enumerate() {
+                            bits |= (tail.binary_search(&c).is_ok() as u64) << j;
                         }
+                        out_words[word_base + wi] = bits;
                     }
                 }
                 start += block_len;
@@ -540,9 +451,8 @@ impl ColumnData {
     /// Row indexes (within `sel`) whose value satisfies `range`, evaluated
     /// element-at-a-time via [`ColumnData::code_at`]-style decoding.
     ///
-    /// This is the pre-batching scan path, kept as the ablation baseline
-    /// (`bench_scan` compares it against [`ColumnData::filter_selvec`]) and
-    /// as the parity oracle for the batched pipeline's property tests.
+    /// This is the pre-batching scan path, kept only as the parity oracle
+    /// for the batched pipeline's property tests.
     pub fn filter_scalar(&self, range: &ColRange, sel: RowSel<'_>) -> Vec<u32> {
         let (lo, hi, tail) = self.code_matches(range);
         let hit = |code: u32| (code >= lo && code < hi) || tail.binary_search(&code).is_ok();
@@ -574,6 +484,10 @@ impl ColumnData {
     /// the hot loop reads only packed codes — the column store's fast
     /// aggregation path. For near-unique columns (LUT construction would
     /// dominate), codes are decoded directly against the dictionary.
+    // Kept out of line: inlined into `for_each_numeric_sel`, its scan loops
+    // lose registers to the selection path's state and a full-column scan
+    // runs ~10 % slower.
+    #[inline(never)]
     pub fn for_each_numeric(&self, sel: RowSel<'_>, mut f: impl FnMut(f64)) {
         let visited = match sel {
             RowSel::All => self.codes.len(),
@@ -731,14 +645,15 @@ impl ColumnData {
         self.codes.heap_bytes() + self.dict.heap_bytes()
     }
 
-    /// The bit-packed code vector, or `None` for the plain ablation
-    /// encoding. The segment writer serializes packed columns zero-copy
-    /// through this accessor.
+    /// The bit-packed code vector (always `Some`; the `Option` is kept for
+    /// callers that pattern-match it).
     pub fn packed_codes(&self) -> Option<&BitPackedVec> {
-        match &self.codes {
-            CodeVec::Packed(v) => Some(v),
-            CodeVec::Plain(_) => None,
-        }
+        Some(&self.codes)
+    }
+
+    /// The bit-packed code vector the segment writer serializes zero-copy.
+    pub(crate) fn codes(&self) -> &BitPackedVec {
+        &self.codes
     }
 
     /// Rebuild a column from its persisted parts: a restored dictionary
@@ -753,7 +668,7 @@ impl ColumnData {
     pub fn try_from_parts(dict: Dictionary, codes: BitPackedVec, epoch: u64) -> Result<Self> {
         let col = ColumnData {
             dict,
-            codes: CodeVec::Packed(codes),
+            codes,
             pending: None,
             epoch,
         };
@@ -833,15 +748,7 @@ pub struct ColumnTable {
 impl ColumnTable {
     /// Empty table with bit-packed code vectors.
     pub fn new(schema: Arc<TableSchema>) -> Self {
-        Self::with_encoding(schema, true)
-    }
-
-    /// Empty table choosing the code-vector encoding (`packed = false` is
-    /// the ablation variant).
-    pub fn with_encoding(schema: Arc<TableSchema>, packed: bool) -> Self {
-        let columns = (0..schema.arity())
-            .map(|_| ColumnData::new(packed))
-            .collect();
+        let columns = (0..schema.arity()).map(|_| ColumnData::empty()).collect();
         ColumnTable {
             schema,
             columns,
@@ -927,7 +834,7 @@ impl ColumnTable {
     }
 
     /// Scalar (element-at-a-time) variant of [`ColumnTable::filter_rows`]:
-    /// the ablation baseline and parity oracle for the batched pipeline.
+    /// the parity oracle for the batched pipeline's property tests.
     pub fn filter_rows_scalar(&self, ranges: &[ColRange]) -> Vec<u32> {
         if ranges.is_empty() {
             return (0..self.rows as u32).collect();
@@ -1370,27 +1277,6 @@ mod tests {
         let t = sample();
         assert_eq!(t.point_lookup(&[Value::Int(11)]), Some(11));
         assert_eq!(t.point_lookup(&[Value::Int(42)]), None);
-    }
-
-    #[test]
-    fn plain_encoding_behaves_identically() {
-        let mut packed = ColumnTable::with_encoding(schema(), true);
-        let mut plain = ColumnTable::with_encoding(schema(), false);
-        for i in 0..20 {
-            let row = [
-                Value::Int(i),
-                Value::Double((i % 5) as f64),
-                Value::text("s"),
-            ];
-            packed.insert(&row).unwrap();
-            plain.insert(&row).unwrap();
-        }
-        let r = ColRange::between(1, Value::Double(1.0), Value::Double(3.0));
-        assert_eq!(
-            packed.filter_rows(std::slice::from_ref(&r)),
-            plain.filter_rows(&[r])
-        );
-        assert!(packed.memory_bytes() > 0 && plain.memory_bytes() > 0);
     }
 
     #[test]

@@ -52,12 +52,20 @@
 //!    group-by/join loops decode group and aggregate columns block-at-a-time
 //!    rather than calling `code_at` per row.
 //!
-//! The element-at-a-time path is retained as the ablation baseline
-//! ([`column_store::ColumnTable::filter_rows_scalar`], plus the
-//! `CodeVec::Plain` encoding toggle); `hsd-bench`'s `bench_scan` binary
-//! records the batched-vs-scalar throughput in `BENCH_scan.json`.
+//! The element-at-a-time path
+//! ([`column_store::ColumnTable::filter_rows_scalar`]) is retained only as
+//! the parity oracle of the property tests; the `benchmark/` harness
+//! measures the batched kernels (`bitpack.*`, `column_store.*`).
+//!
+//! Platform: unix only — [`segment::SegmentHandle`] reads cold segments
+//! positionally through `std::os::unix::fs::FileExt::read_at`.
 
 #![deny(missing_docs)]
+
+#[cfg(not(unix))]
+compile_error!(
+    "hsd-storage requires a unix target: SegmentHandle::read_at uses std::os::unix::fs::FileExt"
+);
 
 pub mod bitpack;
 pub mod column_store;

@@ -523,16 +523,7 @@ pub fn encode_segment(table: &ColumnTable) -> Vec<u8> {
     for c in 0..schema.arity() {
         let col = table.column(c);
         let dict = col.dictionary();
-        // The plain (ablation) encoding is re-packed on the way out; the
-        // production packed encoding is written zero-copy.
-        let packed_owned: BitPackedVec;
-        let packed = match col.packed_codes() {
-            Some(v) => v,
-            None => {
-                packed_owned = (0..col.len()).map(|i| col.code_at(i)).collect();
-                &packed_owned
-            }
-        };
+        let packed = col.codes();
         let offset = out.len();
         // Dictionary region: sorted values then tail values, cut into
         // blocks that never straddle the sorted/tail boundary.
@@ -1112,6 +1103,30 @@ fn io_err(what: &str, path: &Path, e: std::io::Error) -> Error {
     Error::Io(format!("{what} {}: {e}", path.display()))
 }
 
+/// Atomically publish `bytes` at `path`: write them to `tmp` (a sibling
+/// of `path`), fsync the file, rename it over `path`, then fsync the
+/// parent directory so the rename itself is durable.
+///
+/// Every step's failure — the directory fsync included — is returned as
+/// [`Error::Io`]: a caller that goes on to retire older files (the
+/// checkpoint retention loop) must not do so after a rename that was
+/// never persisted. Used by [`SegmentStore::put`] and the engine's
+/// checkpoint writer.
+pub fn publish_atomic(tmp: &Path, path: &Path, bytes: &[u8]) -> Result<()> {
+    std::fs::write(tmp, bytes).map_err(|e| io_err("write", tmp, e))?;
+    std::fs::File::open(tmp)
+        .and_then(|f| f.sync_all())
+        .map_err(|e| io_err("sync", tmp, e))?;
+    std::fs::rename(tmp, path).map_err(|e| io_err("publish", path, e))?;
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("sync directory", dir, e))
+}
+
 impl SegmentStore {
     /// An empty in-memory store.
     pub fn mem() -> Self {
@@ -1141,16 +1156,7 @@ impl SegmentStore {
             }
             SegmentStore::Dir(dir) => {
                 let tmp = dir.join(format!("{name}.seg.tmp"));
-                let path = Self::path_of(dir, name);
-                std::fs::write(&tmp, &bytes).map_err(|e| io_err("write segment", &tmp, e))?;
-                let f = std::fs::File::open(&tmp).map_err(|e| io_err("open segment", &tmp, e))?;
-                f.sync_all().map_err(|e| io_err("sync segment", &tmp, e))?;
-                std::fs::rename(&tmp, &path).map_err(|e| io_err("publish segment", &path, e))?;
-                // Persist the rename itself.
-                if let Ok(d) = std::fs::File::open(dir) {
-                    let _ = d.sync_all();
-                }
-                Ok(())
+                publish_atomic(&tmp, &Self::path_of(dir, name), &bytes)
             }
         }
     }
