@@ -27,7 +27,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use hsd_catalog::{Catalog, StorageLayout, TablePlacement, TableStats};
@@ -74,6 +74,11 @@ struct WalCell {
     /// Signalled when a group sync completes (writer returned to the cell,
     /// `synced` advanced) so waiting appenders/syncers re-check.
     cv: Condvar,
+    /// Whether a writer is attached, readable without `state`: a database
+    /// without a WAL (the advisor's schema-only scratch databases, replay
+    /// targets) must not pay for encoding records nobody appends. It only
+    /// gates that work; the writer itself is read under `state`.
+    attached: AtomicBool,
 }
 
 #[derive(Debug, Default)]
@@ -568,20 +573,21 @@ impl HybridDatabase {
         st.synced = st.appended;
         st.handle = wal.sync_handle();
         st.writer = Some(wal);
+        self.wal.attached.store(true, Ordering::Relaxed);
     }
 
     /// Disable durability, returning the writer (e.g. to inspect or sync
     /// it). Subsequent mutations are no longer logged.
     pub fn detach_wal(&self) -> Option<WalWriter> {
         let mut st = self.wal.settled();
+        self.wal.attached.store(false, Ordering::Relaxed);
         st.handle = None;
         st.writer.take()
     }
 
-    /// Whether a WAL is attached.
+    /// Whether a WAL is attached (no lock taken).
     pub fn wal_active(&self) -> bool {
-        let st = mutex_lock(&self.wal.state);
-        st.writer.is_some() || st.syncing
+        self.wal.attached.load(Ordering::Relaxed)
     }
 
     /// Counters of the attached WAL writer, if any.
@@ -640,25 +646,27 @@ impl HybridDatabase {
     /// applied in memory but not durable — callers treating the WAL as
     /// authoritative should discard the instance and recover).
     pub(crate) fn log_record(&self, rec: &WalRecord) -> Result<()> {
+        if !self.wal_active() {
+            return Ok(());
+        }
+        // Encode before taking the log lock: the lock covers the append only.
+        let (tag, payload) = (rec.table_tag(), rec.to_payload());
+        let io = |e: std::io::Error| Error::Io(e.to_string());
         let my_lsn = {
-            let mut st = self.wal.settled();
+            let mut guard = self.wal.settled();
+            let st = &mut *guard;
             let Some(w) = st.writer.as_mut() else {
                 return Ok(());
             };
+            // `appended` advances as soon as the bytes are in, so a sync
+            // that fails below still leaves them for the next `sync_wal`.
+            st.appended = w.append_unsynced(tag, &payload).map_err(io)?;
             if w.sync_policy() != SyncPolicy::Always {
                 // Batched/manual policies sync rarely; let the writer apply
                 // its policy inline — no group commit needed.
-                let len = w
-                    .append(rec.table_tag(), &rec.to_payload())
-                    .map_err(|e| Error::Io(e.to_string()))?;
-                st.appended = len;
-                return Ok(());
+                return w.sync_if_due().map_err(io);
             }
-            let len = w
-                .append_unsynced(rec.table_tag(), &rec.to_payload())
-                .map_err(|e| Error::Io(e.to_string()))?;
-            st.appended = len;
-            len
+            st.appended
         };
         self.sync_wal_to(my_lsn)
     }

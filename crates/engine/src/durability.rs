@@ -6,6 +6,48 @@
 //! serialize, and how [`HybridDatabase::recover`] replays a log image back
 //! into the exact committed pre-crash state.
 //!
+//! # Record encoding
+//!
+//! A frame payload is one binary record. All integers are little-endian;
+//! every value uses the tagged encoding of segment dictionaries
+//! ([`hsd_storage::segment::write_value`]), so the log and the segments
+//! share one value format.
+//!
+//! ```text
+//! field         size  notes
+//! op            1     1 create_table, 2 insert, 3 update, 4 create_index,
+//!                     5 move, 6 rebalance, 7 merge_complete, 8 demote,
+//!                     9 promote
+//! table         4+n   u32 byte length + UTF-8 name
+//! body          …     by op:
+//!   create_table      schema JSON, placement JSON (each u32 length + text;
+//!                     the catalog encoding checkpoints use)
+//!   insert            load flag (u8 0/1), u32 row count, per row: u32
+//!                     arity + values
+//!   update            u32 set count, per set: u32 column + value;
+//!                     u32 filter count, per filter: u32 column + kind
+//!                     (u8 0 = eq + value; 1 = range + lo bound + hi bound,
+//!                     a bound being u8 0 unbounded | 1 included + value |
+//!                     2 excluded + value)
+//!   create_index      u32 column
+//!   move              placement JSON (u32 length + text)
+//!   rebalance         split value
+//!   merge_complete    partition (u8 0 whole, 1 cold), u64 merge epoch
+//!   demote, promote   —
+//! ```
+//!
+//! Decoding never panics and never trusts a count: each is bounded by the
+//! bytes that remain before anything is allocated for it, flags and tags
+//! outside their range are errors, and a record must consume its payload
+//! exactly. An error makes replay quarantine the record's table (see
+//! *Graceful degradation*).
+//!
+//! The log was JSON before this encoding and there is no JSON reader: a
+//! payload starting with `{` fails as a "pre-binary JSON record". To
+//! upgrade a database directory, take a checkpoint with the old build as
+//! its last act; recovery then restores it and replays only the binary
+//! suffix (see `docs/OPERATIONS.md`).
+//!
 //! # Commit semantics
 //!
 //! A record is appended **after** its in-memory apply succeeds and before
@@ -24,7 +66,8 @@
 //! exactly the state any latch-ordered concurrent execution committed.
 //! Cross-table record order is whatever order the (brief) WAL-writer
 //! mutex serialized — immaterial, since records of different tables
-//! commute under replay.
+//! commute under replay. The record is encoded before that mutex is taken,
+//! so the mutex covers the append alone.
 //!
 //! # Merge records and in-flight merges
 //!
@@ -58,6 +101,7 @@ use std::path::Path;
 
 use hsd_catalog::{placement_from_json, placement_to_json, TablePlacement};
 use hsd_query::{InsertQuery, Query, UpdateQuery};
+use hsd_storage::segment::{read_value, write_value};
 use hsd_storage::wal::{self, FileBackend, RetryPolicy, SyncPolicy, WalWriter};
 use hsd_storage::ColRange;
 use hsd_types::{
@@ -186,173 +230,310 @@ impl WalRecord {
         table_tag(self.table_name())
     }
 
-    /// Serialize to the frame payload (compact JSON).
+    /// Serialize to the frame payload (the binary record of the module
+    /// docs).
     pub fn to_payload(&self) -> Vec<u8> {
-        self.to_json().to_string().into_bytes()
-    }
-
-    /// Decode a payload written by [`WalRecord::to_payload`].
-    pub fn from_payload(bytes: &[u8]) -> JsonResult<WalRecord> {
-        let s =
-            std::str::from_utf8(bytes).map_err(|_| JsonError("wal payload is not utf-8".into()))?;
-        Self::from_json(&Json::parse(s)?)
-    }
-
-    fn to_json(&self) -> Json {
+        let rows_hint: usize = match self {
+            WalRecord::Insert { rows, .. } => rows.iter().map(|r| 4 + 10 * r.len()).sum(),
+            _ => 0,
+        };
+        let mut out = Vec::with_capacity(16 + self.table_name().len() + rows_hint);
+        out.push(self.op());
+        put_str(&mut out, self.table_name());
         match self {
-            WalRecord::CreateTable { schema, placement } => Json::obj([
-                ("op", Json::Str("create_table".into())),
-                ("schema", schema_to_json(schema)),
-                ("placement", placement_to_json(placement)),
-            ]),
-            WalRecord::Insert { table, rows, load } => Json::obj([
-                ("op", Json::Str("insert".into())),
-                ("table", Json::Str(table.clone())),
-                (
-                    "rows",
-                    Json::Arr(
-                        rows.iter()
-                            .map(|r| Json::Arr(r.iter().map(Json::from_value).collect()))
-                            .collect(),
-                    ),
-                ),
-                ("load", Json::Bool(*load)),
-            ]),
-            WalRecord::Update {
-                table,
-                sets,
-                filter,
-            } => Json::obj([
-                ("op", Json::Str("update".into())),
-                ("table", Json::Str(table.clone())),
-                (
-                    "sets",
-                    Json::Arr(
-                        sets.iter()
-                            .map(|(c, v)| {
-                                Json::obj([
-                                    ("col", Json::Int(*c as i64)),
-                                    ("value", Json::from_value(v)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "filter",
-                    Json::Arr(filter.iter().map(range_to_json).collect()),
-                ),
-            ]),
-            WalRecord::CreateIndex { table, column } => Json::obj([
-                ("op", Json::Str("create_index".into())),
-                ("table", Json::Str(table.clone())),
-                ("column", Json::Int(*column as i64)),
-            ]),
-            WalRecord::Move { table, placement } => Json::obj([
-                ("op", Json::Str("move".into())),
-                ("table", Json::Str(table.clone())),
-                ("placement", placement_to_json(placement)),
-            ]),
-            WalRecord::Rebalance { table, split_value } => Json::obj([
-                ("op", Json::Str("rebalance".into())),
-                ("table", Json::Str(table.clone())),
-                ("split_value", Json::from_value(split_value)),
-            ]),
+            WalRecord::CreateTable { schema, placement } => {
+                put_str(&mut out, &schema_to_json(schema).to_string());
+                put_str(&mut out, &placement_to_json(placement).to_string());
+            }
+            WalRecord::Insert { rows, load, .. } => {
+                out.push(u8::from(*load));
+                put_u32(&mut out, rows.len());
+                for row in rows {
+                    put_u32(&mut out, row.len());
+                    for v in row {
+                        write_value(&mut out, v);
+                    }
+                }
+            }
+            WalRecord::Update { sets, filter, .. } => {
+                put_u32(&mut out, sets.len());
+                for (col, v) in sets {
+                    put_u32(&mut out, *col);
+                    write_value(&mut out, v);
+                }
+                put_u32(&mut out, filter.len());
+                for r in filter {
+                    put_range(&mut out, r);
+                }
+            }
+            WalRecord::CreateIndex { column, .. } => put_u32(&mut out, *column),
+            WalRecord::Move { placement, .. } => {
+                put_str(&mut out, &placement_to_json(placement).to_string());
+            }
+            WalRecord::Rebalance { split_value, .. } => write_value(&mut out, split_value),
             WalRecord::MergeComplete {
-                table,
                 partition,
                 merge_epoch,
-            } => Json::obj([
-                ("op", Json::Str("merge_complete".into())),
-                ("table", Json::Str(table.clone())),
-                (
-                    "partition",
-                    Json::Str(
-                        match partition {
-                            MergePartition::Whole => "whole",
-                            MergePartition::Cold => "cold",
-                        }
-                        .into(),
-                    ),
-                ),
-                ("merge_epoch", Json::Int(*merge_epoch as i64)),
-            ]),
-            WalRecord::Demote { table } => Json::obj([
-                ("op", Json::Str("demote".into())),
-                ("table", Json::Str(table.clone())),
-            ]),
-            WalRecord::Promote { table } => Json::obj([
-                ("op", Json::Str("promote".into())),
-                ("table", Json::Str(table.clone())),
-            ]),
+                ..
+            } => {
+                out.push(match partition {
+                    MergePartition::Whole => 0,
+                    MergePartition::Cold => 1,
+                });
+                out.extend_from_slice(&merge_epoch.to_le_bytes());
+            }
+            WalRecord::Demote { .. } | WalRecord::Promote { .. } => {}
+        }
+        out
+    }
+
+    /// Decode a payload written by [`WalRecord::to_payload`]. Damaged or
+    /// foreign bytes are an [`Error::Io`], never a panic or an allocation
+    /// the payload cannot back.
+    pub fn from_payload(bytes: &[u8]) -> Result<WalRecord> {
+        if bytes.first() == Some(&b'{') {
+            return Err(codec_err(
+                "pre-binary JSON record (checkpoint with the build that wrote it, then reopen)",
+            ));
+        }
+        let mut r = PayloadReader { bytes, pos: 0 };
+        let op = r.u8("op")?;
+        let table = r.str("table name")?.to_string();
+        let rec = match op {
+            OP_CREATE_TABLE => {
+                let schema = schema_from_json(&r.json("schema")?).map_err(json_err)?;
+                if schema.name != table {
+                    return Err(codec_err("create_table names two different tables"));
+                }
+                let placement = placement_from_json(&r.json("placement")?).map_err(json_err)?;
+                WalRecord::CreateTable { schema, placement }
+            }
+            OP_INSERT => {
+                let load = r.flag("load flag")?;
+                let n = r.count(4, "row count")?;
+                let mut rows = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let arity = r.count(1, "row arity")?;
+                    let mut row = Vec::with_capacity(arity);
+                    for _ in 0..arity {
+                        row.push(r.value()?);
+                    }
+                    rows.push(row);
+                }
+                WalRecord::Insert { table, rows, load }
+            }
+            OP_UPDATE => {
+                let n = r.count(5, "set count")?;
+                let mut sets = Vec::with_capacity(n);
+                for _ in 0..n {
+                    sets.push((r.u32("set column")? as usize, r.value()?));
+                }
+                let n = r.count(6, "filter count")?;
+                let mut filter = Vec::with_capacity(n);
+                for _ in 0..n {
+                    filter.push(r.range()?);
+                }
+                WalRecord::Update {
+                    table,
+                    sets,
+                    filter,
+                }
+            }
+            OP_CREATE_INDEX => WalRecord::CreateIndex {
+                table,
+                column: r.u32("index column")? as usize,
+            },
+            OP_MOVE => WalRecord::Move {
+                table,
+                placement: placement_from_json(&r.json("placement")?).map_err(json_err)?,
+            },
+            OP_REBALANCE => WalRecord::Rebalance {
+                table,
+                split_value: r.value()?,
+            },
+            OP_MERGE_COMPLETE => WalRecord::MergeComplete {
+                table,
+                partition: match r.u8("merge partition")? {
+                    0 => MergePartition::Whole,
+                    1 => MergePartition::Cold,
+                    other => return Err(codec_err(&format!("unknown merge partition {other}"))),
+                },
+                merge_epoch: u64::from_le_bytes(r.array("merge epoch")?),
+            },
+            OP_DEMOTE => WalRecord::Demote { table },
+            OP_PROMOTE => WalRecord::Promote { table },
+            other => return Err(codec_err(&format!("unknown op {other}"))),
+        };
+        if r.pos != bytes.len() {
+            return Err(codec_err(&format!(
+                "{} trailing bytes after the record",
+                bytes.len() - r.pos
+            )));
+        }
+        Ok(rec)
+    }
+
+    fn op(&self) -> u8 {
+        match self {
+            WalRecord::CreateTable { .. } => OP_CREATE_TABLE,
+            WalRecord::Insert { .. } => OP_INSERT,
+            WalRecord::Update { .. } => OP_UPDATE,
+            WalRecord::CreateIndex { .. } => OP_CREATE_INDEX,
+            WalRecord::Move { .. } => OP_MOVE,
+            WalRecord::Rebalance { .. } => OP_REBALANCE,
+            WalRecord::MergeComplete { .. } => OP_MERGE_COMPLETE,
+            WalRecord::Demote { .. } => OP_DEMOTE,
+            WalRecord::Promote { .. } => OP_PROMOTE,
+        }
+    }
+}
+
+// Record op bytes (the first payload byte; none is `{`, the first byte of
+// every pre-binary JSON record).
+const OP_CREATE_TABLE: u8 = 1;
+const OP_INSERT: u8 = 2;
+const OP_UPDATE: u8 = 3;
+const OP_CREATE_INDEX: u8 = 4;
+const OP_MOVE: u8 = 5;
+const OP_REBALANCE: u8 = 6;
+const OP_MERGE_COMPLETE: u8 = 7;
+const OP_DEMOTE: u8 = 8;
+const OP_PROMOTE: u8 = 9;
+
+fn codec_err(msg: &str) -> Error {
+    Error::Io(format!("wal record: {msg}"))
+}
+
+fn json_err(e: JsonError) -> Error {
+    codec_err(&e.to_string())
+}
+
+/// Counts, lengths and column indexes are `u32` on the wire; a payload is
+/// capped at 1 GiB ([`wal::MAX_PAYLOAD_LEN`]), so no real count exceeds it.
+fn put_u32(out: &mut Vec<u8>, n: usize) {
+    out.extend_from_slice(&(n as u32).to_le_bytes());
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len());
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn put_bound(out: &mut Vec<u8>, b: Bound<&Value>) {
+    match b {
+        Bound::Unbounded => out.push(0),
+        Bound::Included(v) => {
+            out.push(1);
+            write_value(out, v);
+        }
+        Bound::Excluded(v) => {
+            out.push(2);
+            write_value(out, v);
+        }
+    }
+}
+
+fn put_range(out: &mut Vec<u8>, r: &ColRange) {
+    put_u32(out, r.column);
+    match r.eq_value() {
+        Some(v) => {
+            out.push(0);
+            write_value(out, v);
+        }
+        None => {
+            out.push(1);
+            put_bound(out, r.lo_ref());
+            put_bound(out, r.hi_ref());
+        }
+    }
+}
+
+/// Cursor over a record payload; every read is bounds-checked and advances
+/// `pos` only over bytes it consumed, so `pos <= bytes.len()` always holds.
+struct PayloadReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> PayloadReader<'a> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
+        let bytes: &'a [u8] = self.bytes;
+        let s = bytes[self.pos..]
+            .get(..n)
+            .ok_or_else(|| codec_err(&format!("truncated at {what}")))?;
+        self.pos += n;
+        Ok(s)
+    }
+
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N]> {
+        let a = *self.bytes[self.pos..]
+            .first_chunk::<N>()
+            .ok_or_else(|| codec_err(&format!("truncated at {what}")))?;
+        self.pos += N;
+        Ok(a)
+    }
+
+    fn u8(&mut self, what: &str) -> Result<u8> {
+        Ok(self.array::<1>(what)?[0])
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.array(what)?))
+    }
+
+    fn flag(&mut self, what: &str) -> Result<bool> {
+        match self.u8(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(codec_err(&format!("{what} is {other}, not 0 or 1"))),
         }
     }
 
-    fn from_json(j: &Json) -> JsonResult<WalRecord> {
-        let op = j.get("op")?.as_str()?;
-        match op {
-            "create_table" => Ok(WalRecord::CreateTable {
-                schema: schema_from_json(j.get("schema")?)?,
-                placement: placement_from_json(j.get("placement")?)?,
-            }),
-            "insert" => Ok(WalRecord::Insert {
-                table: j.get("table")?.as_str()?.to_string(),
-                rows: j
-                    .get("rows")?
-                    .as_arr()?
-                    .iter()
-                    .map(|r| {
-                        r.as_arr()?
-                            .iter()
-                            .map(Json::to_value)
-                            .collect::<JsonResult<Vec<_>>>()
-                    })
-                    .collect::<JsonResult<Vec<_>>>()?,
-                load: j.get("load")?.as_bool()?,
-            }),
-            "update" => Ok(WalRecord::Update {
-                table: j.get("table")?.as_str()?.to_string(),
-                sets: j
-                    .get("sets")?
-                    .as_arr()?
-                    .iter()
-                    .map(|s| Ok((s.get("col")?.as_usize()?, s.get("value")?.to_value()?)))
-                    .collect::<JsonResult<Vec<_>>>()?,
-                filter: j
-                    .get("filter")?
-                    .as_arr()?
-                    .iter()
-                    .map(range_from_json)
-                    .collect::<JsonResult<Vec<_>>>()?,
-            }),
-            "create_index" => Ok(WalRecord::CreateIndex {
-                table: j.get("table")?.as_str()?.to_string(),
-                column: j.get("column")?.as_usize()?,
-            }),
-            "move" => Ok(WalRecord::Move {
-                table: j.get("table")?.as_str()?.to_string(),
-                placement: placement_from_json(j.get("placement")?)?,
-            }),
-            "rebalance" => Ok(WalRecord::Rebalance {
-                table: j.get("table")?.as_str()?.to_string(),
-                split_value: j.get("split_value")?.to_value()?,
-            }),
-            "demote" => Ok(WalRecord::Demote {
-                table: j.get("table")?.as_str()?.to_string(),
-            }),
-            "promote" => Ok(WalRecord::Promote {
-                table: j.get("table")?.as_str()?.to_string(),
-            }),
-            "merge_complete" => Ok(WalRecord::MergeComplete {
-                table: j.get("table")?.as_str()?.to_string(),
-                partition: match j.get("partition")?.as_str()? {
-                    "whole" => MergePartition::Whole,
-                    "cold" => MergePartition::Cold,
-                    other => return Err(JsonError(format!("unknown merge partition `{other}`"))),
-                },
-                merge_epoch: j.get("merge_epoch")?.as_i64()? as u64,
-            }),
-            other => Err(JsonError(format!("unknown wal op `{other}`"))),
+    /// A `u32` count of items that each take at least `min_bytes`, bounded
+    /// by the bytes that remain — checked before the caller allocates.
+    fn count(&mut self, min_bytes: usize, what: &str) -> Result<usize> {
+        let n = self.u32(what)? as usize;
+        let left = self.bytes.len() - self.pos;
+        if n > left / min_bytes {
+            return Err(codec_err(&format!(
+                "{what} {n} exceeds what the remaining {left} bytes can hold"
+            )));
+        }
+        Ok(n)
+    }
+
+    fn str(&mut self, what: &str) -> Result<&'a str> {
+        let len = self.u32(what)? as usize;
+        std::str::from_utf8(self.take(len, what)?)
+            .map_err(|_| codec_err(&format!("{what} is not UTF-8")))
+    }
+
+    fn json(&mut self, what: &str) -> Result<Json> {
+        Json::parse(self.str(what)?).map_err(json_err)
+    }
+
+    fn value(&mut self) -> Result<Value> {
+        read_value(self.bytes, &mut self.pos)
+    }
+
+    fn bound(&mut self) -> Result<Bound<Value>> {
+        match self.u8("bound kind")? {
+            0 => Ok(Bound::Unbounded),
+            1 => Ok(Bound::Included(self.value()?)),
+            2 => Ok(Bound::Excluded(self.value()?)),
+            other => Err(codec_err(&format!("unknown bound kind {other}"))),
+        }
+    }
+
+    fn range(&mut self) -> Result<ColRange> {
+        let column = self.u32("filter column")? as usize;
+        match self.u8("filter kind")? {
+            0 => Ok(ColRange::eq(column, self.value()?)),
+            1 => {
+                let lo = self.bound()?;
+                Ok(ColRange::range(column, lo, self.bound()?))
+            }
+            other => Err(codec_err(&format!("unknown filter kind {other}"))),
         }
     }
 }
@@ -418,49 +599,6 @@ fn column_type_from_name(s: &str) -> JsonResult<ColumnType> {
         .copied()
         .find(|t| t.name() == s)
         .ok_or_else(|| JsonError(format!("unknown column type `{s}`")))
-}
-
-fn bound_to_json(b: Bound<&Value>) -> Json {
-    match b {
-        Bound::Unbounded => Json::Null,
-        Bound::Included(v) => Json::obj([("in", Json::from_value(v))]),
-        Bound::Excluded(v) => Json::obj([("ex", Json::from_value(v))]),
-    }
-}
-
-fn bound_from_json(j: Option<&Json>) -> JsonResult<Bound<Value>> {
-    match j {
-        None => Ok(Bound::Unbounded),
-        Some(o) => {
-            if let Some(v) = o.get_opt("in") {
-                Ok(Bound::Included(v.to_value()?))
-            } else {
-                Ok(Bound::Excluded(o.get("ex")?.to_value()?))
-            }
-        }
-    }
-}
-
-fn range_to_json(r: &ColRange) -> Json {
-    Json::obj([
-        ("column", Json::Int(r.column as i64)),
-        ("lo", bound_to_json(r.lo_ref())),
-        ("hi", bound_to_json(r.hi_ref())),
-    ])
-}
-
-fn range_from_json(j: &Json) -> JsonResult<ColRange> {
-    let column = j.get("column")?.as_usize()?;
-    let lo = bound_from_json(j.get_opt("lo"))?;
-    let hi = bound_from_json(j.get_opt("hi"))?;
-    // An equality predicate serializes as the degenerate closed range
-    // `[v, v]`; fold it back so records round-trip exactly.
-    if let (Bound::Included(a), Bound::Included(b)) = (&lo, &hi) {
-        if a == b {
-            return Ok(ColRange::eq(column, a.clone()));
-        }
-    }
-    Ok(ColRange::range(column, lo, hi))
 }
 
 /// A table quarantined read-only by recovery, with the reason.
@@ -582,7 +720,7 @@ pub(crate) fn replay_into(db: &HybridDatabase, bytes: &[u8], start: u64) -> Reco
                     }
                 };
                 let is_merge = matches!(rec, WalRecord::MergeComplete { .. });
-                match apply_record(db, &rec) {
+                match apply_record(db, rec) {
                     Ok(()) => {
                         report.records_replayed += 1;
                         if is_merge {
@@ -624,20 +762,19 @@ pub(crate) fn replay_into(db: &HybridDatabase, bytes: &[u8], start: u64) -> Reco
     report
 }
 
-fn apply_record(db: &HybridDatabase, rec: &WalRecord) -> Result<()> {
+/// Re-apply one decoded record, moving its rows, sets and filters into the
+/// statement that replays it.
+fn apply_record(db: &HybridDatabase, rec: WalRecord) -> Result<()> {
     match rec {
         WalRecord::CreateTable { schema, placement } => {
-            db.create_table(schema.clone(), placement.clone())?;
+            db.create_table(schema, placement)?;
             Ok(())
         }
         WalRecord::Insert { table, rows, load } => {
-            if *load {
-                db.bulk_load(table, rows.iter().cloned())?;
+            if load {
+                db.bulk_load(&table, rows)?;
             } else {
-                db.execute(&Query::Insert(InsertQuery {
-                    table: table.clone(),
-                    rows: rows.clone(),
-                }))?;
+                db.execute(&Query::Insert(InsertQuery { table, rows }))?;
             }
             Ok(())
         }
@@ -647,29 +784,29 @@ fn apply_record(db: &HybridDatabase, rec: &WalRecord) -> Result<()> {
             filter,
         } => {
             db.execute(&Query::Update(UpdateQuery {
-                table: table.clone(),
-                sets: sets.clone(),
-                filter: filter.clone(),
+                table,
+                sets,
+                filter,
             }))?;
             Ok(())
         }
-        WalRecord::CreateIndex { table, column } => db.create_index(table, *column),
-        WalRecord::Move { table, placement } => mover::move_table(db, table, placement),
+        WalRecord::CreateIndex { table, column } => db.create_index(&table, column),
+        WalRecord::Move { table, placement } => mover::move_table(db, &table, &placement),
         WalRecord::Rebalance { table, split_value } => {
-            mover::rebalance_horizontal(db, table, split_value)?;
+            mover::rebalance_horizontal(db, &table, &split_value)?;
             Ok(())
         }
         WalRecord::MergeComplete {
             table, partition, ..
         } => {
-            mover::merge_delta_partition(db, table, *partition)?;
+            mover::merge_delta_partition(db, &table, partition)?;
             Ok(())
         }
         WalRecord::Demote { table } => {
-            mover::demote_cold(db, table)?;
+            mover::demote_cold(db, &table)?;
             Ok(())
         }
-        WalRecord::Promote { table } => mover::promote_cold(db, table),
+        WalRecord::Promote { table } => mover::promote_cold(db, &table),
     }
 }
 
@@ -712,7 +849,7 @@ impl HybridDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsd_storage::wal::MemBackend;
+    use hsd_storage::wal::{MemBackend, WalBackend};
     use hsd_storage::StoreKind;
     use hsd_types::ColumnType;
 
@@ -729,84 +866,315 @@ mod tests {
         .unwrap()
     }
 
-    fn round_trip(rec: WalRecord) {
+    fn round_trip(rec: &WalRecord) {
         let payload = rec.to_payload();
         let back = WalRecord::from_payload(&payload).unwrap();
-        assert_eq!(back, rec);
+        assert_eq!(&back, rec);
+        assert_eq!(back.to_payload(), payload);
+    }
+
+    /// One record of every variant, and every filter and value shape.
+    fn corpus() -> Vec<WalRecord> {
+        vec![
+            WalRecord::CreateTable {
+                schema: schema("t"),
+                placement: TablePlacement::Single(StoreKind::Column),
+            },
+            WalRecord::CreateTable {
+                schema: schema("t"),
+                placement: TablePlacement::Partitioned(hsd_catalog::PartitionSpec {
+                    horizontal: Some(hsd_catalog::HorizontalSpec {
+                        split_column: 0,
+                        split_value: Value::BigInt(7),
+                    }),
+                    vertical: Some(hsd_catalog::VerticalSpec { row_cols: vec![2] }),
+                    ..Default::default()
+                }),
+            },
+            WalRecord::Insert {
+                table: "t".into(),
+                rows: vec![
+                    vec![Value::BigInt(1), Value::Double(0.5), Value::Null],
+                    vec![Value::BigInt(2), Value::Double(-0.0), Value::text("x")],
+                    vec![Value::Int(-3), Value::Decimal(125), Value::text("")],
+                    vec![Value::Date(19_000), Value::Bool(true), Value::text("ü→漢")],
+                ],
+                load: true,
+            },
+            WalRecord::Insert {
+                table: "t".into(),
+                rows: vec![vec![Value::Double(f64::NAN), Value::Bool(false)]],
+                load: false,
+            },
+            WalRecord::Update {
+                table: "t".into(),
+                sets: vec![(1, Value::Double(9.0)), (2, Value::text("y"))],
+                filter: vec![
+                    // `eq` and the degenerate range it denotes stay distinct.
+                    ColRange::eq(0, Value::BigInt(3)),
+                    ColRange::between(0, Value::BigInt(3), Value::BigInt(3)),
+                    ColRange::between(1, Value::Double(0.0), Value::Double(1.0)),
+                    ColRange::lt(0, Value::BigInt(100)),
+                    ColRange::ge(0, Value::BigInt(-5)),
+                    ColRange::range(2, Bound::Excluded(Value::text("a")), Bound::Unbounded),
+                ],
+            },
+            WalRecord::CreateIndex {
+                table: "t".into(),
+                column: 1,
+            },
+            WalRecord::Move {
+                table: "t".into(),
+                placement: TablePlacement::Single(StoreKind::Row),
+            },
+            WalRecord::Rebalance {
+                table: "t".into(),
+                split_value: Value::BigInt(42),
+            },
+            WalRecord::MergeComplete {
+                table: "t".into(),
+                partition: MergePartition::Cold,
+                merge_epoch: 9,
+            },
+            WalRecord::Demote { table: "t".into() },
+            WalRecord::Promote { table: "t".into() },
+        ]
     }
 
     #[test]
     fn records_round_trip_through_payloads() {
-        round_trip(WalRecord::CreateTable {
-            schema: schema("t"),
-            placement: TablePlacement::Single(StoreKind::Column),
-        });
-        round_trip(WalRecord::CreateTable {
-            schema: schema("t"),
-            placement: TablePlacement::Partitioned(hsd_catalog::PartitionSpec {
-                horizontal: Some(hsd_catalog::HorizontalSpec {
-                    split_column: 0,
-                    split_value: Value::BigInt(7),
+        for rec in corpus() {
+            round_trip(&rec);
+        }
+        // The exact round trip keeps the predicate's meaning too.
+        let update = corpus()
+            .into_iter()
+            .find(|r| matches!(r, WalRecord::Update { .. }))
+            .unwrap();
+        let WalRecord::Update { filter, .. } =
+            WalRecord::from_payload(&update.to_payload()).unwrap()
+        else {
+            panic!("wrong variant");
+        };
+        assert_eq!(filter[0].eq_value(), Some(&Value::BigInt(3)));
+        assert_eq!(filter[1].eq_value(), None);
+        assert!(filter[0].matches(&Value::BigInt(3)));
+        assert!(!filter[0].matches(&Value::BigInt(4)));
+    }
+
+    mod codec_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Doubles whose bit patterns a lossy codec would change.
+        const DOUBLES: [u64; 8] = [
+            0x7FF8_0000_0000_0000, // quiet NaN
+            0xFFF8_0000_0000_0000, // negative quiet NaN
+            0x7FF0_0000_0000_0001, // signalling NaN
+            0x7FFD_EAD0_BEEF_0001, // NaN with a payload
+            0x8000_0000_0000_0000, // -0.0
+            0x7FF0_0000_0000_0000, // +inf
+            0xFFF0_0000_0000_0000, // -inf
+            0x0000_0000_0000_0001, // smallest subnormal
+        ];
+
+        fn text() -> impl Strategy<Value = String> {
+            // Code points across the planes; surrogates are dropped, and an
+            // empty draw gives the empty string.
+            prop::collection::vec(0u32..0x11_0000, 0..6)
+                .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
+        }
+
+        fn value() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                any::<u8>().prop_map(|_| Value::Null),
+                any::<i32>().prop_map(Value::Int),
+                any::<u64>().prop_map(|b| Value::BigInt(b as i64)),
+                any::<u64>().prop_map(|b| Value::Double(f64::from_bits(b))),
+                (0..DOUBLES.len()).prop_map(|i| Value::Double(f64::from_bits(DOUBLES[i]))),
+                any::<u64>().prop_map(|b| Value::Decimal(b as i64)),
+                text().prop_map(Value::text),
+                any::<i32>().prop_map(Value::Date),
+                any::<bool>().prop_map(Value::Bool),
+            ]
+        }
+
+        fn bound() -> impl Strategy<Value = Bound<Value>> {
+            prop_oneof![
+                any::<u8>().prop_map(|_| Bound::Unbounded),
+                value().prop_map(Bound::Included),
+                value().prop_map(Bound::Excluded),
+            ]
+        }
+
+        fn range() -> impl Strategy<Value = ColRange> {
+            prop_oneof![
+                (0usize..64, value()).prop_map(|(c, v)| ColRange::eq(c, v)),
+                (0usize..64, bound(), bound()).prop_map(|(c, lo, hi)| ColRange::range(c, lo, hi)),
+            ]
+        }
+
+        fn record() -> impl Strategy<Value = WalRecord> {
+            prop_oneof![
+                (0..corpus().len()).prop_map(|i| corpus().swap_remove(i)),
+                (
+                    text(),
+                    prop::collection::vec(prop::collection::vec(value(), 0..5), 0..4),
+                    any::<bool>(),
+                )
+                    .prop_map(|(table, rows, load)| WalRecord::Insert {
+                        table,
+                        rows,
+                        load
+                    }),
+                (
+                    text(),
+                    prop::collection::vec((0usize..64, value()), 0..4),
+                    prop::collection::vec(range(), 0..4),
+                )
+                    .prop_map(|(table, sets, filter)| WalRecord::Update {
+                        table,
+                        sets,
+                        filter,
+                    }),
+                (text(), any::<u32>()).prop_map(|(table, c)| WalRecord::CreateIndex {
+                    table,
+                    column: c as usize,
                 }),
-                vertical: Some(hsd_catalog::VerticalSpec { row_cols: vec![2] }),
-                ..Default::default()
-            }),
-        });
-        round_trip(WalRecord::Insert {
-            table: "t".into(),
-            rows: vec![
-                vec![Value::BigInt(1), Value::Double(0.5), Value::Null],
-                vec![Value::BigInt(2), Value::Double(-1.0), Value::text("x")],
-            ],
-            load: true,
-        });
-        round_trip(WalRecord::Update {
-            table: "t".into(),
-            sets: vec![(1, Value::Double(9.0)), (2, Value::text("y"))],
-            filter: vec![
-                ColRange::eq(0, Value::BigInt(3)),
-                ColRange::between(1, Value::Double(0.0), Value::Double(1.0)),
-                ColRange::lt(0, Value::BigInt(100)),
-                ColRange::ge(0, Value::BigInt(-5)),
-            ],
-        });
-        round_trip(WalRecord::CreateIndex {
-            table: "t".into(),
-            column: 1,
-        });
-        round_trip(WalRecord::Move {
-            table: "t".into(),
-            placement: TablePlacement::Single(StoreKind::Row),
-        });
-        round_trip(WalRecord::Rebalance {
-            table: "t".into(),
-            split_value: Value::BigInt(42),
-        });
-        round_trip(WalRecord::MergeComplete {
-            table: "t".into(),
-            partition: MergePartition::Cold,
-            merge_epoch: 9,
-        });
-        round_trip(WalRecord::Demote { table: "t".into() });
-        round_trip(WalRecord::Promote { table: "t".into() });
+                (text(), value())
+                    .prop_map(|(table, split_value)| WalRecord::Rebalance { table, split_value }),
+                (text(), any::<bool>(), any::<u64>()).prop_map(|(table, cold, merge_epoch)| {
+                    WalRecord::MergeComplete {
+                        table,
+                        partition: if cold {
+                            MergePartition::Cold
+                        } else {
+                            MergePartition::Whole
+                        },
+                        merge_epoch,
+                    }
+                }),
+                text().prop_map(|table| WalRecord::Demote { table }),
+                text().prop_map(|table| WalRecord::Promote { table }),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            #[test]
+            fn every_record_round_trips_exactly(rec in record()) {
+                let payload = rec.to_payload();
+                let back = WalRecord::from_payload(&payload);
+                prop_assert!(back.is_ok(), "{rec:?}: {back:?}");
+                let back = back.unwrap();
+                prop_assert_eq!(&back, &rec);
+                prop_assert_eq!(back.to_payload(), payload);
+            }
+        }
     }
 
     #[test]
-    fn update_filters_round_trip_semantically() {
-        // The codec collapses `eq` into the degenerate closed range; the
-        // predicate must keep matching identically.
-        let rec = WalRecord::Update {
-            table: "t".into(),
-            sets: vec![(1, Value::Double(1.0))],
-            filter: vec![ColRange::eq(0, Value::BigInt(5))],
-        };
-        let back = WalRecord::from_payload(&rec.to_payload()).unwrap();
-        let WalRecord::Update { filter, .. } = back else {
-            panic!("wrong variant");
-        };
-        assert_eq!(filter[0].as_eq(), Some(&Value::BigInt(5)));
-        assert!(filter[0].matches(&Value::BigInt(5)));
-        assert!(!filter[0].matches(&Value::BigInt(6)));
+    fn hostile_payloads_are_errors_not_panics() {
+        for rec in corpus() {
+            let payload = rec.to_payload();
+            // A record consumes its payload exactly, so every proper prefix
+            // is short.
+            for cut in 0..payload.len() {
+                assert!(
+                    WalRecord::from_payload(&payload[..cut]).is_err(),
+                    "{rec:?} cut at {cut}"
+                );
+            }
+            let mut flipped = payload.clone();
+            for bit in 0..payload.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let _ = WalRecord::from_payload(&flipped);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+            let mut trailing = payload;
+            trailing.push(0);
+            assert!(WalRecord::from_payload(&trailing).is_err(), "{rec:?}");
+        }
+    }
+
+    #[test]
+    fn counts_are_bounded_before_allocating() {
+        // op, empty table name, load flag, then u32::MAX rows in 10 bytes.
+        let mut payload = vec![OP_INSERT, 0, 0, 0, 0, 1];
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(payload.len(), 10);
+        let err = WalRecord::from_payload(&payload).unwrap_err();
+        assert!(err.to_string().contains("row count"), "{err}");
+        // The same bound holds for a row's arity and an update's counts.
+        let mut payload = vec![OP_INSERT, 0, 0, 0, 0, 0, 1, 0, 0, 0];
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(WalRecord::from_payload(&payload).is_err());
+        let mut payload = vec![OP_UPDATE, 0, 0, 0, 0];
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(WalRecord::from_payload(&payload).is_err());
+    }
+
+    #[test]
+    fn json_records_get_a_named_error() {
+        let err = WalRecord::from_payload(br#"{"op":"demote","table":"t"}"#).unwrap_err();
+        assert!(err.to_string().contains("pre-binary JSON record"), "{err}");
+        // Replay quarantines the table the frame is tagged with.
+        let image = wal::encode_frame(table_tag("t"), br#"{"op":"demote","table":"t"}"#);
+        let (_, report) = replay(&image);
+        assert_eq!(report.records_skipped, 1);
+        assert!(report.degraded[0].reason.contains("pre-binary JSON record"));
+    }
+
+    /// A backend whose first sync fails (the bytes still go in).
+    #[derive(Debug, Default)]
+    struct FirstSyncFails {
+        inner: MemBackend,
+        syncs: u32,
+    }
+
+    impl WalBackend for FirstSyncFails {
+        fn append(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.inner.append(buf)
+        }
+
+        fn sync(&mut self) -> std::io::Result<()> {
+            self.syncs += 1;
+            if self.syncs == 1 {
+                return Err(std::io::Error::other("injected sync failure"));
+            }
+            Ok(())
+        }
+
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn failed_inline_sync_leaves_the_record_for_the_next_sync() {
+        let db = HybridDatabase::new();
+        db.create_single(schema("t"), StoreKind::Row).unwrap();
+        assert!(!db.wal_active());
+        db.attach_wal(WalWriter::new(
+            Box::new(FirstSyncFails::default()),
+            SyncPolicy::EveryN(1),
+        ));
+        assert!(db.wal_active());
+        let err = db
+            .execute(&Query::Insert(InsertQuery {
+                table: "t".into(),
+                rows: vec![vec![Value::BigInt(1), Value::Double(1.0), Value::Null]],
+            }))
+            .unwrap_err();
+        assert!(matches!(err, Error::Io(_)), "{err}");
+        let stats = db.wal_stats().unwrap();
+        assert_eq!((stats.records, stats.syncs), (1, 0));
+        // The record is appended but not durable: `sync_wal` must reach
+        // the device instead of trusting a stale append mark.
+        db.sync_wal().unwrap();
+        assert_eq!(db.wal_stats().unwrap().syncs, 1);
+        assert!(db.detach_wal().is_some());
+        assert!(!db.wal_active());
     }
 
     #[test]

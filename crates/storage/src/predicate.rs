@@ -128,6 +128,17 @@ impl ColRange {
             _ => None,
         }
     }
+
+    /// The value of a constraint built by [`ColRange::eq`]. Unlike
+    /// [`ColRange::as_eq`] this is `None` for the degenerate range
+    /// `between(c, v, v)`, so a codec can keep the two representations
+    /// apart and round-trip either exactly.
+    pub fn eq_value(&self) -> Option<&Value> {
+        match &self.kind {
+            RangeKind::Eq(v) => Some(v),
+            RangeKind::Range { .. } => None,
+        }
+    }
 }
 
 fn bound_ref(b: &Bound<Value>) -> Bound<&Value> {

@@ -57,7 +57,9 @@
 //! 8×Z    if flagged, per code zone: smallest and largest code (u32, u32)
 //! ```
 //!
-//! The **tagged value encoding** is one tag byte followed by the payload:
+//! The **tagged value encoding** is one tag byte followed by the payload
+//! (the WAL's binary records, in `hsd-engine`'s durability module, use it
+//! too):
 //!
 //! ```text
 //! tag  variant   payload

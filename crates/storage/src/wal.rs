@@ -570,16 +570,24 @@ impl WalWriter {
     /// *durable* once the next sync per [`SyncPolicy`] lands.
     pub fn append(&mut self, table_tag: u32, payload: &[u8]) -> io::Result<u64> {
         let len = self.append_unsynced(table_tag, payload)?;
-        match self.sync {
-            SyncPolicy::Always => self.sync()?,
-            SyncPolicy::EveryN(n) => {
-                if self.unsynced >= n.max(1) {
-                    self.sync()?;
-                }
-            }
-            SyncPolicy::Manual => {}
-        }
+        self.sync_if_due()?;
         Ok(len)
+    }
+
+    /// Apply the sync policy to the records appended so far: sync under
+    /// [`SyncPolicy::Always`] or once a full [`SyncPolicy::EveryN`] batch is
+    /// pending. An `Err` here means the records are appended (committed)
+    /// but not yet durable; the batch stays pending for the next sync.
+    pub fn sync_if_due(&mut self) -> io::Result<()> {
+        let due = match self.sync {
+            SyncPolicy::Always => self.unsynced > 0,
+            SyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
+            SyncPolicy::Manual => false,
+        };
+        if due {
+            self.sync()?;
+        }
+        Ok(())
     }
 
     /// Append one record *without* applying the sync policy: the record is
@@ -587,7 +595,22 @@ impl WalWriter {
     /// the building block of cross-thread group commit — one later
     /// [`WalWriter::sync`] covers every record appended before it, so
     /// concurrent writers coalesce their fsyncs instead of paying one each.
+    ///
+    /// A payload over [`MAX_PAYLOAD_LEN`] is rejected with
+    /// [`io::ErrorKind::InvalidInput`] before a byte is written: the scanner
+    /// would classify its frame as a torn tail and drop it, and every record
+    /// after it, at the next recovery.
     pub fn append_unsynced(&mut self, table_tag: u32, payload: &[u8]) -> io::Result<u64> {
+        let fits = u32::try_from(payload.len()).is_ok_and(|n| n as usize <= MAX_PAYLOAD_LEN);
+        if !fits {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "wal payload of {} bytes exceeds the {MAX_PAYLOAD_LEN}-byte frame limit",
+                    payload.len()
+                ),
+            ));
+        }
         let frame = encode_frame(table_tag, payload);
         let mut off = 0usize;
         let mut retries = 0u32;
@@ -762,6 +785,21 @@ mod tests {
         assert_eq!(w.stats().syncs, 3);
         let report = scan_frames(&mem.snapshot());
         assert_eq!(report.frames.len(), 7);
+    }
+
+    #[test]
+    fn oversized_payload_is_rejected_before_writing() {
+        let mem = MemBackend::new();
+        let mut w = WalWriter::new(Box::new(mem.share()), SyncPolicy::Always);
+        w.append(1, b"kept").unwrap();
+        let before = w.len();
+        // A zeroed allocation is mapped lazily: this costs no resident memory.
+        let huge = vec![0u8; MAX_PAYLOAD_LEN + 1];
+        let err = w.append(1, &huge).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(w.len(), before, "not a byte of the frame was written");
+        assert_eq!(w.stats().records, 1);
+        assert_eq!(scan_frames(&mem.snapshot()).frames.len(), 1);
     }
 
     #[test]
