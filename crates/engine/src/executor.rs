@@ -9,10 +9,17 @@
 //!
 //! Column-store inner loops are *batched*: filters produce bitmap selection
 //! vectors ([`SelVec`]), aggregation and join loops block-decode dictionary
-//! codes ([`hsd_storage::ColumnData::decode_codes_into`]) instead of calling
+//! codes ([`ColumnData::decode_codes_into`]) instead of calling
 //! `code_at`/`value_at` per row, and independent partitions of a horizontal
 //! union are scanned on separate threads before their partial aggregates
 //! merge.
+//!
+//! A join between column stores stays in the dictionary domain: a
+//! column-store dimension part is indexed by primary-key *code*, and a
+//! column-store fact part maps its foreign-key codes to groups by merging
+//! the two dictionaries' sorted regions (only unmerged tail entries are
+//! looked up by value). Row-store and vertical-pair dimension parts use a
+//! value hash map.
 
 use std::collections::HashMap;
 
@@ -20,7 +27,9 @@ use hsd_catalog::TableStats;
 use hsd_query::{
     AggFunc, Aggregate, AggregateQuery, InsertQuery, JoinSpec, Query, SelectQuery, UpdateQuery,
 };
-use hsd_storage::{ColRange, Columns, RowSel, RowTable, SegmentStore, SelVec, Table, BLOCK};
+use hsd_storage::{
+    ColRange, ColumnData, Columns, Dictionary, RowSel, RowTable, SegmentStore, SelVec, Table, BLOCK,
+};
 use hsd_types::{ColumnIdx, Error, Result, Value};
 
 use crate::database::HybridDatabase;
@@ -737,6 +746,8 @@ fn exec_select(db: &HybridDatabase, q: &SelectQuery) -> Result<QueryOutput> {
 // ---------------------------------------------------------------------------
 // Aggregation (single table)
 
+// Out of line: inlined OLAP paths double `execute` and slow the OLTP ones.
+#[inline(never)]
 fn exec_aggregate(db: &HybridDatabase, q: &AggregateQuery) -> Result<QueryOutput> {
     let shard = db.shard(&q.table)?;
     let pin = shard.pin();
@@ -774,18 +785,19 @@ fn exec_aggregate(db: &HybridDatabase, q: &AggregateQuery) -> Result<QueryOutput
 }
 
 fn validate_agg_columns(data: &TableData, q: &AggregateQuery) -> Result<()> {
-    let arity = data.schema().arity();
-    for a in &q.aggregates {
-        if a.column >= arity {
-            return Err(Error::UnknownColumn(format!("{}[{}]", q.table, a.column)));
-        }
-    }
-    if let Some(g) = q.group_by {
-        if g >= arity {
-            return Err(Error::UnknownColumn(format!("{}[{}]", q.table, g)));
-        }
+    for col in q.aggregates.iter().map(|a| a.column).chain(q.group_by) {
+        check_column(data, &q.table, col)?;
     }
     Ok(())
+}
+
+/// `UnknownColumn("table[col]")` unless `table`'s schema has column `col`.
+fn check_column(data: &TableData, table: &str, col: ColumnIdx) -> Result<()> {
+    if col < data.schema().arity() {
+        Ok(())
+    } else {
+        Err(Error::UnknownColumn(format!("{table}[{col}]")))
+    }
 }
 
 fn aggregate_part(
@@ -859,7 +871,7 @@ const DENSE_GROUPBY_MAX_DICT: usize = 1 << 16;
 fn accumulate_row(
     accs: &mut [Acc],
     aggregates: &[Aggregate],
-    agg_cols: &[&hsd_storage::ColumnData],
+    agg_cols: &[&ColumnData],
     luts: &[Vec<Option<f64>>],
     bufs: &[Vec<u32>],
     start: usize,
@@ -898,10 +910,9 @@ fn aggregate_column_grouped(
         .iter()
         .map(|a| ct.column(a.column).numeric_lut())
         .collect();
-    let agg_cols: Vec<&hsd_storage::ColumnData> =
-        aggregates.iter().map(|a| ct.column(a.column)).collect();
+    let agg_cols: Vec<&ColumnData> = aggregates.iter().map(|a| ct.column(a.column)).collect();
     // bufs[0] holds the group codes, bufs[1..] the aggregate columns'.
-    let mut cols: Vec<&hsd_storage::ColumnData> = Vec::with_capacity(agg_cols.len() + 1);
+    let mut cols: Vec<&ColumnData> = Vec::with_capacity(agg_cols.len() + 1);
     cols.push(gcol);
     cols.extend(agg_cols.iter().copied());
     let n_aggs = aggregates.len();
@@ -964,7 +975,7 @@ fn aggregate_column_grouped(
 fn for_each_selected_block(
     n: usize,
     selection: Option<&SelVec>,
-    cols: &[&hsd_storage::ColumnData],
+    cols: &[&ColumnData],
     mut visit: impl FnMut(usize, usize, &[Vec<u32>]),
 ) {
     let mut bufs: Vec<Vec<u32>> = vec![vec![0u32; BLOCK]; cols.len()];
@@ -1131,6 +1142,8 @@ fn merge_accs(into: &mut [Acc], from: &[Acc]) {
 // ---------------------------------------------------------------------------
 // Join aggregation (fact ⋈ dim)
 
+// Out of line, for the same reason as `exec_aggregate`.
+#[inline(never)]
 fn exec_join_aggregate(
     db: &HybridDatabase,
     q: &AggregateQuery,
@@ -1154,71 +1167,17 @@ fn exec_join_aggregate(
         dim_pin = Some(d);
     }
     let dim: &TableData = dim_pin.as_deref().unwrap_or(&fact_pin);
-    // Build the dim-side hash table: join key -> dense group index. The
-    // table is keyed by *borrowed* values (no per-row key clone), group
-    // keys are interned once per distinct group (not once per row), and
-    // column-store dim parts intern groups through their dictionary — one
-    // clone per distinct dictionary entry, and the per-row group lookup is
-    // a code-indexed array read instead of a `Value` hash.
-    let mut group_keys: Vec<Option<Value>> = Vec::new();
-    let mut dim_map: HashMap<&Value, u32> = HashMap::new();
+    let fact: &TableData = &fact_pin;
+    validate_agg_columns(fact, q)?;
+    check_column(fact, &q.table, join.fact_fk)?;
+    for col in std::iter::once(join.dim_pk).chain(join.group_by_dim) {
+        check_column(dim, &join.dim_table, col)?;
+    }
     let dim_parts = parts_of(
         dim,
         &scan_columns(&[], std::iter::once(join.dim_pk).chain(join.group_by_dim)),
     )?;
-    match join.group_by_dim {
-        None => {
-            group_keys.push(None);
-            for part in &dim_parts {
-                for idx in 0..part.row_count() as u32 {
-                    dim_map.insert(part.value_at(idx, join.dim_pk), 0);
-                }
-            }
-        }
-        Some(g) => {
-            let mut group_index: HashMap<&Value, u32> = HashMap::new();
-            for part in &dim_parts {
-                if let Some(ct) = part.columnar() {
-                    // Dictionary path: group index per group *code*; the
-                    // per-row loop never hashes a `Value`.
-                    let gcol = ct.column(g);
-                    let code_gi: Vec<u32> = gcol
-                        .dictionary()
-                        .values()
-                        .map(|v| match group_index.get(v) {
-                            Some(&gi) => gi,
-                            None => {
-                                let gi = group_keys.len() as u32;
-                                group_keys.push(Some(v.clone()));
-                                group_index.insert(v, gi);
-                                gi
-                            }
-                        })
-                        .collect();
-                    let pk_col = ct.column(join.dim_pk);
-                    for idx in 0..ct.row_count() {
-                        dim_map.insert(pk_col.value_at(idx), code_gi[gcol.code_at(idx) as usize]);
-                    }
-                } else {
-                    for idx in 0..part.row_count() as u32 {
-                        let gv = part.value_at(idx, g);
-                        let gi = match group_index.get(gv) {
-                            Some(&gi) => gi,
-                            None => {
-                                let gi = group_keys.len() as u32;
-                                group_keys.push(Some(gv.clone()));
-                                group_index.insert(gv, gi);
-                                gi
-                            }
-                        };
-                        dim_map.insert(part.value_at(idx, join.dim_pk), gi);
-                    }
-                }
-            }
-        }
-    }
-    let fact: &TableData = &fact_pin;
-    validate_agg_columns(fact, q)?;
+    let (dim_keys, group_keys) = build_dim_keys(&dim_parts, join);
     // Dense accumulators per group index, merged into value-keyed groups at
     // the end: the per-row hot loop never hashes a `Value`.
     let scanned = std::iter::once(join.fact_fk).chain(q.aggregates.iter().map(|a| a.column));
@@ -1232,7 +1191,7 @@ fn exec_join_aggregate(
         };
         match (part.columnar(), part) {
             (Some(ct), _) => {
-                join_aggregate_column(ct, selection.as_ref(), q, join, &dim_map, &mut accs)
+                join_aggregate_column(ct, selection.as_ref(), q, join, &dim_keys, &mut accs)
             }
             (None, Part::Pair(p)) => {
                 // When the join key and every aggregate resolve in the
@@ -1268,7 +1227,7 @@ fn exec_join_aggregate(
                             selection.as_ref(),
                             &tq,
                             &tjoin,
-                            &dim_map,
+                            &dim_keys,
                             &mut accs,
                         )
                     }
@@ -1277,13 +1236,13 @@ fn exec_join_aggregate(
                         selection.as_ref(),
                         q,
                         join,
-                        &dim_map,
+                        &dim_keys,
                         &mut accs,
                     ),
                 }
             }
             (None, other) => {
-                join_aggregate_generic(other, selection.as_ref(), q, join, &dim_map, &mut accs)
+                join_aggregate_generic(other, selection.as_ref(), q, join, &dim_keys, &mut accs)
             }
         }
         accs
@@ -1307,34 +1266,163 @@ fn exec_join_aggregate(
     )))
 }
 
+/// Group index of a join key no dimension row holds: the inner join drops
+/// the fact rows that carry it.
+const UNMATCHED: u32 = u32::MAX;
+
+/// One dimension part's join index: primary key -> dense group index.
+enum DimKeys<'a> {
+    /// Column-store part (resident or a disk view), indexed by primary-key
+    /// *code*: `gi[code]` is the group index of the row holding that key,
+    /// [`UNMATCHED`] for dictionary entries no row holds any more.
+    Codes { pk: &'a Dictionary, gi: Vec<u32> },
+    /// Row-store or vertical-pair part: borrowed key value -> group index.
+    Hash(HashMap<&'a Value, u32>),
+}
+
+/// Group index of the dimension row holding `key`: the last part holding it
+/// wins, as a later row would in one index.
+fn probe_dim(dim: &[DimKeys<'_>], key: &Value) -> Option<u32> {
+    dim.iter().rev().find_map(|keys| match keys {
+        DimKeys::Codes { pk, gi } => pk
+            .code_for(key)
+            .map(|c| gi[c as usize])
+            .filter(|&g| g != UNMATCHED),
+        DimKeys::Hash(map) => map.get(key).copied(),
+    })
+}
+
+/// The join index of every dimension part, in part order, plus the group
+/// keys their group indexes name (one `None` group without `group_by_dim`).
+///
+/// A column-store part never decodes a row: group values are interned once
+/// per group-dictionary entry, then one block-decoded pass over the pk and
+/// group code columns writes each row's group index at its pk code. Other
+/// parts build a hash map keyed by borrowed values (no per-row key clone).
+fn build_dim_keys<'a>(
+    parts: &'a [Part<'a>],
+    join: &JoinSpec,
+) -> (Vec<DimKeys<'a>>, Vec<Option<Value>>) {
+    let mut group_keys: Vec<Option<Value>> = Vec::new();
+    if join.group_by_dim.is_none() {
+        group_keys.push(None);
+    }
+    let mut group_index: HashMap<&Value, u32> = HashMap::new();
+    let mut intern = |v: &'a Value| {
+        *group_index.entry(v).or_insert_with(|| {
+            group_keys.push(Some(v.clone()));
+            group_keys.len() as u32 - 1
+        })
+    };
+    let keys = parts
+        .iter()
+        .map(|part| match part.columnar() {
+            Some(ct) => {
+                let pk = ct.column(join.dim_pk);
+                let gcol = join.group_by_dim.map(|g| ct.column(g));
+                let code_gi: Vec<u32> = gcol
+                    .into_iter()
+                    .flat_map(|g| g.dictionary().values())
+                    .map(&mut intern)
+                    .collect();
+                let cols: Vec<&ColumnData> = std::iter::once(pk).chain(gcol).collect();
+                let mut gi = vec![UNMATCHED; pk.dictionary().len()];
+                for_each_selected_block(ct.row_count(), None, &cols, |_, i, bufs| {
+                    gi[bufs[0][i] as usize] = bufs.get(1).map_or(0, |g| code_gi[g[i] as usize]);
+                });
+                DimKeys::Codes {
+                    pk: pk.dictionary(),
+                    gi,
+                }
+            }
+            None => {
+                let mut map = HashMap::with_capacity(part.row_count());
+                for idx in 0..part.row_count() as u32 {
+                    let gi = join
+                        .group_by_dim
+                        .map_or(0, |g| intern(part.value_at(idx, g)));
+                    map.insert(part.value_at(idx, join.dim_pk), gi);
+                }
+                DimKeys::Hash(map)
+            }
+        })
+        .collect();
+    (keys, group_keys)
+}
+
+/// Visit every pair `(a code, b code)` of equal values in two dictionaries,
+/// each pair exactly once: the sorted regions merge in one two-pointer pass
+/// (both are in value order), `a`'s tail entries resolve against all of `b`
+/// and `b`'s tail entries against `a`'s sorted region only.
+fn merge_dictionaries(a: &Dictionary, b: &Dictionary, mut visit: impl FnMut(u32, u32)) {
+    let (a_sorted, b_sorted) = (a.sorted_len() as u32, b.sorted_len() as u32);
+    let (mut i, mut j) = (0, 0);
+    while i < a_sorted && j < b_sorted {
+        match a.decode(i).cmp(b.decode(j)) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                visit(i, j);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    for i in a_sorted..a.len() as u32 {
+        if let Some(j) = b.code_for(a.decode(i)) {
+            visit(i, j);
+        }
+    }
+    for j in b_sorted..b.len() as u32 {
+        if let Some(i) = a.code_for(b.decode(j)).filter(|&i| i < a_sorted) {
+            visit(i, j);
+        }
+    }
+}
+
 /// Column-store fact side: translate the foreign-key dictionary to group
 /// indexes once (dictionary join), then the hot loop is code lookups only —
 /// block-decoded, like the grouped aggregation path.
+///
+/// Against a code-indexed dimension part the translation merges the fk and
+/// pk dictionaries ([`merge_dictionaries`]); a hash part is probed once per
+/// fk dictionary entry. Later parts overwrite earlier ones, as
+/// [`probe_dim`] resolves them.
 fn join_aggregate_column(
     ct: &dyn Columns,
     selection: Option<&SelVec>,
     q: &AggregateQuery,
     join: &JoinSpec,
-    dim_map: &HashMap<&Value, u32>,
+    dim: &[DimKeys<'_>],
     accs: &mut [Vec<Acc>],
 ) {
-    const UNMATCHED: u32 = u32::MAX;
     let fk = ct.column(join.fact_fk);
     // fk code -> group index (UNMATCHED for dangling foreign keys).
-    let fk_lut: Vec<u32> = fk
-        .dictionary()
-        .values()
-        .map(|v| dim_map.get(v).copied().unwrap_or(UNMATCHED))
-        .collect();
+    let mut fk_lut = vec![UNMATCHED; fk.dictionary().len()];
+    for keys in dim {
+        match keys {
+            DimKeys::Codes { pk, gi } => merge_dictionaries(fk.dictionary(), pk, |f, p| {
+                if gi[p as usize] != UNMATCHED {
+                    fk_lut[f as usize] = gi[p as usize];
+                }
+            }),
+            DimKeys::Hash(map) => {
+                for (slot, v) in fk_lut.iter_mut().zip(fk.dictionary().values()) {
+                    if let Some(&gi) = map.get(v) {
+                        *slot = gi;
+                    }
+                }
+            }
+        }
+    }
     let luts: Vec<Vec<Option<f64>>> = q
         .aggregates
         .iter()
         .map(|a| ct.column(a.column).numeric_lut())
         .collect();
-    let agg_cols: Vec<&hsd_storage::ColumnData> =
-        q.aggregates.iter().map(|a| ct.column(a.column)).collect();
+    let agg_cols: Vec<&ColumnData> = q.aggregates.iter().map(|a| ct.column(a.column)).collect();
     // bufs[0] holds the foreign-key codes, bufs[1..] the aggregate columns'.
-    let mut cols: Vec<&hsd_storage::ColumnData> = Vec::with_capacity(agg_cols.len() + 1);
+    let mut cols: Vec<&ColumnData> = Vec::with_capacity(agg_cols.len() + 1);
     cols.push(fk);
     cols.extend(agg_cols.iter().copied());
     for_each_selected_block(ct.row_count(), selection, &cols, |start, i, bufs| {
@@ -1353,18 +1441,19 @@ fn join_aggregate_column(
     });
 }
 
-/// Generic fact side (row store or vertical pair): hash probe per tuple.
+/// Generic fact side (row store or vertical pair): one probe per tuple — a
+/// hash lookup, or `code_for` plus an array read against a code-indexed
+/// dimension part.
 fn join_aggregate_generic(
     part: &Part<'_>,
     selection: Option<&SelVec>,
     q: &AggregateQuery,
     join: &JoinSpec,
-    dim_map: &HashMap<&Value, u32>,
+    dim: &[DimKeys<'_>],
     accs: &mut [Vec<Acc>],
 ) {
     let mut visit = |idx: u32| {
-        let fk_value = part.value_at(idx, join.fact_fk);
-        let Some(&gi) = dim_map.get(fk_value) else {
+        let Some(gi) = probe_dim(dim, part.value_at(idx, join.fact_fk)) else {
             return; // inner join: dangling foreign keys drop out
         };
         let acc = &mut accs[gi as usize];
@@ -1796,11 +1885,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn join_aggregation_matches_reference() {
-        // dk shares the fact fk column's type (Integer): cross-type values
-        // never join.
-        let dim_schema = TableSchema::new(
+    /// Join dimension of `t`: `dk` shares the fact fk column's type
+    /// (Integer), since cross-type values never join.
+    fn dim_schema() -> TableSchema {
+        TableSchema::new(
             "dim",
             vec![
                 ColumnDef::new("dk", ColumnType::Integer),
@@ -1808,7 +1896,11 @@ mod tests {
             ],
             vec![0],
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn join_aggregation_matches_reference() {
         let fact_fk_rows: Vec<Vec<Value>> = (0..40)
             .map(|i| {
                 vec![
@@ -1839,7 +1931,7 @@ mod tests {
             for dim_store in StoreKind::BOTH {
                 let db = HybridDatabase::new();
                 db.create_single(schema(), fact_store).unwrap();
-                db.create_single(dim_schema.clone(), dim_store).unwrap();
+                db.create_single(dim_schema(), dim_store).unwrap();
                 db.bulk_load("t", fact_fk_rows.clone()).unwrap();
                 db.bulk_load(
                     "dim",
@@ -1861,6 +1953,90 @@ mod tests {
         let total: f64 = groups.iter().map(|g| g.values[0]).sum();
         let expect: f64 = (0..40).filter(|i| i % 4 != 3).map(|i| i as f64).sum();
         assert!((total - expect).abs() < 1e-9);
+    }
+
+    #[test]
+    fn join_spec_out_of_range_columns_error() {
+        let join = |fact_fk, dim_pk, group_by_dim| {
+            Query::Aggregate(AggregateQuery {
+                table: "t".into(),
+                aggregates: vec![Aggregate {
+                    func: AggFunc::Sum,
+                    column: 1,
+                }],
+                group_by: None,
+                filter: vec![],
+                join: Some(JoinSpec {
+                    dim_table: "dim".into(),
+                    fact_fk,
+                    dim_pk,
+                    group_by_dim,
+                }),
+            })
+        };
+        // `t` has four columns and `dim` two.
+        let probes = [
+            (join(9, 0, Some(1)), "t[9]"),
+            (join(2, 9, Some(1)), "dim[9]"),
+            (join(2, 9, None), "dim[9]"),
+            (join(2, 0, Some(7)), "dim[7]"),
+        ];
+        for store in StoreKind::BOTH {
+            let db = db_with(TablePlacement::Single(store));
+            db.create_single(dim_schema(), store).unwrap();
+            db.bulk_load("dim", (0..3).map(|i| vec![Value::Int(i), Value::Int(i)]))
+                .unwrap();
+            for (q, column) in &probes {
+                match db.execute(q) {
+                    Err(Error::UnknownColumn(c)) => assert_eq!(&c, column, "{store:?}"),
+                    other => panic!("{store:?}, {column}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    mod join_merge_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `sorted` as a merged dictionary, then `tail` interned after it;
+        /// keys are integers or, with `text`, their zero-padded spellings.
+        fn dict(sorted: &[i32], tail: &[i32], text: bool) -> Dictionary {
+            let key = |v: i32| {
+                if text {
+                    Value::text(format!("k{v:03}"))
+                } else {
+                    Value::Int(v)
+                }
+            };
+            let mut d = Dictionary::from_distinct(sorted.iter().map(|&v| key(v)).collect());
+            for &v in tail {
+                d.intern(&key(v));
+            }
+            d
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+            #[test]
+            fn merge_dictionaries_pairs_equal_values_once(
+                a_sorted in prop::collection::vec(0i32..80, 0..30),
+                a_tail in prop::collection::vec(0i32..80, 0..12),
+                b_sorted in prop::collection::vec(0i32..80, 0..30),
+                b_tail in prop::collection::vec(0i32..80, 0..12),
+                text in any::<bool>(),
+            ) {
+                let a = dict(&a_sorted, &a_tail, text);
+                let b = dict(&b_sorted, &b_tail, text);
+                let mut merged = Vec::new();
+                merge_dictionaries(&a, &b, |i, j| merged.push((i, j)));
+                merged.sort_unstable();
+                let naive: Vec<(u32, u32)> = (0..a.len() as u32)
+                    .filter_map(|i| b.code_for(a.decode(i)).map(|j| (i, j)))
+                    .collect();
+                prop_assert_eq!(merged, naive);
+            }
+        }
     }
 
     #[test]

@@ -256,6 +256,220 @@ fn star_join_agrees_across_fact_layouts() {
 }
 
 // ---------------------------------------------------------------------------
+// Joins: every fact layout against every dimension layout.
+
+fn join_fact_schema() -> TableSchema {
+    TableSchema::new(
+        "fact",
+        vec![
+            ColumnDef::new("id", ColumnType::BigInt),
+            ColumnDef::new("fk", ColumnType::Integer),
+            ColumnDef::new("kf", ColumnType::Double),
+            ColumnDef::new("st", ColumnType::Integer),
+        ],
+        vec![0],
+    )
+    .unwrap()
+}
+
+fn join_dim_schema() -> TableSchema {
+    TableSchema::new(
+        "dim",
+        vec![
+            ColumnDef::new("pk", ColumnType::Integer),
+            ColumnDef::new("grp", ColumnType::Integer),
+            ColumnDef::new("note", ColumnType::Integer),
+        ],
+        vec![0],
+    )
+    .unwrap()
+}
+
+/// Fact row `id`: loaded rows (`id < 400`) reference keys the dimension
+/// loads (0..30), keys it only gains by insert (50..54) and keys it never
+/// has (90..93); inserted rows add keys new to the fact (30..40, 60..64 —
+/// which the dimension also only gains by insert — and dangling 95..97).
+/// Key figures are small integers, so every sum is exact in any order.
+fn join_fact_row(id: i64) -> Vec<Value> {
+    let fk = if id < 400 {
+        match id % 10 {
+            0..=6 => id * 7 % 30,
+            7 | 8 => 50 + id % 4,
+            _ => 90 + id % 3,
+        }
+    } else {
+        match id % 4 {
+            0 => 30 + id % 10,
+            1 => 60 + id % 4,
+            2 => 95 + id % 2,
+            _ => id % 30,
+        }
+    };
+    vec![
+        Value::BigInt(id),
+        Value::Int(fk as i32),
+        Value::Double((id % 17) as f64),
+        Value::Int((id % 3) as i32),
+    ]
+}
+
+fn join_dim_row(pk: i32, grp: i32) -> Vec<Value> {
+    vec![Value::Int(pk), Value::Int(grp), Value::Int(pk * 2)]
+}
+
+/// Writes after the layout move: dimension keys new to its dictionary, a
+/// group value overwritten (its old value 100 stays in the dictionary with
+/// no row behind it) and one set to a value new to it, fact rows with
+/// foreign keys new to the fact's dictionary.
+fn join_writes() -> Vec<Query> {
+    let set_group = |pk: i32, grp: i32| {
+        Query::Update(UpdateQuery {
+            table: "dim".into(),
+            sets: vec![(1, Value::Int(grp))],
+            filter: vec![ColRange::eq(0, Value::Int(pk))],
+        })
+    };
+    vec![
+        Query::Insert(InsertQuery {
+            table: "dim".into(),
+            rows: (50..54)
+                .map(|pk| join_dim_row(pk, 7))
+                .chain((60..64).map(|pk| join_dim_row(pk, pk % 5)))
+                .collect(),
+        }),
+        set_group(0, 4),
+        set_group(1, 200),
+        Query::Insert(InsertQuery {
+            table: "fact".into(),
+            rows: (400..460).map(join_fact_row).collect(),
+        }),
+    ]
+}
+
+/// Layouts a join side can take. "column" folds its dictionary tails after
+/// the writes; every other layout keeps them.
+fn join_layouts(split: Value, row_cols: Vec<usize>) -> Vec<(&'static str, TablePlacement)> {
+    let horizontal = |cold_tier| {
+        TablePlacement::Partitioned(PartitionSpec {
+            horizontal: Some(HorizontalSpec {
+                split_column: 0,
+                split_value: split.clone(),
+            }),
+            vertical: None,
+            cold_tier,
+        })
+    };
+    vec![
+        ("row", TablePlacement::Single(StoreKind::Row)),
+        ("column", TablePlacement::Single(StoreKind::Column)),
+        ("column+tails", TablePlacement::Single(StoreKind::Column)),
+        ("split", horizontal(Tier::Memory)),
+        ("split+disk", horizontal(Tier::Disk)),
+        (
+            "pair",
+            TablePlacement::Partitioned(PartitionSpec {
+                horizontal: None,
+                vertical: Some(VerticalSpec { row_cols }),
+                ..Default::default()
+            }),
+        ),
+    ]
+}
+
+#[test]
+fn star_join_agrees_across_fact_and_dimension_layouts() {
+    let join = |group_by_dim, filter: Vec<ColRange>| {
+        Query::Aggregate(AggregateQuery {
+            table: "fact".into(),
+            aggregates: [AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Max]
+                .into_iter()
+                .map(|func| Aggregate { func, column: 2 })
+                .collect(),
+            group_by: None,
+            filter,
+            join: Some(JoinSpec {
+                dim_table: "dim".into(),
+                fact_fk: 1,
+                dim_pk: 0,
+                group_by_dim,
+            }),
+        })
+    };
+    let queries: Vec<Query> = [None, Some(1)]
+        .into_iter()
+        .flat_map(|g| {
+            [
+                join(g, vec![]),
+                join(g, vec![ColRange::ge(0, Value::BigInt(350))]),
+            ]
+        })
+        .collect();
+    let dims = join_layouts(Value::Int(20), vec![1]);
+    let facts = join_layouts(Value::BigInt(300), vec![3]);
+    let mut reference: Option<Vec<QueryOutput>> = None;
+    for (dim_label, dim_placement) in &dims {
+        for (fact_label, fact_placement) in &facts {
+            let ctx = format!("fact {fact_label} x dim {dim_label}");
+            let db = HybridDatabase::new();
+            db.set_merge_config(MergeConfig::disabled());
+            for schema in [join_fact_schema(), join_dim_schema()] {
+                db.create_single(schema, StoreKind::Row).unwrap();
+            }
+            db.bulk_load("fact", (0..400).map(join_fact_row)).unwrap();
+            db.bulk_load(
+                "dim",
+                (0..40).map(|pk| join_dim_row(pk, if pk == 0 { 100 } else { pk % 5 })),
+            )
+            .unwrap();
+            mover::move_table(&db, "fact", fact_placement).unwrap();
+            mover::move_table(&db, "dim", dim_placement).unwrap();
+            for write in join_writes() {
+                db.execute(&write).unwrap();
+            }
+            for (table, label) in [("fact", fact_label), ("dim", dim_label)] {
+                if *label == "column" {
+                    mover::merge_delta(&db, table).unwrap();
+                }
+                if *label == "column+tails" {
+                    assert!(
+                        db.delta_tail(table).unwrap() > 0,
+                        "{ctx}: {table} keeps tails"
+                    );
+                }
+            }
+            let outputs: Vec<QueryOutput> =
+                queries.iter().map(|q| db.execute(q).unwrap()).collect();
+            match &reference {
+                None => reference = Some(outputs),
+                Some(r) => assert_eq!(r, &outputs, "{ctx}"),
+            }
+        }
+    }
+    // The all-row answers themselves: every fact row whose key the
+    // dimension holds joins, dangling ones drop out, and the overwritten
+    // group value 100 is gone while the new value 200 is present.
+    let reference = reference.unwrap();
+    let dim_keys: Vec<i64> = (0..40).chain(50..54).chain(60..64).collect();
+    let joined = (0..460)
+        .map(join_fact_row)
+        .filter(|r| dim_keys.contains(&(r[1].as_i64().unwrap())))
+        .count();
+    assert_eq!(
+        reference[0].aggregates().unwrap()[0].values[1],
+        joined as f64
+    );
+    let groups: Vec<&Option<Value>> = reference[2]
+        .aggregates()
+        .unwrap()
+        .iter()
+        .map(|g| &g.key)
+        .collect();
+    assert!(!groups.contains(&&Some(Value::Int(100))));
+    assert!(groups.contains(&&Some(Value::Int(200))));
+    assert!(groups.contains(&&Some(Value::Int(7))));
+}
+
+// ---------------------------------------------------------------------------
 // Disk tier: a demoted cold partition answers like a memory-resident one.
 
 fn split_at(key: i64, cold_tier: Tier) -> TablePlacement {
