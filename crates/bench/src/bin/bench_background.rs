@@ -177,7 +177,8 @@ fn run_policy(scale: &Scale, s: &TableSpec, policy: Policy) -> PolicyReport {
             match policy {
                 Policy::Never => {}
                 Policy::Synchronous => {
-                    merged += mover::merge_delta(&db, &s.name).expect("merge");
+                    merged +=
+                        mover::merge_delta(&db, &s.name, MergePartition::Whole).expect("merge");
                 }
                 Policy::Background => {
                     worker.enqueue(&s.name, MergePartition::Whole);

@@ -13,7 +13,7 @@ pub mod online;
 use std::time::Instant;
 
 use hsd_catalog::{HorizontalSpec, PartitionSpec, TablePlacement};
-use hsd_engine::{HybridDatabase, WorkloadRunner};
+use hsd_engine::{HybridDatabase, MergePartition, WorkloadRunner};
 use hsd_query::{
     AggFunc, Aggregate, AggregateQuery, InsertQuery, JoinSpec, Query, SelectQuery, TableSpec,
     UpdateQuery,
@@ -395,7 +395,7 @@ fn calibrate_tail(
         Ok(())
     };
     // Clean baseline.
-    hsd_engine::mover::merge_delta(db, &ref_table)?;
+    hsd_engine::mover::merge_delta(db, &ref_table, MergePartition::Whole)?;
     let base_ms = time_ms(db, &probe, cfg.repeats.max(3))?;
     let mut tail_points = vec![(0.0, 1.0)];
     let mut grown = 0usize;
@@ -415,7 +415,7 @@ fn calibrate_tail(
     // explicit merge entry point; fit linearly in the row count. Clear the
     // f_tail sweep's large leftover tail first so the reference table's
     // point folds the same seeded tail as every other sweep point.
-    hsd_engine::mover::merge_delta(db, &ref_table)?;
+    hsd_engine::mover::merge_delta(db, &ref_table, MergePartition::Whole)?;
     let mut merge_points = Vec::new();
     for (name, rows) in sweep_tables {
         let tspec = reference_spec(name, *rows, cfg);
@@ -430,7 +430,7 @@ fn calibrate_tail(
             }))?;
         }
         let start = Instant::now();
-        hsd_engine::mover::merge_delta(db, name)?;
+        hsd_engine::mover::merge_delta(db, name, MergePartition::Whole)?;
         merge_points.push((*rows as f64, start.elapsed().as_secs_f64() * 1e3));
     }
     model.column.merge_ms = AdjustmentFn::fit_linear(&merge_points);

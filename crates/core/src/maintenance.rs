@@ -27,7 +27,8 @@ pub enum MaintenanceAction {
     Merge {
         /// Table to merge.
         table: String,
-        /// Which physical region holds the delta.
+        /// Region label, logged with the completed merge (the merge itself
+        /// always folds the table's one delta region).
         partition: MergePartition,
     },
     /// Withdraw a previously emitted [`MaintenanceAction::Merge`] whose
@@ -61,18 +62,13 @@ impl MaintenanceAction {
     }
 
     /// Apply the action to the database via the engine's explicit
-    /// maintenance entry point; returns how many tail entries were merged.
-    ///
-    /// The `partition` field routes the work
-    /// ([`mover::merge_delta_partition`]): [`MergePartition::Whole`]
-    /// compacts every column-store region of the table,
-    /// [`MergePartition::Cold`] only the cold partition's column-store
-    /// fragment (the hot partition is row-store resident and carries no
-    /// delta).
+    /// maintenance entry point ([`mover::merge_delta`]); returns how many
+    /// tail entries were merged. The merge folds the table's one delta
+    /// region; `partition` labels the logged completion record.
     pub fn apply(&self, db: &HybridDatabase) -> Result<usize> {
         match self {
             MaintenanceAction::Merge { table, partition } => {
-                mover::merge_delta_partition(db, table, *partition)
+                mover::merge_delta(db, table, *partition)
             }
             MaintenanceAction::Retract { table } => {
                 mover::cancel_merge(db, table)?;
@@ -82,7 +78,7 @@ impl MaintenanceAction {
     }
 
     /// Apply one bounded slice of the action through the engine's
-    /// incremental merge ([`mover::merge_delta_step`]): at most
+    /// incremental merge ([`mover::merge_slice`]): at most
     /// `budget_rows` code-vector entries are remapped before control
     /// returns. Call repeatedly — interleaved with regular statements —
     /// until the returned progress reports `done`; queries between slices
@@ -95,7 +91,7 @@ impl MaintenanceAction {
     ) -> Result<hsd_storage::MergeProgress> {
         match self {
             MaintenanceAction::Merge { table, partition } => {
-                mover::merge_delta_step_partition(db, table, *partition, budget_rows)
+                mover::merge_slice(db, table, *partition, budget_rows)
             }
             MaintenanceAction::Retract { table } => {
                 mover::cancel_merge(db, table)?;

@@ -33,7 +33,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLock
 use hsd_catalog::{Catalog, StorageLayout, TablePlacement, TableStats};
 use hsd_query::Query;
 use hsd_storage::wal::{SyncPolicy, WalStats, WalSyncHandle, WalWriter};
-use hsd_storage::{SegmentStore, StoreKind, Table};
+use hsd_storage::{ColumnTable, SegmentStore, StoreKind, Table};
 use hsd_types::{Error, Result, TableId, TableSchema, Value};
 
 use crate::durability::WalRecord;
@@ -360,7 +360,9 @@ impl HybridDatabase {
                 }
             }
             if failure.is_none() {
-                data.compact_deltas();
+                if let Some(ct) = data.delta_region_mut() {
+                    ct.compact();
+                }
             }
             if wal_on && !applied.is_empty() {
                 // `load` marks the success path (replay re-compacts); a
@@ -448,32 +450,26 @@ impl HybridDatabase {
         self.with_table(table, TableData::merge_region_rows)
     }
 
-    /// Whether an incremental delta merge is in flight on a table (always
-    /// `false` for row-store-only layouts).
-    pub fn merge_in_progress(&self, table: &str) -> Result<bool> {
-        self.with_table(table, TableData::merge_in_progress)
-    }
-
-    /// A table's merge epoch: increases at every completed dictionary
-    /// handoff (incremental shadow swap or one-shot rebuild), so observers
-    /// — the online advisor, the maintenance worker — can detect that
-    /// merge work completed between two looks without watching every
-    /// slice. The epoch is **column-granular** (a multi-column merge bumps
-    /// it once per column handoff), so "the whole job finished" is the
-    /// conjunction of a moved epoch and
-    /// [`HybridDatabase::merge_in_progress`] being `false`. 0 for
-    /// row-store-only layouts.
-    pub fn merge_epoch(&self, table: &str) -> Result<u64> {
-        self.with_table(table, TableData::merge_epoch)
-    }
-
-    /// `(merge_epoch, merge_in_progress)` read under one pinned snapshot —
-    /// the race-free form observers need under concurrency: reading the
-    /// two separately can interleave with a worker slice completing in
-    /// between, pairing a pre-completion epoch with a post-completion
-    /// in-flight flag.
+    /// `(merge_epoch, merge_in_progress)` of a table's delta region
+    /// ([`TableData::delta_region`]), read under one pinned snapshot.
+    ///
+    /// The epoch increases at every completed dictionary handoff
+    /// (incremental shadow swap or one-shot rebuild), so observers — the
+    /// online advisor, the maintenance worker — can detect that merge work
+    /// completed between two looks without watching every slice. It is
+    /// **column-granular** (a multi-column merge bumps it once per column
+    /// handoff), so "the whole job finished" is the conjunction of a moved
+    /// epoch and no merge in flight. Reading both under one pin is the
+    /// race-free form observers need under concurrency: two separate reads
+    /// can interleave with a worker slice completing in between, pairing a
+    /// pre-completion epoch with a post-completion in-flight flag. A
+    /// row-store layout reports `(0, false)`, a disk segment its footer
+    /// epoch and `false`.
     pub fn merge_status(&self, table: &str) -> Result<(u64, bool)> {
-        self.with_table(table, |d| (d.merge_epoch(), d.merge_in_progress()))
+        self.with_table(table, |d| {
+            let in_flight = d.delta_region().is_some_and(ColumnTable::merge_in_progress);
+            (d.merge_epoch(), in_flight)
+        })
     }
 
     /// Execute a query against the current layout.

@@ -799,7 +799,7 @@ fn apply_record(db: &HybridDatabase, rec: WalRecord) -> Result<()> {
         WalRecord::MergeComplete {
             table, partition, ..
         } => {
-            mover::merge_delta_partition(db, &table, partition)?;
+            mover::merge_delta(db, &table, partition)?;
             Ok(())
         }
         WalRecord::Demote { table } => {
@@ -1199,7 +1199,7 @@ mod tests {
             rows: vec![vec![Value::BigInt(100), Value::Double(0.25), Value::Null]],
         }))
         .unwrap();
-        mover::merge_delta(&db, "t").unwrap();
+        mover::merge_delta(&db, "t", MergePartition::Whole).unwrap();
         db.create_index("t", 1).unwrap();
 
         let (rec, report) = HybridDatabase::recover_bytes(&mem.snapshot());

@@ -17,53 +17,36 @@
 //! each write and paid a full-table remap (every column, even those with a
 //! one-entry tail) whenever it tripped.
 
-use hsd_storage::{ColumnTable, Table};
-
-use crate::partition::{ColdPart, TableData};
-
-/// When the engine-level fallback merge runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeMode {
-    /// Compact every column-store partition after every write statement
-    /// (the `always-merge` ablation baseline).
-    Always,
-    /// Hysteretic watermark policy (the default): merge when the tail
-    /// crosses the high watermark, compacting only columns above the low
-    /// watermark.
-    Auto,
-    /// Never merge automatically. Merges happen only through the explicit
-    /// maintenance entry points — the mode the advisor-scheduled policy
-    /// runs the engine in.
-    Disabled,
-}
+use crate::partition::TableData;
 
 /// Configuration of the engine-level delta-merge fallback.
 ///
 /// The watermarks are expressed as fractions of the partition's row count
 /// with absolute floors, so small tables are not merged on every handful of
 /// fresh values and large tables are not allowed to accumulate
-/// proportionally unbounded tails.
+/// proportionally unbounded tails. The two extremes are watermark
+/// settings, not separate modes: [`MergeConfig::always`] zeroes both
+/// watermarks, [`MergeConfig::disabled`] raises the trigger floor out of
+/// reach.
 ///
 /// # Example
 ///
 /// ```
-/// use hsd_engine::{MergeConfig, MergeMode};
+/// use hsd_engine::MergeConfig;
 ///
 /// // The default policy is hysteretic: merge once the tail crosses the
 /// // high watermark, compacting only columns above the low watermark.
 /// let cfg = MergeConfig::default();
-/// assert_eq!(cfg.mode, MergeMode::Auto);
 /// assert_eq!(cfg.high_watermark(1 << 20), (1 << 20) / 32);
 /// assert_eq!(cfg.high_watermark(0), cfg.min_tail); // absolute floor
 ///
 /// // An advisor that schedules merges itself runs the engine with the
-/// // fallback disabled (`db.set_merge_config(MergeConfig::disabled())`).
-/// assert_eq!(MergeConfig::disabled().mode, MergeMode::Disabled);
+/// // fallback disabled (`db.set_merge_config(MergeConfig::disabled())`):
+/// // no tail ever exceeds its trigger.
+/// assert_eq!(MergeConfig::disabled().high_watermark(1 << 20), usize::MAX);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct MergeConfig {
-    /// When the fallback merge runs.
-    pub mode: MergeMode,
     /// High watermark as a fraction of the row count: the merge trigger.
     /// A table's accumulated tail must exceed
     /// `max(min_tail, high_fraction · rows)` before any compaction happens.
@@ -82,7 +65,6 @@ pub struct MergeConfig {
 impl Default for MergeConfig {
     fn default() -> Self {
         MergeConfig {
-            mode: MergeMode::Auto,
             // Trigger point matches the historical size-only policy
             // (rows/32, floor 4096), so default write amortization — and the
             // calibration that measures it — is unchanged.
@@ -95,18 +77,23 @@ impl Default for MergeConfig {
 }
 
 impl MergeConfig {
-    /// Policy that merges after every write (ablation baseline).
+    /// Policy that merges after every write (ablation baseline): both
+    /// watermarks at 0, so any tail triggers a merge that folds every
+    /// column with a tail.
     pub fn always() -> Self {
         MergeConfig {
-            mode: MergeMode::Always,
-            ..Default::default()
+            high_fraction: 0.0,
+            low_fraction: 0.0,
+            min_tail: 0,
+            min_col_tail: 0,
         }
     }
 
-    /// Policy that never merges automatically (advisor-scheduled mode).
+    /// Policy that never merges automatically (advisor-scheduled mode):
+    /// the trigger floor is `usize::MAX`, which no tail exceeds.
     pub fn disabled() -> Self {
         MergeConfig {
-            mode: MergeMode::Disabled,
+            min_tail: usize::MAX,
             ..Default::default()
         }
     }
@@ -122,59 +109,24 @@ impl MergeConfig {
     }
 }
 
-/// Visit every column-store table (partition or fragment) of `data`.
-fn for_each_columnar(data: &mut TableData, mut f: impl FnMut(&mut ColumnTable)) {
-    match data {
-        TableData::Single(Table::Column(ct)) => f(ct),
-        TableData::Single(Table::Row(_)) => {}
-        TableData::Partitioned { cold, .. } => match cold {
-            ColdPart::Single(Table::Column(ct)) => f(ct),
-            ColdPart::Single(Table::Row(_)) => {}
-            ColdPart::Vertical(p) => {
-                if let Table::Column(ct) = p.col_fragment_mut() {
-                    f(ct);
-                }
-            }
-            // Disk-resident cold partitions are compacted at demotion and
-            // immutable afterwards; maintenance never touches them.
-            ColdPart::DiskColumn(_) => {}
-        },
-    }
-}
-
-/// Run the fallback merge policy after a write statement. Returns whether
-/// any compaction actually happened (the durability layer logs a merge
-/// record only then).
+/// Run the fallback merge policy on `data`'s delta region after a write
+/// statement. Returns whether any compaction actually happened (the
+/// durability layer logs a merge record only then).
 pub(crate) fn after_write(data: &mut TableData, cfg: &MergeConfig) -> bool {
-    let mut compacted = false;
-    match cfg.mode {
-        MergeMode::Disabled => {}
-        MergeMode::Always => {
-            for_each_columnar(data, |ct| {
-                if ct.tail_total() > 0 {
-                    ct.compact();
-                    compacted = true;
-                }
-            });
-        }
-        MergeMode::Auto => {
-            for_each_columnar(data, |ct| {
-                let rows = ct.row_count();
-                if ct.tail_total() <= cfg.high_watermark(rows) {
-                    return;
-                }
-                let merged = ct.compact_columns_over(cfg.low_watermark(rows));
-                if merged == 0 {
-                    // The total crossed the high watermark but every
-                    // individual tail sits below the low watermark: fold
-                    // everything so the tail stays bounded.
-                    ct.compact();
-                }
-                compacted = true;
-            });
-        }
+    let Some(ct) = data.delta_region_mut() else {
+        return false;
+    };
+    let rows = ct.row_count();
+    if ct.tail_total() <= cfg.high_watermark(rows) {
+        return false;
     }
-    compacted
+    if ct.compact_columns_over(cfg.low_watermark(rows)) == 0 {
+        // The total crossed the high watermark but every individual tail
+        // sits below the low watermark: fold everything so the tail stays
+        // bounded.
+        ct.compact();
+    }
+    true
 }
 
 #[cfg(test)]
@@ -244,7 +196,7 @@ mod tests {
             fresh_update(&db, i, 1, i as f64);
         }
         assert_eq!(db.delta_tail("t").unwrap(), 20);
-        let merged = mover::merge_delta(&db, "t").unwrap();
+        let merged = mover::merge_delta(&db, "t", crate::MergePartition::Whole).unwrap();
         assert_eq!(merged, 20);
         assert_eq!(db.delta_tail("t").unwrap(), 0);
     }
@@ -253,7 +205,6 @@ mod tests {
     fn auto_mode_is_hysteretic_and_selective() {
         let db = column_db();
         db.set_merge_config(MergeConfig {
-            mode: MergeMode::Auto,
             high_fraction: 0.0,
             low_fraction: 0.0,
             min_tail: 8,
@@ -283,7 +234,6 @@ mod tests {
     fn auto_mode_folds_everything_when_tails_are_spread_thin() {
         let db = column_db();
         db.set_merge_config(MergeConfig {
-            mode: MergeMode::Auto,
             high_fraction: 0.0,
             low_fraction: 0.0,
             min_tail: 2,
@@ -309,8 +259,9 @@ mod tests {
 
     #[test]
     fn mode_constructors() {
-        assert_eq!(MergeConfig::always().mode, MergeMode::Always);
-        assert_eq!(MergeConfig::disabled().mode, MergeMode::Disabled);
-        assert_eq!(MergeConfig::default().mode, MergeMode::Auto);
+        let always = MergeConfig::always();
+        assert_eq!(always.high_watermark(1 << 20), 0);
+        assert_eq!(always.low_watermark(1 << 20), 0);
+        assert_eq!(MergeConfig::disabled().high_watermark(1 << 20), usize::MAX);
     }
 }

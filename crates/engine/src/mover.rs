@@ -13,7 +13,7 @@
 //! recovery contract of [`crate::durability`]).
 
 use hsd_catalog::{StorageLayout, TablePlacement, Tier};
-use hsd_storage::{SegmentStore, Table};
+use hsd_storage::{ColumnTable, MergeProgress, SegmentStore, Table};
 use hsd_types::{Error, Result, Value};
 
 use crate::database::HybridDatabase;
@@ -113,7 +113,9 @@ pub fn move_table(db: &HybridDatabase, table: &str, target: &TablePlacement) -> 
         let rows = old.into_rows()?;
         let mut fresh = TableData::new(schema, target)?;
         load_partition_aware(&mut fresh, target, rows)?;
-        compact_after_load(&mut fresh);
+        if let Some(ct) = fresh.delta_region_mut() {
+            ct.compact();
+        }
         if target_is_disk {
             demote_in_place(&mut fresh, table, &store)?;
         }
@@ -210,8 +212,10 @@ pub fn demote_cold(db: &HybridDatabase, table: &str) -> Result<u64> {
         }
         // Abandon in-flight shadow merges (their state is volatile and
         // unlogged) and fold the delta tail so the segment packs tight.
-        guard.cancel_merge();
-        guard.compact_deltas();
+        if let Some(ct) = guard.delta_region_mut() {
+            ct.cancel_merge();
+            ct.compact();
+        }
         let disk_bytes = demote_in_place(&mut guard, table, &store)?;
         db.log_record(&WalRecord::Demote {
             table: table.to_string(),
@@ -281,43 +285,21 @@ fn load_partition_aware(
     }
 }
 
-fn compact_after_load(data: &mut TableData) {
-    data.compact_deltas();
-}
-
-/// The explicit delta-merge maintenance entry point: fold the dictionary
-/// tails of every column-store partition of `table` back into the sorted
-/// region, returning how many tail entries were merged.
+/// The one-shot delta-merge entry point: fold the dictionary tail of
+/// `table`'s delta region ([`TableData::delta_region`]) back into the
+/// sorted region, returning how many tail entries were merged. `partition`
+/// only labels the [`WalRecord::MergeComplete`] record.
 ///
 /// This is the engine half of advisor-scheduled maintenance — the online
 /// advisor emits a merge action when the modeled scan savings exceed the
 /// modeled merge cost, and applying that action lands here (with the
 /// executor's auto-merge demoted to a fallback via
 /// [`crate::maintenance::MergeConfig`]).
-pub fn merge_delta(db: &HybridDatabase, table: &str) -> Result<usize> {
+pub fn merge_delta(db: &HybridDatabase, table: &str, partition: MergePartition) -> Result<usize> {
     db.check_writable(table)?;
     let shard = db.shard(table)?;
     let mut data = shard.latch();
-    let folded = data.compact_deltas();
-    if folded > 0 {
-        log_merge_complete(db, table, MergePartition::Whole, &data)?;
-    }
-    Ok(folded)
-}
-
-/// [`merge_delta`] routed to one physical region: the cold partition's
-/// column-store fragment for [`MergePartition::Cold`], every column-store
-/// region for [`MergePartition::Whole`]. A `Cold` job whose table has since
-/// moved back to a single store merges the whole table (the safe superset).
-pub fn merge_delta_partition(
-    db: &HybridDatabase,
-    table: &str,
-    partition: MergePartition,
-) -> Result<usize> {
-    db.check_writable(table)?;
-    let shard = db.shard(table)?;
-    let mut data = shard.latch();
-    let folded = data.compact_deltas_partition(partition);
+    let folded = data.delta_region_mut().map_or(0, ColumnTable::compact);
     if folded > 0 {
         log_merge_complete(db, table, partition, &data)?;
     }
@@ -325,85 +307,54 @@ pub fn merge_delta_partition(
 }
 
 /// One bounded slice of an **incremental** delta merge: remap at most
-/// `budget_rows` code-vector entries of `table`'s column-store region, then
-/// return control to the caller.
+/// `budget_rows` code-vector entries of `table`'s delta region, then return
+/// control to the caller. `partition` only labels the completion record.
 ///
 /// The merge state is resumable — repeated calls continue where the last one
 /// stopped, and queries executed between slices observe a fully consistent
 /// table (the shadow-rebuild protocol of
 /// [`hsd_storage::ColumnTable::compact_step`]). This is how very large
-/// tables avoid the full-table stop-the-world remap of
-/// [`merge_delta`]: the same total work is spread over many short pauses,
-/// each bounded by the remap-cost budget.
-pub fn merge_delta_step(
-    db: &HybridDatabase,
-    table: &str,
-    budget_rows: usize,
-) -> Result<hsd_storage::MergeProgress> {
-    db.check_writable(table)?;
-    let shard = db.shard(table)?;
-    let mut data = shard.latch();
-    let progress = data.compact_deltas_step(budget_rows);
-    if progress.done && (progress.entries_folded > 0 || progress.rows_remapped > 0) {
-        log_merge_complete(db, table, MergePartition::Whole, &data)?;
-    }
-    Ok(progress)
-}
-
-/// [`merge_delta_step`] routed to one physical region (the routing rules of
-/// [`merge_delta_partition`]): an advisor-scheduled cold-fragment merge
-/// slices only the cold partition's column-store fragment, never touching
-/// the hot row-store partition the serving loop is writing into.
-pub fn merge_delta_step_partition(
-    db: &HybridDatabase,
-    table: &str,
-    partition: MergePartition,
-    budget_rows: usize,
-) -> Result<hsd_storage::MergeProgress> {
-    db.check_writable(table)?;
-    let shard = db.shard(table)?;
-    let mut data = shard.latch();
-    let progress = data.compact_deltas_step_partition(partition, budget_rows);
-    // An incremental merge is logged only at completion: in-flight shadow
-    // state is deliberately volatile (recovery discards it losslessly and
-    // re-merges from the completion record instead).
-    if progress.done && (progress.entries_folded > 0 || progress.rows_remapped > 0) {
-        log_merge_complete(db, table, partition, &data)?;
-    }
-    Ok(progress)
-}
-
-/// One merge slice split into a **concurrent plan phase and a brief
-/// install phase** — the maintenance worker's read-path-friendly variant
-/// of [`merge_delta_step_partition`].
+/// tables avoid the full-table stop-the-world remap of [`merge_delta`]: the
+/// same total work is spread over many short pauses, each bounded by the
+/// remap-cost budget.
 ///
+/// A slice runs in a **concurrent plan phase and a brief install phase**.
 /// Phase 1 computes dictionary rebuild plans ([`hsd_storage::MergePlan`])
 /// under a shared read pin: the sort-heavy half of starting a merge runs
 /// *concurrently with scans* on the same table. Phase 2 takes the
 /// exclusive latch only to adopt the plans (stale ones — a dictionary
-/// handoff completed in between — are discarded and replanned by the
-/// in-latch fallback) and remap one `budget_rows`-bounded slice. The
-/// latch hold time is therefore O(budget), never O(distinct values ·
-/// log) for the sort.
-pub fn merge_slice_concurrent(
+/// handoff completed in between — are discarded and replanned in the
+/// latch) and remap one `budget_rows`-bounded slice. The latch hold time is
+/// therefore O(budget), never O(distinct values · log) for the sort.
+///
+/// An incremental merge is logged only at completion: in-flight shadow
+/// state is deliberately volatile (recovery discards it losslessly and
+/// re-merges from the completion record instead).
+pub fn merge_slice(
     db: &HybridDatabase,
     table: &str,
     partition: MergePartition,
     budget_rows: usize,
-) -> Result<hsd_storage::MergeProgress> {
+) -> Result<MergeProgress> {
     db.check_writable(table)?;
     let shard = db.shard(table)?;
     // Phase 1 (concurrent with scans): plan under a shared read pin.
-    let plans = {
-        let pin = shard.pin();
-        pin.plan_compact_partition(partition)
-    };
+    let plans = shard
+        .pin()
+        .delta_region()
+        .map_or_else(Vec::new, ColumnTable::plan_compact);
     // Phase 2 (brief): install + one budgeted slice under the latch.
     let mut data = shard.latch();
+    let Some(ct) = data.delta_region_mut() else {
+        return Ok(MergeProgress {
+            done: true,
+            ..MergeProgress::default()
+        });
+    };
     if !plans.is_empty() {
-        data.install_compact_plans(partition, plans);
+        ct.install_plans(plans);
     }
-    let progress = data.compact_deltas_step_partition(partition, budget_rows);
+    let progress = ct.compact_step(budget_rows);
     if progress.done && (progress.entries_folded > 0 || progress.rows_remapped > 0) {
         log_merge_complete(db, table, partition, &data)?;
     }
@@ -420,7 +371,10 @@ pub fn merge_slice_concurrent(
 /// Returns how many columns had a merge to cancel.
 pub fn cancel_merge(db: &HybridDatabase, table: &str) -> Result<usize> {
     let shard = db.shard(table)?;
-    let cancelled = shard.latch().cancel_merge();
+    let cancelled = shard
+        .latch()
+        .delta_region_mut()
+        .map_or(0, ColumnTable::cancel_merge);
     Ok(cancelled)
 }
 
@@ -476,10 +430,8 @@ pub fn rebalance_horizontal(
         h.split_value = new_split_value.clone();
         // The re-split is strict, so the hot partition is pure again.
         *hot_pure = true;
-        if let ColdPart::Single(Table::Column(ct)) = cold {
+        if let Some(ct) = guard.delta_region_mut() {
             ct.compact();
-        } else if let ColdPart::Vertical(p) = cold {
-            p.compact_column_fragment();
         }
         db.log_record(&WalRecord::Rebalance {
             table: table.to_string(),
@@ -679,7 +631,7 @@ mod tests {
         let mut slices = 0;
         let mut folded = 0;
         loop {
-            let p = merge_delta_step(&db, "t", 16).unwrap();
+            let p = merge_slice(&db, "t", MergePartition::Whole, 16).unwrap();
             folded += p.entries_folded;
             slices += 1;
             // Mid-merge queries must see consistent data.
@@ -731,7 +683,7 @@ mod tests {
         let mut folded = 0;
         let mut slices = 0;
         loop {
-            let p = merge_slice_concurrent(&db, "t", MergePartition::Whole, 16).unwrap();
+            let p = merge_slice(&db, "t", MergePartition::Whole, 16).unwrap();
             folded += p.entries_folded;
             slices += 1;
             if p.done {
@@ -741,7 +693,7 @@ mod tests {
         }
         assert_eq!(folded, tail);
         assert_eq!(db.delta_tail("t").unwrap(), 0);
-        assert!(!db.merge_in_progress("t").unwrap());
+        assert!(!db.merge_status("t").unwrap().1);
     }
 
     /// Horizontal hot/cold split at id < 90 (cold gets 90 rows).
@@ -828,6 +780,58 @@ mod tests {
         }))
         .unwrap();
         assert_eq!(db.disk_bytes("t").unwrap(), seg_before);
+    }
+
+    #[test]
+    fn write_through_merges_the_tail_before_republishing() {
+        use hsd_query::{Query, SelectQuery, UpdateQuery};
+        use hsd_storage::ColRange;
+        let db = loaded_db();
+        move_table(&db, "t", &split_placement(Tier::Disk)).unwrap();
+        let before = checksum(&db);
+        // Mid-domain values land in the dictionary tail of the loaded cold
+        // partition; the republished segment must not keep that tail.
+        let fresh = |i: i64| 50.25 + i as f64;
+        for i in 0..5 {
+            db.execute(&Query::Update(UpdateQuery {
+                table: "t".into(),
+                sets: vec![(1, Value::Double(fresh(i)))],
+                filter: vec![ColRange::eq(0, Value::BigInt(i))],
+            }))
+            .unwrap();
+        }
+        assert!(cold_is_disk(&db));
+        let segment_tail = db
+            .with_table("t", |d| match d {
+                TableData::Partitioned {
+                    cold: ColdPart::DiskColumn(f),
+                    ..
+                } => f.reader().column(1).unwrap().tail_len(),
+                other => panic!("expected a disk-resident cold partition, got {other:?}"),
+            })
+            .unwrap();
+        assert_eq!(segment_tail, 0, "the published segment carries no tail");
+        assert_eq!(db.delta_tail("t").unwrap(), 0);
+        let expect = before - (0..5).sum::<i64>() as f64 + (0..5).map(fresh).sum::<f64>();
+        assert!((checksum(&db) - expect).abs() < 1e-6);
+        let rows = db
+            .execute(&Query::Select(SelectQuery {
+                table: "t".into(),
+                columns: Some(vec![0]),
+                filter: vec![ColRange::between(
+                    1,
+                    Value::Double(50.0),
+                    Value::Double(55.0),
+                )],
+            }))
+            .unwrap();
+        let mut ids: Vec<Value> = rows.rows().unwrap().iter().map(|r| r[0].clone()).collect();
+        ids.sort();
+        let want: Vec<Value> = [0, 1, 2, 3, 4, 50, 51, 52, 53, 54, 55]
+            .into_iter()
+            .map(Value::BigInt)
+            .collect();
+        assert_eq!(ids, want);
     }
 
     fn update(filter: Vec<hsd_storage::ColRange>, st: i32) -> hsd_query::Query {

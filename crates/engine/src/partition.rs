@@ -10,16 +10,17 @@ use hsd_storage::{
 };
 use hsd_types::{ColumnIdx, Error, Result, TableSchema, Value};
 
-/// Which physical region of a table a delta merge targets.
+/// Which physical region a delta merge job was scheduled for — a **label**,
+/// not a route: every merge works on the one region
+/// [`TableData::delta_region`] returns, whatever the label says.
 ///
-/// Maintenance jobs are keyed by `(table, partition)`: a cold-fragment
-/// merge scheduled while the table was partitioned and a later full-table
-/// merge scheduled after a move back to a single store are *distinct* jobs,
-/// so a worker queue can hold (and dedupe) them independently.
+/// The label keys maintenance jobs by `(table, partition)` (a job scheduled
+/// while the table was partitioned and one scheduled after a move back to a
+/// single store are distinct queue entries) and is written into the
+/// [`crate::WalRecord::MergeComplete`] record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MergePartition {
-    /// Every column-store region of the table (the only region a
-    /// single-store column table has).
+    /// The whole table (the only region a single-store column table has).
     Whole,
     /// The cold partition (or its column-store fragment) of a partitioned
     /// table — the only region of a hot/cold layout that carries a delta
@@ -350,13 +351,6 @@ impl VerticalPair {
     /// Approximate heap bytes of both fragments.
     pub fn memory_bytes(&self) -> usize {
         self.row_frag.memory_bytes() + self.col_frag.memory_bytes()
-    }
-
-    /// Run the delta merge on the column-store fragment.
-    pub fn compact_column_fragment(&mut self) {
-        if let Table::Column(ct) = &mut self.col_frag {
-            ct.compact();
-        }
     }
 
     /// Create a secondary index on a logical column that lives in the
@@ -729,126 +723,40 @@ impl TableData {
         }
     }
 
-    /// Accumulated dictionary-tail entries across every column-store
-    /// partition (the delta size the merge policy and the advisor's
-    /// maintenance scheduling reason about).
+    /// The column table that carries this table's dictionary delta — the
+    /// one region every delta merge, tail count and merge observer works
+    /// on: the whole table for a single column store, the cold partition
+    /// (or its column-store fragment) for hot/cold layouts. `None` for
+    /// row-store layouts and for disk segments, whose tail is folded before
+    /// every publish (see [`TableData::with_cold_loaded`]).
+    pub fn delta_region(&self) -> Option<&ColumnTable> {
+        match self {
+            TableData::Single(t) => t.as_column(),
+            TableData::Partitioned { cold, .. } => match cold {
+                ColdPart::Single(t) => t.as_column(),
+                ColdPart::Vertical(p) => p.col_fragment().as_column(),
+                ColdPart::DiskColumn(_) => None,
+            },
+        }
+    }
+
+    /// Mutable [`TableData::delta_region`].
+    pub fn delta_region_mut(&mut self) -> Option<&mut ColumnTable> {
+        match self {
+            TableData::Single(t) => t.as_column_mut(),
+            TableData::Partitioned { cold, .. } => match cold {
+                ColdPart::Single(t) => t.as_column_mut(),
+                ColdPart::Vertical(p) => p.col_fragment_mut().as_column_mut(),
+                ColdPart::DiskColumn(_) => None,
+            },
+        }
+    }
+
+    /// Accumulated dictionary-tail entries of the delta region (the delta
+    /// size the merge policy and the advisor's maintenance scheduling
+    /// reason about).
     pub fn delta_tail(&self) -> usize {
-        match self {
-            TableData::Single(t) => t.delta_tail(),
-            TableData::Partitioned { cold, .. } => match cold {
-                ColdPart::Single(t) => t.delta_tail(),
-                ColdPart::Vertical(p) => p.col_fragment().delta_tail(),
-                // Segments are compacted at demotion and immutable after.
-                ColdPart::DiskColumn(_) => 0,
-            },
-        }
-    }
-
-    /// Run the full delta merge on every column-store partition; returns
-    /// how many tail entries were folded in.
-    pub fn compact_deltas(&mut self) -> usize {
-        match self {
-            TableData::Single(t) => t.compact_delta(),
-            TableData::Partitioned { cold, .. } => match cold {
-                ColdPart::Single(t) => t.compact_delta(),
-                ColdPart::Vertical(p) => p.col_fragment_mut().compact_delta(),
-                ColdPart::DiskColumn(_) => 0,
-            },
-        }
-    }
-
-    /// Advance the incremental delta merge on the table's column-store
-    /// region by at most `budget_rows` remapped code-vector entries
-    /// (resumable; see [`hsd_storage::ColumnTable::compact_step`]).
-    pub fn compact_deltas_step(&mut self, budget_rows: usize) -> hsd_storage::MergeProgress {
-        match self {
-            TableData::Single(t) => t.compact_delta_step(budget_rows),
-            TableData::Partitioned { cold, .. } => match cold {
-                ColdPart::Single(t) => t.compact_delta_step(budget_rows),
-                ColdPart::Vertical(p) => p.col_fragment_mut().compact_delta_step(budget_rows),
-                ColdPart::DiskColumn(_) => hsd_storage::MergeProgress {
-                    rows_remapped: 0,
-                    entries_folded: 0,
-                    done: true,
-                },
-            },
-        }
-    }
-
-    /// Run the full delta merge on the region `partition` names: the cold
-    /// partition's column-store fragment for [`MergePartition::Cold`], every
-    /// column-store region for [`MergePartition::Whole`]. A `Cold` job whose
-    /// table has since moved back to a single store falls through to the
-    /// whole-table path (the safe superset of the scheduled work).
-    pub fn compact_deltas_partition(&mut self, partition: MergePartition) -> usize {
-        match (partition, &mut *self) {
-            (MergePartition::Cold, TableData::Partitioned { cold, .. }) => match cold {
-                ColdPart::Single(t) => t.compact_delta(),
-                ColdPart::Vertical(p) => p.col_fragment_mut().compact_delta(),
-                ColdPart::DiskColumn(_) => 0,
-            },
-            _ => self.compact_deltas(),
-        }
-    }
-
-    /// One bounded slice of the incremental merge, routed to the region
-    /// `partition` names (see [`TableData::compact_deltas_partition`] for
-    /// the routing rules).
-    pub fn compact_deltas_step_partition(
-        &mut self,
-        partition: MergePartition,
-        budget_rows: usize,
-    ) -> hsd_storage::MergeProgress {
-        match (partition, &mut *self) {
-            (MergePartition::Cold, TableData::Partitioned { cold, .. }) => match cold {
-                ColdPart::Single(t) => t.compact_delta_step(budget_rows),
-                ColdPart::Vertical(p) => p.col_fragment_mut().compact_delta_step(budget_rows),
-                ColdPart::DiskColumn(_) => hsd_storage::MergeProgress {
-                    rows_remapped: 0,
-                    entries_folded: 0,
-                    done: true,
-                },
-            },
-            _ => self.compact_deltas_step(budget_rows),
-        }
-    }
-
-    /// Compute merge plans for the table's column-store region through
-    /// `&self` — the concurrent-read phase of a two-phase merge slice.
-    /// Every `partition` routes to the same region the step/compact
-    /// entry points touch (the cold fragment for hot/cold layouts; the
-    /// hot partition is row-store resident and never merged).
-    pub fn plan_compact_partition(
-        &self,
-        _partition: MergePartition,
-    ) -> Vec<(usize, hsd_storage::MergePlan)> {
-        match self {
-            TableData::Single(t) => t.plan_delta_merge(),
-            TableData::Partitioned { cold, .. } => match cold {
-                ColdPart::Single(t) => t.plan_delta_merge(),
-                ColdPart::Vertical(p) => p.col_fragment().plan_delta_merge(),
-                ColdPart::DiskColumn(_) => Vec::new(),
-            },
-        }
-    }
-
-    /// Adopt previously computed merge plans on the column-store region
-    /// (call under the exclusive latch); stale plans are discarded. Returns
-    /// how many installed.
-    pub fn install_compact_plans(
-        &mut self,
-        _partition: MergePartition,
-        plans: Vec<(usize, hsd_storage::MergePlan)>,
-    ) -> usize {
-        match self {
-            TableData::Single(t) => t.install_delta_plans(plans),
-            TableData::Partitioned { cold, .. } => match cold {
-                ColdPart::Single(t) => t.install_delta_plans(plans),
-                ColdPart::Vertical(p) => p.col_fragment_mut().install_delta_plans(plans),
-                // Demotion between plan and install makes the plans stale.
-                ColdPart::DiskColumn(_) => 0,
-            },
-        }
+        self.delta_region().map_or(0, ColumnTable::tail_total)
     }
 
     /// Rows resident in the region a delta merge actually remaps: the whole
@@ -864,29 +772,16 @@ impl TableData {
         }
     }
 
-    /// Whether an incremental delta merge is in flight on the table's
-    /// column-store region.
-    pub fn merge_in_progress(&self) -> bool {
-        match self {
-            TableData::Single(t) => t.merge_in_progress(),
-            TableData::Partitioned { cold, .. } => match cold {
-                ColdPart::Single(t) => t.merge_in_progress(),
-                ColdPart::Vertical(p) => p.col_fragment().merge_in_progress(),
-                ColdPart::DiskColumn(_) => false,
-            },
-        }
-    }
-
     /// The table's merge epoch (0 for row-store layouts): increases at
-    /// every completed dictionary handoff of the column-store region.
+    /// every completed dictionary handoff of the delta region. A disk
+    /// segment reports the epoch recorded in its footer.
     pub fn merge_epoch(&self) -> u64 {
         match self {
-            TableData::Single(t) => t.merge_epoch(),
-            TableData::Partitioned { cold, .. } => match cold {
-                ColdPart::Single(t) => t.merge_epoch(),
-                ColdPart::Vertical(p) => p.col_fragment().merge_epoch(),
-                ColdPart::DiskColumn(f) => f.reader().merge_epoch(),
-            },
+            TableData::Partitioned {
+                cold: ColdPart::DiskColumn(f),
+                ..
+            } => f.reader().merge_epoch(),
+            _ => self.delta_region().map_or(0, ColumnTable::merge_epoch),
         }
     }
 
@@ -894,8 +789,10 @@ impl TableData {
     /// then re-encode and republish the segment (**write-through**). Tables
     /// whose cold partition is memory-resident just run `f`. Callers load
     /// only when the statement changes a cold row: every load is followed by
-    /// a full re-encode, publish and fsync — the upkeep cost the advisor's
-    /// tier model charges writes against disk-resident data.
+    /// a delta merge, a full re-encode, publish and fsync — the upkeep cost
+    /// the advisor's tier model charges writes against disk-resident data.
+    /// The merge keeps every published segment tail-free, which is why
+    /// [`TableData::delta_region`] has nothing to return for one.
     ///
     /// The outer error is a failed load: nothing ran, nothing changed. Once
     /// loaded, `f`'s result comes back together with the republish outcome.
@@ -926,6 +823,9 @@ impl TableData {
         let mut republished = Ok(());
         if let TableData::Partitioned { cold, spec, .. } = self {
             if let ColdPart::Single(Table::Column(ct)) = cold {
+                // Fold what the write interned: nothing merges a segment's
+                // tail while it stays on disk.
+                ct.compact();
                 match DiskFragment::publish(store, &segment, ct) {
                     Ok(frag) => *cold = ColdPart::DiskColumn(frag),
                     Err(e) => {
@@ -936,19 +836,6 @@ impl TableData {
             }
         }
         Ok((result, republished))
-    }
-
-    /// Abandon any in-flight incremental delta merge on the column-store
-    /// region; returns how many columns had one.
-    pub fn cancel_merge(&mut self) -> usize {
-        match self {
-            TableData::Single(t) => t.cancel_delta_merge(),
-            TableData::Partitioned { cold, .. } => match cold {
-                ColdPart::Single(t) => t.cancel_delta_merge(),
-                ColdPart::Vertical(p) => p.col_fragment_mut().cancel_delta_merge(),
-                ColdPart::DiskColumn(_) => 0,
-            },
-        }
     }
 }
 

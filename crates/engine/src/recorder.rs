@@ -648,7 +648,7 @@ mod tests {
         assert!(t.observed_tail_rate().unwrap() < 0.1);
         // A merge folds the tail (epoch handoff); the cursor resets instead
         // of producing a negative delta, and fresh growth counts again.
-        crate::mover::merge_delta(&db, "c").unwrap();
+        crate::mover::merge_delta(&db, "c", crate::MergePartition::Whole).unwrap();
         for i in 0..3 {
             let q = Query::Update(UpdateQuery {
                 table: "c".into(),

@@ -4,21 +4,21 @@
 //! of [`crate::mover::merge_delta`].
 //!
 //! The worker owns a queue of [`MergeJob`]s, keyed and deduplicated by
-//! `(table, partition)` — a cold-fragment merge of a partitioned table and
-//! a whole-table merge are distinct jobs. Each tick the worker picks the
+//! `(table, partition)` — a job labelled cold and one labelled whole are
+//! distinct queue entries, though both merge the table's one delta region.
+//! Each tick the worker picks the
 //! job with the highest **accrued-penalty-per-row** score (the table's
 //! dictionary-tail entries per merge-region row — the per-row scan
 //! degradation its delta is inflicting right now), FIFO on ties, so
 //! several tables' merges interleave by urgency instead of arrival order.
 //! The selected job advances by one slice through the resumable
-//! shadow-rebuild protocol, routed to the job's region; queries executed
-//! between ticks see a fully consistent table, writes are mirrored into
-//! the shadow behind the copy cursor, and the dictionary handoff at swap
-//! bumps the table's merge epoch
-//! ([`crate::database::HybridDatabase::merge_epoch`]) so observers can
-//! detect completion without watching every slice.
+//! shadow-rebuild protocol; queries executed between ticks see a fully
+//! consistent table, writes are mirrored into the shadow behind the copy
+//! cursor, and the dictionary handoff at swap bumps the table's merge
+//! epoch ([`crate::database::HybridDatabase::merge_status`]) so observers
+//! can detect completion without watching every slice.
 //!
-//! Slices run through [`crate::mover::merge_slice_concurrent`]: the
+//! Slices run through [`crate::mover::merge_slice`]: the
 //! sort-heavy dictionary rebuild is planned under a shared read pin
 //! (concurrent with scans of the same table), and only the budgeted remap
 //! itself holds the table's write latch. Since [`HybridDatabase`] is
@@ -60,15 +60,15 @@ use crate::database::HybridDatabase;
 use crate::mover;
 use crate::partition::MergePartition;
 
-/// One queued merge job: the table plus the physical region to fold. Jobs
-/// are identified (and deduplicated) by the full `(table, partition)` pair —
-/// a cold-fragment merge and a later whole-table merge of the same table
-/// are distinct work items.
+/// One queued merge job: the table plus the region label it was scheduled
+/// under. Jobs are identified (and deduplicated) by the full
+/// `(table, partition)` pair — a job labelled cold and a later one labelled
+/// whole are distinct work items on the same delta region.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergeJob {
     /// Table the merge targets.
     pub table: String,
-    /// Physical region of the table the merge is routed to.
+    /// Region label, logged with the completed merge.
     pub partition: MergePartition,
 }
 
@@ -366,7 +366,7 @@ impl WorkerStats {
 pub struct SliceReport {
     /// Table the slice advanced.
     pub table: String,
-    /// Physical region the slice was routed to.
+    /// Region label of the job the slice advanced.
     pub partition: MergePartition,
     /// Remap budget the pacer granted the slice.
     pub budget: usize,
@@ -444,9 +444,10 @@ impl MaintenanceWorker {
     /// `false` (and leaves the queue unchanged) when the same
     /// `(table, partition)` job is already queued — one job folds everything
     /// its region accumulates while it runs, so exact duplicates add no
-    /// work. Jobs for a *different* region of the same table are distinct
-    /// and are queued normally (a cold-fragment merge does not satisfy a
-    /// later whole-table merge request).
+    /// work. A job with a *different* label for the same table is queued
+    /// as a distinct entry, even though both labels name the table's one
+    /// delta region ([`crate::TableData::delta_region`]): the second job
+    /// finds whatever tail the first left behind.
     pub fn enqueue(&mut self, table: &str, partition: MergePartition) -> bool {
         if self.has_job(table, partition) {
             return false;
@@ -552,7 +553,7 @@ impl MaintenanceWorker {
             if inject_panic {
                 panic!("injected slice panic (WorkerConfig::fault_slice_panics)");
             }
-            mover::merge_slice_concurrent(db, &job.table, job.partition, budget)
+            mover::merge_slice(db, &job.table, job.partition, budget)
         }));
         let elapsed_ns = slice_start.elapsed().as_nanos() as u64;
         let progress = match outcome {
@@ -1057,12 +1058,15 @@ mod tests {
         // Start the merge but do not finish it.
         let report = worker.tick(&db).unwrap().unwrap();
         assert!(!report.progress.done);
-        assert!(db.merge_in_progress("t").unwrap());
-        let epoch = db.merge_epoch("t").unwrap();
+        let (epoch, in_flight) = db.merge_status("t").unwrap();
+        assert!(in_flight);
         assert!(worker.retract(&db, "t").unwrap());
         assert!(worker.is_idle());
-        assert!(!db.merge_in_progress("t").unwrap());
-        assert_eq!(db.merge_epoch("t").unwrap(), epoch, "no handoff happened");
+        assert_eq!(
+            db.merge_status("t").unwrap(),
+            (epoch, false),
+            "merge undone, no handoff happened"
+        );
         assert!(db.delta_tail("t").unwrap() > 0, "tail kept (merge undone)");
         assert_eq!(checksum(&db), expected, "no data was lost");
         assert_eq!(worker.stats().jobs_retracted, 1);
@@ -1230,7 +1234,7 @@ mod tests {
         // The database is fully usable afterwards: reads, writes, and a
         // re-enqueued merge all succeed.
         assert_eq!(checksum(&db), expected);
-        assert!(!db.merge_in_progress("t").unwrap());
+        assert!(!db.merge_status("t").unwrap().1);
         worker.enqueue("t", MergePartition::Whole);
         while worker.tick(&db).unwrap().is_some() {}
         assert_eq!(db.delta_tail("t").unwrap(), 0);

@@ -82,10 +82,10 @@ struct PendingMerge {
 /// A dictionary rebuild prepared **off the write path**, ready to be
 /// installed as an incremental merge.
 ///
-/// [`ColumnData::plan_merge`] computes the sort-heavy half of
-/// [`ColumnData::begin_merge`] — the rebuilt dictionary and the
-/// old-code → new-code remapping — through `&self`, so a maintenance
-/// thread can do that work under a shared read pin while scans proceed.
+/// [`ColumnData::plan_merge`] computes the sort-heavy half of starting an
+/// incremental merge — the rebuilt dictionary and the old-code → new-code
+/// remapping — through `&self`, so a maintenance thread can do that work
+/// under a shared read pin while scans proceed.
 /// [`ColumnData::install_merge_plan`] then adopts the plan under the
 /// (brief) exclusive latch, after validating it is not stale.
 ///
@@ -223,8 +223,8 @@ impl ColumnData {
     /// prefix would waste it); values interned *during* that merge land in
     /// the rebuilt dictionary's tail, so the normal rebuild below then
     /// folds them too — `compact` always leaves an empty tail. Use
-    /// [`ColumnData::begin_merge`] / [`ColumnData::merge_step`] to bound the
-    /// per-call remap cost instead.
+    /// [`ColumnData::plan_merge`] / [`ColumnData::install_merge_plan`] /
+    /// [`ColumnData::merge_step`] to bound the per-call remap cost instead.
     pub fn compact(&mut self) {
         while self.pending.is_some() {
             self.merge_step(usize::MAX);
@@ -258,31 +258,11 @@ impl ColumnData {
         self.pending.take().is_some()
     }
 
-    /// Start an incremental merge: snapshot the rebuilt dictionary and
-    /// remapping, and allocate the shadow code vector. Returns `false` when
-    /// there is nothing to merge (empty tail) and no merge was started; a
-    /// merge already in flight counts as started.
-    pub fn begin_merge(&mut self) -> bool {
-        if self.pending.is_some() {
-            return true;
-        }
-        let Some((new_dict, remap)) = self.dict.rebuild_plan() else {
-            return false;
-        };
-        self.pending = Some(PendingMerge {
-            new_dict,
-            remap,
-            new_codes: BitPackedVec::new(),
-            cursor: 0,
-            folding: self.dict.tail_len(),
-        });
-        true
-    }
-
     /// Compute a [`MergePlan`] for this column's dictionary tail through
-    /// `&self` — the concurrent-read half of [`ColumnData::begin_merge`].
-    /// Returns `None` when there is nothing to merge (empty tail) or a
-    /// merge is already in flight.
+    /// `&self` — the concurrent-read half of starting an incremental merge
+    /// (the rebuilt dictionary and the remapping; the shadow code vector is
+    /// allocated at install). Returns `None` when there is nothing to merge
+    /// (empty tail) or a merge is already in flight.
     pub fn plan_merge(&self) -> Option<MergePlan> {
         if self.pending.is_some() {
             return None;
@@ -297,10 +277,10 @@ impl ColumnData {
     }
 
     /// Adopt a previously computed [`MergePlan`] as the in-flight
-    /// incremental merge (the install half of [`ColumnData::begin_merge`];
-    /// call under the exclusive latch). Returns `false` — discarding the
-    /// plan — when it is stale: the epoch moved (a dictionary handoff
-    /// completed since planning) or another merge is already pending.
+    /// incremental merge (the install half of starting one; call under the
+    /// exclusive latch). Returns `false` — discarding the plan — when it is
+    /// stale: the epoch moved (a dictionary handoff completed since
+    /// planning) or another merge is already pending.
     pub fn install_merge_plan(&mut self, plan: MergePlan) -> bool {
         if plan.epoch != self.epoch || self.pending.is_some() {
             return false;
@@ -946,11 +926,14 @@ impl ColumnTable {
         }
     }
 
-    /// Merge every column's dictionary tail (the delta merge).
-    pub fn compact(&mut self) {
+    /// Merge every column's dictionary tail (the delta merge); returns how
+    /// many tail entries were folded in.
+    pub fn compact(&mut self) -> usize {
+        let folded = self.tail_total();
         for col in &mut self.columns {
             col.compact();
         }
+        folded
     }
 
     /// Merge a single column's dictionary tail (per-column delta merge).
@@ -962,7 +945,7 @@ impl ColumnTable {
     /// `budget_rows` remapped code-vector entries, spread across columns.
     ///
     /// Columns are merged one after another, each through the shadow-rebuild
-    /// protocol ([`ColumnData::begin_merge`] / [`ColumnData::merge_step`]):
+    /// protocol ([`ColumnData::plan_merge`] / [`ColumnData::merge_step`]):
     /// a column with a tail gets a merge started, the budget is spent
     /// remapping its codes, and the remainder rolls over to the next tailed
     /// column. The merge is **resumable** — state lives on the columns, so
@@ -979,12 +962,10 @@ impl ColumnTable {
                 break;
             }
             if !col.merge_in_progress() {
-                if col.tail_len() == 0 {
+                let Some(plan) = col.plan_merge() else {
                     continue;
-                }
-                if !col.begin_merge() {
-                    continue;
-                }
+                };
+                col.install_merge_plan(plan);
             }
             while remaining > 0 && col.merge_in_progress() {
                 let p = col.merge_step(remaining);

@@ -187,85 +187,20 @@ impl Table {
         }
     }
 
-    /// Accumulated dictionary-tail entries (0 for row-store tables, which
-    /// have no delta region).
-    pub fn delta_tail(&self) -> usize {
+    /// The column-store table, if this table lives in the column store —
+    /// the only store with a dictionary delta to merge.
+    pub fn as_column(&self) -> Option<&ColumnTable> {
         match self {
-            Table::Row(_) => 0,
-            Table::Column(t) => t.tail_total(),
+            Table::Row(_) => None,
+            Table::Column(t) => Some(t),
         }
     }
 
-    /// Run the full delta merge (no-op for row-store tables); returns how
-    /// many tail entries were folded in.
-    pub fn compact_delta(&mut self) -> usize {
+    /// Mutable [`Table::as_column`].
+    pub fn as_column_mut(&mut self) -> Option<&mut ColumnTable> {
         match self {
-            Table::Row(_) => 0,
-            Table::Column(t) => {
-                let tail = t.tail_total();
-                t.compact();
-                tail
-            }
-        }
-    }
-
-    /// Advance the incremental delta merge by at most `budget_rows`
-    /// remapped code-vector entries (see
-    /// [`crate::column_store::ColumnTable::compact_step`]). Row-store tables
-    /// have no delta region and report `done` immediately.
-    pub fn compact_delta_step(&mut self, budget_rows: usize) -> crate::MergeProgress {
-        match self {
-            Table::Row(_) => crate::MergeProgress {
-                done: true,
-                ..Default::default()
-            },
-            Table::Column(t) => t.compact_step(budget_rows),
-        }
-    }
-
-    /// Compute merge plans for every tailed column through `&self` (empty
-    /// for row-store tables; see [`crate::ColumnTable::plan_compact`]).
-    pub fn plan_delta_merge(&self) -> Vec<(ColumnIdx, crate::MergePlan)> {
-        match self {
-            Table::Row(_) => Vec::new(),
-            Table::Column(t) => t.plan_compact(),
-        }
-    }
-
-    /// Adopt previously computed merge plans (no-op for row-store tables);
-    /// returns how many installed.
-    pub fn install_delta_plans(&mut self, plans: Vec<(ColumnIdx, crate::MergePlan)>) -> usize {
-        match self {
-            Table::Row(_) => 0,
-            Table::Column(t) => t.install_plans(plans),
-        }
-    }
-
-    /// Whether an incremental delta merge is in flight (always `false` for
-    /// row-store tables).
-    pub fn merge_in_progress(&self) -> bool {
-        match self {
-            Table::Row(_) => false,
-            Table::Column(t) => t.merge_in_progress(),
-        }
-    }
-
-    /// The table's merge epoch (0 for row-store tables): increases at every
-    /// completed dictionary handoff, so observers can detect that a merge
-    /// finished between two looks.
-    pub fn merge_epoch(&self) -> u64 {
-        match self {
-            Table::Row(_) => 0,
-            Table::Column(t) => t.merge_epoch(),
-        }
-    }
-
-    /// Abandon any in-flight incremental delta merge (no-op for row-store
-    /// tables); returns how many columns had one.
-    pub fn cancel_delta_merge(&mut self) -> usize {
-        match self {
-            Table::Row(_) => 0,
-            Table::Column(t) => t.cancel_merge(),
+            Table::Row(_) => None,
+            Table::Column(t) => Some(t),
         }
     }
 

@@ -67,7 +67,7 @@ pub mod prelude {
     };
     pub use hsd_engine::{
         mover, BackgroundWorker, DegradedTable, DurabilityConfig, HybridDatabase,
-        MaintenanceWorker, MergeConfig, MergeMode, PacerConfig, RecoveryReport, SharedDatabase,
+        MaintenanceWorker, MergeConfig, PacerConfig, RecoveryReport, SharedDatabase,
         StatisticsRecorder, WorkerConfig, WorkerHealth, WorkloadRunner,
     };
     pub use hsd_query::{

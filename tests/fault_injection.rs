@@ -95,7 +95,7 @@ fn apply_stmt(db: &HybridDatabase, s: &Stmt) {
             }));
         }
         Stmt::Merge => {
-            mover::merge_delta(db, "t").unwrap();
+            mover::merge_delta(db, "t", MergePartition::Whole).unwrap();
         }
         Stmt::Move(placement) => {
             mover::move_table(db, "t", placement).unwrap();
@@ -222,7 +222,7 @@ proptest! {
                 prop_assert_eq!(report.torn_tail.is_some(), torn, "cut at {} of {}", cut, bytes.len());
                 prop_assert_eq!(report.recovered_len, *boundary as u64);
                 prop_assert!(report.degraded.is_empty(), "unexpected degradation: {:?}", report.degraded);
-                prop_assert!(!rec.merge_in_progress("t").unwrap(), "in-flight merge survived recovery");
+                prop_assert!(!rec.merge_status("t").unwrap().1, "in-flight merge survived recovery");
                 prop_assert_eq!(&probe(&rec, "t"), expected, "cut at {} (boundary {})", cut, boundary);
             }
         }

@@ -428,7 +428,7 @@ fn star_join_agrees_across_fact_and_dimension_layouts() {
             }
             for (table, label) in [("fact", fact_label), ("dim", dim_label)] {
                 if *label == "column" {
-                    mover::merge_delta(&db, table).unwrap();
+                    mover::merge_delta(&db, table, MergePartition::Whole).unwrap();
                 }
                 if *label == "column+tails" {
                     assert!(
