@@ -1,25 +1,27 @@
 //! Query execution over arbitrary storage layouts.
 //!
 //! Partitioned tables are processed by *rewriting* (Section 4 of the paper):
-//! horizontal partitions are unioned with partial-aggregate merging,
-//! vertical fragments are recombined positionally over the shared primary
-//! key. Store-specific fast paths mirror what real engines do: the column
-//! store groups and joins on dictionary codes; the row store works
-//! tuple-at-a-time.
+//! horizontal partitions are unioned with partial-aggregate merging (each
+//! partition scanned on its own thread when the union is large), vertical
+//! fragments are recombined positionally over the shared primary key.
 //!
-//! Column-store inner loops are *batched*: filters produce bitmap selection
-//! vectors ([`SelVec`]), aggregation and join loops block-decode dictionary
-//! codes ([`ColumnData::decode_codes_into`]) instead of calling
-//! `code_at`/`value_at` per row, and independent partitions of a horizontal
-//! union are scanned on separate threads before their partial aggregates
-//! merge.
+//! Every aggregate — grouped, ungrouped or joined, over any part — runs on
+//! one block surface. Per [`BLOCK`] rows a part yields the selected
+//! positions (from a bitmap selection vector, [`SelVec`]) and a slot block:
+//! the group's dictionary code, the foreign key's dimension group, or a
+//! constant 0. Column-store parts (resident, a disk `ColdView`, a pair's
+//! column fragment) feed block-decoded dictionary codes
+//! ([`ColumnData::decode_codes_into`]); row-store parts feed values. The
+//! kernel then runs one tight loop per aggregate, specialised per function
+//! and reading a plain `f64` lookup table when the dictionary holds only
+//! numbers. Each slot sums in row order, so a part's answer does not depend
+//! on its store.
 //!
-//! A join between column stores stays in the dictionary domain: a
-//! column-store dimension part is indexed by primary-key *code*, and a
-//! column-store fact part maps its foreign-key codes to groups by merging
-//! the two dictionaries' sorted regions (only unmerged tail entries are
-//! looked up by value). Row-store and vertical-pair dimension parts use a
-//! value hash map.
+//! A join stays in the dictionary domain: a column-store dimension part is
+//! indexed by primary-key *code*, and a column-store fact part maps its
+//! foreign-key codes to groups by merging the two dictionaries' sorted
+//! regions (only unmerged tail entries are looked up by value). Row-store
+//! and vertical-pair dimension parts use a value hash map.
 
 use std::collections::HashMap;
 
@@ -28,7 +30,8 @@ use hsd_query::{
     AggFunc, Aggregate, AggregateQuery, InsertQuery, JoinSpec, Query, SelectQuery, UpdateQuery,
 };
 use hsd_storage::{
-    ColRange, ColumnData, Columns, Dictionary, RowSel, RowTable, SegmentStore, SelVec, Table, BLOCK,
+    ColRange, ColumnData, Columns, Dictionary, NumericLut, RowSel, RowTable, SegmentStore, SelVec,
+    Table, BLOCK,
 };
 use hsd_types::{ColumnIdx, Error, Result, Value};
 
@@ -154,24 +157,6 @@ impl Acc {
         }
     }
 
-    #[inline]
-    fn add(&mut self, v: f64) {
-        self.sum += v;
-        self.count += 1;
-        if v < self.min {
-            self.min = v;
-        }
-        if v > self.max {
-            self.max = v;
-        }
-    }
-
-    /// Count a non-null, non-numeric value (only COUNT observes it).
-    #[inline]
-    fn add_non_numeric(&mut self) {
-        self.count += 1;
-    }
-
     fn finalize(&self, func: AggFunc) -> f64 {
         match func {
             AggFunc::Sum => self.sum,
@@ -206,10 +191,17 @@ type Groups = HashMap<Option<Value>, Vec<Acc>>;
 /// Merge per-partition partial aggregates into the union's groups.
 fn merge_groups(into: &mut Groups, from: Groups, width: usize) {
     for (key, accs) in from {
-        merge_accs(
-            into.entry(key).or_insert_with(|| vec![Acc::new(); width]),
-            &accs,
-        );
+        let merged = into.entry(key).or_insert_with(|| vec![Acc::new(); width]);
+        for (a, b) in merged.iter_mut().zip(accs) {
+            a.sum += b.sum;
+            a.count += b.count;
+            if b.min < a.min {
+                a.min = b.min;
+            }
+            if b.max > a.max {
+                a.max = b.max;
+            }
+        }
     }
 }
 
@@ -323,8 +315,8 @@ fn pruning(data: &TableData, filter: &[ColRange]) -> (bool, bool) {
 }
 
 impl Part<'_> {
-    /// The column-store read surface, when the part has one: the batched
-    /// group-by and join kernels run on it whether the columns are
+    /// The column-store read surface, when the part has one: a dimension
+    /// part is indexed by primary-key code on it whether the columns are
     /// resident or were fetched from a segment.
     fn columnar(&self) -> Option<&dyn Columns> {
         match self {
@@ -358,23 +350,17 @@ impl Part<'_> {
         }
     }
 
-    fn for_each_numeric_sel(&self, col: ColumnIdx, sel: Option<&SelVec>, f: impl FnMut(f64)) {
+    /// Where the aggregate kernel reads logical column `col` of this part:
+    /// dictionary codes wherever the part holds the column in a column
+    /// store (a pair's primary key included), row-store values otherwise.
+    fn src(&self, col: ColumnIdx) -> Src<'_> {
         match self {
-            Part::Whole(t) => t.for_each_numeric_sel(col, sel, f),
-            Part::Pair(p) => p.for_each_numeric_sel(col, sel, f),
-            Part::Cold(v) => v.column(col).for_each_numeric_sel(sel, f),
-        }
-    }
-
-    /// Visit decoded values of `col` for the selected rows (`None` = all).
-    fn for_each_value_sel(&self, col: ColumnIdx, sel: Option<&SelVec>, mut f: impl FnMut(&Value)) {
-        match sel {
-            None => self.for_each_value(col, RowSel::All, f),
-            Some(sv) => {
-                for idx in sv.iter() {
-                    f(self.value_at(idx, col));
-                }
-            }
+            Part::Whole(t) => Src::of(t, col),
+            Part::Cold(v) => Src::Codes(v.column(col)),
+            Part::Pair(p) => match (p.loc(col), p.col_fragment_position(col)) {
+                (Loc::Row(i), None) => Src::of(p.row_fragment(), i),
+                (_, Some(i)) | (Loc::Col(i), None) => Src::of(p.col_fragment(), i),
+            },
         }
     }
 
@@ -402,14 +388,6 @@ impl Part<'_> {
             Part::Whole(t) => Ok(t.collect_rows(RowSel::Subset(rows), cols)),
             Part::Pair(p) => Ok(p.collect_rows(rows, cols)),
             Part::Cold(v) => v.reader().rows(rows, cols),
-        }
-    }
-
-    fn for_each_value(&self, col: ColumnIdx, sel: RowSel<'_>, f: impl FnMut(&Value)) {
-        match self {
-            Part::Whole(t) => t.for_each_value(col, sel, f),
-            Part::Pair(p) => p.for_each_value(col, sel, f),
-            Part::Cold(v) => v.column(col).for_each_value(sel, f),
         }
     }
 }
@@ -744,7 +722,7 @@ fn exec_select(db: &HybridDatabase, q: &SelectQuery) -> Result<QueryOutput> {
 }
 
 // ---------------------------------------------------------------------------
-// Aggregation (single table)
+// Aggregation
 
 // Out of line: inlined OLAP paths double `execute` and slow the OLTP ones.
 #[inline(never)]
@@ -755,33 +733,11 @@ fn exec_aggregate(db: &HybridDatabase, q: &AggregateQuery) -> Result<QueryOutput
     validate_agg_columns(data, q)?;
     let scanned = q.aggregates.iter().map(|a| a.column).chain(q.group_by);
     let parts = parts_of_pruned(data, &q.filter, &scan_columns(&q.filter, scanned))?;
-    let scan_part = |part: &Part<'_>| -> Groups {
-        let selection = if q.filter.is_empty() {
-            None
-        } else {
-            Some(part.filter_selvec(&q.filter))
-        };
-        let mut groups = Groups::new();
-        aggregate_part(
-            part,
-            selection.as_ref(),
-            &q.aggregates,
-            q.group_by,
-            &mut groups,
-        );
-        groups
+    let grouping = match q.group_by {
+        None => Grouping::One,
+        Some(g) => Grouping::Column(g),
     };
-    // Horizontal union: scan each partition (on its own thread when large
-    // enough), then merge the partial aggregates (the paper's union
-    // rewrite).
-    let mut groups: Groups = HashMap::new();
-    for partial in scan_parts(&parts, scan_part) {
-        merge_groups(&mut groups, partial, q.aggregates.len());
-    }
-    Ok(QueryOutput::Aggregates(finalize_groups(
-        groups,
-        &q.aggregates,
-    )))
+    Ok(aggregate_parts(&parts, q, &grouping))
 }
 
 fn validate_agg_columns(data: &TableData, q: &AggregateQuery) -> Result<()> {
@@ -800,343 +756,441 @@ fn check_column(data: &TableData, table: &str, col: ColumnIdx) -> Result<()> {
     }
 }
 
+/// Horizontal union: aggregate each partition (on its own thread when
+/// large enough), then merge the partial aggregates (the paper's union
+/// rewrite).
+fn aggregate_parts<'a>(
+    parts: &'a [Part<'a>],
+    q: &'a AggregateQuery,
+    grouping: &'a Grouping<'a>,
+) -> QueryOutput {
+    let partials = scan_parts(parts, |part| {
+        let selection = (!q.filter.is_empty()).then(|| part.filter_selvec(&q.filter));
+        aggregate_part(part, selection.as_ref(), &q.aggregates, grouping)
+    });
+    let mut groups = Groups::new();
+    for partial in partials {
+        merge_groups(&mut groups, partial, q.aggregates.len());
+    }
+    QueryOutput::Aggregates(finalize_groups(groups, &q.aggregates))
+}
+
+/// What an aggregate groups its rows by.
+enum Grouping<'a> {
+    /// One `None`-keyed group, present even when no row is selected.
+    One,
+    /// The values of a column of the aggregated table.
+    Column(ColumnIdx),
+    /// The dimension group a foreign-key column joins to: `dim` indexes the
+    /// dimension, `keys[group]` names the groups. Inner join: a group is
+    /// present once some selected row reaches it.
+    Join {
+        fk: ColumnIdx,
+        dim: Vec<DimKeys<'a>>,
+        keys: Vec<Option<Value>>,
+    },
+}
+
+/// Where the aggregate kernel reads one column of a part.
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    /// Block-decoded dictionary codes.
+    Codes(&'a ColumnData),
+    /// A row-store column, one value per row.
+    Rows(&'a RowTable, ColumnIdx),
+}
+
+impl<'a> Src<'a> {
+    fn of(table: &'a Table, col: ColumnIdx) -> Self {
+        match table {
+            Table::Column(ct) => Src::Codes(ct.column(col)),
+            Table::Row(rt) => Src::Rows(rt, col),
+        }
+    }
+}
+
+/// Largest group dictionary whose codes serve as slots directly; a larger
+/// one goes through a code -> slot map, bounding the accumulators to the
+/// groups actually seen.
+const DENSE_GROUPBY_MAX_DICT: usize = 1 << 16;
+
+/// How one part's rows find their accumulator slot — the group half of the
+/// kernel's block surface.
+enum Slots<'a> {
+    /// Ungrouped: every row folds into slot 0.
+    One,
+    /// The group column's codes are the slots.
+    Codes(&'a ColumnData),
+    /// A group dictionary over [`DENSE_GROUPBY_MAX_DICT`]: slots numbered
+    /// by first appearance, `codes[slot]` the slot's group code.
+    CodeMap {
+        col: &'a ColumnData,
+        map: HashMap<u32, u32>,
+        codes: Vec<u32>,
+    },
+    /// Row-store group values, interned by first appearance.
+    Values {
+        rt: &'a RowTable,
+        col: ColumnIdx,
+        map: HashMap<&'a Value, u32>,
+        keys: Vec<&'a Value>,
+    },
+    /// Join over foreign-key codes: `lut[fk code]` is the group
+    /// ([`fk_groups`]).
+    FkCodes {
+        col: &'a ColumnData,
+        lut: Vec<u32>,
+        keys: &'a [Option<Value>],
+    },
+    /// Join over row-store foreign keys: one dimension probe per row.
+    FkValues {
+        rt: &'a RowTable,
+        col: ColumnIdx,
+        dim: &'a [DimKeys<'a>],
+        keys: &'a [Option<Value>],
+    },
+}
+
+impl<'a> Slots<'a> {
+    fn new(part: &'a Part<'a>, grouping: &'a Grouping<'a>) -> Self {
+        match grouping {
+            Grouping::One => Slots::One,
+            Grouping::Column(g) => match part.src(*g) {
+                Src::Codes(col) if col.dictionary().len() <= DENSE_GROUPBY_MAX_DICT => {
+                    Slots::Codes(col)
+                }
+                Src::Codes(col) => Slots::CodeMap {
+                    col,
+                    map: HashMap::new(),
+                    codes: Vec::new(),
+                },
+                Src::Rows(rt, col) => Slots::Values {
+                    rt,
+                    col,
+                    map: HashMap::new(),
+                    keys: Vec::new(),
+                },
+            },
+            Grouping::Join { fk, dim, keys } => match part.src(*fk) {
+                Src::Codes(col) => Slots::FkCodes {
+                    col,
+                    lut: fk_groups(col.dictionary(), dim),
+                    keys,
+                },
+                Src::Rows(rt, col) => Slots::FkValues { rt, col, dim, keys },
+            },
+        }
+    }
+
+    /// Slots handed out so far.
+    fn len(&self) -> usize {
+        match self {
+            Slots::One => 1,
+            Slots::Codes(col) => col.dictionary().len(),
+            Slots::CodeMap { codes, .. } => codes.len(),
+            Slots::Values { keys, .. } => keys.len(),
+            Slots::FkCodes { keys, .. } | Slots::FkValues { keys, .. } => keys.len(),
+        }
+    }
+
+    /// Write the slot of row `start + p` to `out[p]` for every block
+    /// position `p` in `pos`, and drop the positions no group takes
+    /// (dangling foreign keys). `None`: every row folds into slot 0.
+    fn fill<'s>(
+        &mut self,
+        start: usize,
+        pos: &mut Vec<u32>,
+        out: &'s mut [u32],
+    ) -> Option<&'s [u32]> {
+        let row = |p: u32| (start + p as usize) as u32;
+        match self {
+            Slots::One => return None,
+            Slots::Codes(col) => col.decode_codes_into(start, out),
+            Slots::CodeMap { col, map, codes } => {
+                col.decode_codes_into(start, out);
+                for &p in pos.iter() {
+                    let code = out[p as usize];
+                    out[p as usize] = *map.entry(code).or_insert_with(|| {
+                        codes.push(code);
+                        codes.len() as u32 - 1
+                    });
+                }
+            }
+            Slots::Values { rt, col, map, keys } => {
+                for &p in pos.iter() {
+                    let v = rt.value_at(row(p), *col);
+                    out[p as usize] = *map.entry(v).or_insert_with(|| {
+                        keys.push(v);
+                        keys.len() as u32 - 1
+                    });
+                }
+            }
+            Slots::FkCodes { col, lut, .. } => {
+                col.decode_codes_into(start, out);
+                let mut dangling = false;
+                for &p in pos.iter() {
+                    let s = lut[out[p as usize] as usize];
+                    out[p as usize] = s;
+                    dangling |= s == UNMATCHED;
+                }
+                if dangling {
+                    pos.retain(|&p| out[p as usize] != UNMATCHED);
+                }
+            }
+            Slots::FkValues { rt, col, dim, .. } => {
+                for &p in pos.iter() {
+                    out[p as usize] =
+                        probe_dim(dim, rt.value_at(row(p), *col)).unwrap_or(UNMATCHED);
+                }
+                pos.retain(|&p| out[p as usize] != UNMATCHED);
+            }
+        }
+        Some(out)
+    }
+
+    /// The group key slot `slot` accumulates.
+    fn key(&self, slot: usize) -> Option<Value> {
+        match self {
+            Slots::One => None,
+            Slots::Codes(col) => Some(col.dictionary().decode(slot as u32).clone()),
+            Slots::CodeMap { col, codes, .. } => Some(col.dictionary().decode(codes[slot]).clone()),
+            Slots::Values { keys, .. } => Some(keys[slot].clone()),
+            Slots::FkCodes { keys, .. } | Slots::FkValues { keys, .. } => keys[slot].clone(),
+        }
+    }
+}
+
+/// Where the kernel reads one aggregate's input — the value half of the
+/// block surface.
+enum Measure<'a> {
+    /// COUNT over codes: rows whose code is not the dictionary's NULL
+    /// (`None`: the dictionary holds no NULL, so no code is read at all).
+    Count(&'a ColumnData, Option<u32>),
+    /// SUM/AVG/MIN/MAX over codes, through the column's numeric lookup
+    /// table ([`ColumnData::numeric_lut`]).
+    Numeric(&'a ColumnData, NumericLut<'a>),
+    /// A row-store column: `as_f64`, or non-null under COUNT.
+    Rows(&'a RowTable, ColumnIdx),
+}
+
+impl<'a> Measure<'a> {
+    fn new(src: Src<'a>, func: AggFunc, visited: usize) -> Self {
+        match src {
+            Src::Rows(rt, col) => Measure::Rows(rt, col),
+            Src::Codes(col) if func == AggFunc::Count => {
+                Measure::Count(col, col.dictionary().code_for(&Value::Null))
+            }
+            Src::Codes(col) => Measure::Numeric(col, col.numeric_lut(visited)),
+        }
+    }
+
+    /// Whether every row folds into its slot's count (no NULL, every
+    /// dictionary entry a number).
+    fn counts_every_row(&self) -> bool {
+        matches!(
+            self,
+            Measure::Count(_, None) | Measure::Numeric(_, NumericLut::Plain(_))
+        )
+    }
+
+    /// Fold the rows at block positions `pos` of the block starting at
+    /// `start` into `accs`, each into its slot (`slots[p]`, or slot 0);
+    /// `codes` is decode scratch of the block's length.
+    fn fold(
+        &self,
+        func: AggFunc,
+        start: usize,
+        pos: &[u32],
+        slots: Option<&[u32]>,
+        accs: &mut [Acc],
+        codes: &mut [u32],
+    ) {
+        match slots {
+            None => {
+                // A local accumulator, so the loop keeps it in registers.
+                let mut one = [accs[0]];
+                self.fold_into(func, start, pos, |_| 0, &mut one, codes);
+                accs[0] = one[0];
+            }
+            Some(s) => self.fold_into(func, start, pos, |p| s[p] as usize, accs, codes),
+        }
+    }
+
+    #[inline(always)]
+    fn fold_into(
+        &self,
+        func: AggFunc,
+        start: usize,
+        pos: &[u32],
+        slot: impl Fn(usize) -> usize,
+        accs: &mut [Acc],
+        codes: &mut [u32],
+    ) {
+        let row = |p: usize| (start + p) as u32;
+        match self {
+            Measure::Count(_, None) => fold(func, pos, accs, slot, |_| Some(0.0)),
+            Measure::Count(col, Some(null)) => {
+                col.decode_codes_into(start, codes);
+                fold(func, pos, accs, slot, |p| {
+                    (codes[p] != *null).then_some(0.0)
+                })
+            }
+            Measure::Numeric(col, lut) => {
+                col.decode_codes_into(start, codes);
+                let codes = &*codes;
+                match lut {
+                    NumericLut::Plain(l) => {
+                        fold(func, pos, accs, slot, |p| Some(l[codes[p] as usize]))
+                    }
+                    NumericLut::Sparse(l) => fold(func, pos, accs, slot, |p| l[codes[p] as usize]),
+                    NumericLut::Direct(d) => {
+                        fold(func, pos, accs, slot, |p| d.decode(codes[p]).as_f64())
+                    }
+                }
+            }
+            Measure::Rows(rt, col) if func == AggFunc::Count => fold(func, pos, accs, slot, |p| {
+                (!rt.value_at(row(p), *col).is_null()).then_some(0.0)
+            }),
+            Measure::Rows(rt, col) => fold(func, pos, accs, slot, |p| {
+                rt.value_at(row(p), *col).as_f64()
+            }),
+        }
+    }
+}
+
+/// The aggregate kernel: one tight loop of `func` over the block positions
+/// `pos`, row `p` folding `val(p)` into `accs[slot(p)]` (under COUNT, `Some`
+/// marks a counted row). Each function touches only what it finalizes
+/// from, and every slot sums in row order, so a layout never changes which
+/// numbers are added in which order within a part.
+#[inline(always)]
+fn fold(
+    func: AggFunc,
+    pos: &[u32],
+    accs: &mut [Acc],
+    slot: impl Fn(usize) -> usize,
+    val: impl Fn(usize) -> Option<f64>,
+) {
+    let rows = pos.iter().map(|&p| p as usize);
+    match func {
+        AggFunc::Count => {
+            for p in rows {
+                accs[slot(p)].count += val(p).is_some() as u64;
+            }
+        }
+        AggFunc::Sum | AggFunc::Avg => {
+            for p in rows {
+                if let Some(v) = val(p) {
+                    let a = &mut accs[slot(p)];
+                    a.sum += v;
+                    a.count += 1;
+                }
+            }
+        }
+        AggFunc::Min => {
+            for p in rows {
+                if let Some(v) = val(p) {
+                    let a = &mut accs[slot(p)];
+                    a.min = if v < a.min { v } else { a.min };
+                    a.count += 1;
+                }
+            }
+        }
+        AggFunc::Max => {
+            for p in rows {
+                if let Some(v) = val(p) {
+                    let a = &mut accs[slot(p)];
+                    a.max = if v > a.max { v } else { a.max };
+                    a.count += 1;
+                }
+            }
+        }
+    }
+}
+
+/// The block-local positions of the selected rows in `start..start + len`.
+fn select_block(selection: Option<&SelVec>, start: usize, len: usize, pos: &mut Vec<u32>) {
+    pos.clear();
+    match selection {
+        None => pos.extend(0..len as u32),
+        Some(sv) => {
+            // exact: BLOCK is a multiple of 64
+            let words = &sv.words()[start / 64..(start + len).div_ceil(64)];
+            for (wi, &w) in words.iter().enumerate() {
+                let mut bits = w;
+                while bits != 0 {
+                    pos.push(wi as u32 * 64 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+}
+
+/// Aggregate one part on the block surface every part shares. Per
+/// [`BLOCK`] rows: the selected positions, a slot block ([`Slots::fill`]:
+/// group code, fk -> group, or a constant 0), then one [`fold`] per
+/// aggregate. Column parts feed codes, row-store parts values; a vertical
+/// pair mixes the two per column.
 fn aggregate_part(
     part: &Part<'_>,
     selection: Option<&SelVec>,
     aggregates: &[Aggregate],
-    group_by: Option<ColumnIdx>,
-    groups: &mut Groups,
-) {
-    match group_by {
-        None => aggregate_part_ungrouped(part, selection, aggregates, groups),
-        Some(g) => match part {
-            Part::Whole(Table::Column(ct)) => {
-                aggregate_column_grouped(ct, selection, aggregates, g, groups)
-            }
-            Part::Cold(view) => aggregate_column_grouped(view, selection, aggregates, g, groups),
-            Part::Whole(Table::Row(rt)) => {
-                aggregate_row_grouped(rt, selection, aggregates, g, groups)
-            }
-            Part::Pair(p) => aggregate_pair_grouped(p, selection, aggregates, g, groups),
-        },
-    }
-}
-
-fn aggregate_part_ungrouped(
-    part: &Part<'_>,
-    selection: Option<&SelVec>,
-    aggregates: &[Aggregate],
-    groups: &mut Groups,
-) {
-    let accs = groups
-        .entry(None)
-        .or_insert_with(|| vec![Acc::new(); aggregates.len()]);
-    for (k, agg) in aggregates.iter().enumerate() {
-        let acc = &mut accs[k];
-        let numeric = is_numeric_col(part, agg.column);
-        if numeric || agg.func != AggFunc::Count {
-            part.for_each_numeric_sel(agg.column, selection, |v| acc.add(v));
-        } else {
-            // COUNT over a non-numeric column counts non-null values.
-            part.for_each_value_sel(agg.column, selection, |v| {
-                if !v.is_null() {
-                    acc.add_non_numeric();
-                }
-            });
-        }
-    }
-}
-
-fn is_numeric_col(part: &Part<'_>, col: ColumnIdx) -> bool {
-    let schema = match part {
-        Part::Whole(t) => t.schema(),
-        Part::Cold(v) => v.reader().schema(),
-        Part::Pair(p) => {
-            return match p.loc(col) {
-                Loc::Row(i) => p.row_fragment().schema().columns[i].ty.is_numeric(),
-                Loc::Col(i) => p.col_fragment().schema().columns[i].ty.is_numeric(),
-            }
-        }
-    };
-    schema.columns[col].ty.is_numeric()
-}
-
-/// Largest group dictionary the dense per-code accumulator path handles;
-/// beyond this the hash-map path bounds memory to the groups actually seen.
-const DENSE_GROUPBY_MAX_DICT: usize = 1 << 16;
-
-/// Fold one selected row into its group's accumulators (shared by the
-/// dense and hash-map grouped-aggregation paths).
-#[inline]
-fn accumulate_row(
-    accs: &mut [Acc],
-    aggregates: &[Aggregate],
-    agg_cols: &[&ColumnData],
-    luts: &[Vec<Option<f64>>],
-    bufs: &[Vec<u32>],
-    start: usize,
-    i: usize,
-) {
-    for (k, col) in agg_cols.iter().enumerate() {
-        if let Some(v) = luts[k][bufs[k + 1][i] as usize] {
-            accs[k].add(v);
-        } else if aggregates[k].func == AggFunc::Count && !col.value_at(start + i).is_null() {
-            accs[k].add_non_numeric();
-        }
-    }
-}
-
-/// Column-store grouped aggregation: group on dictionary codes, decode keys
-/// once at the end.
-///
-/// The hot loop is batched: the group column and every aggregate column are
-/// block-decoded together (word-level unpacking), and the selection vector
-/// is consumed word-at-a-time — an all-zero word skips 64 rows, a block
-/// with no surviving candidate skips the decode entirely.
-///
-/// When the group dictionary is small (the common low-cardinality grouping
-/// case), accumulators live in a dense array indexed by group code — the
-/// per-row group lookup is one bounds-checked index instead of a hash-map
-/// probe. Large (near-unique) group dictionaries fall back to the hash map.
-fn aggregate_column_grouped(
-    ct: &dyn Columns,
-    selection: Option<&SelVec>,
-    aggregates: &[Aggregate],
-    group_col: ColumnIdx,
-    groups: &mut Groups,
-) {
-    let gcol = ct.column(group_col);
-    let luts: Vec<Vec<Option<f64>>> = aggregates
+    grouping: &Grouping<'_>,
+) -> Groups {
+    let n = part.row_count();
+    let visited = selection.map_or(n, SelVec::count);
+    let measures: Vec<Measure> = aggregates
         .iter()
-        .map(|a| ct.column(a.column).numeric_lut())
+        .map(|a| Measure::new(part.src(a.column), a.func, visited))
         .collect();
-    let agg_cols: Vec<&ColumnData> = aggregates.iter().map(|a| ct.column(a.column)).collect();
-    // bufs[0] holds the group codes, bufs[1..] the aggregate columns'.
-    let mut cols: Vec<&ColumnData> = Vec::with_capacity(agg_cols.len() + 1);
-    cols.push(gcol);
-    cols.extend(agg_cols.iter().copied());
-    let n_aggs = aggregates.len();
-    let dict_len = gcol.dictionary().len();
-    if dict_len <= DENSE_GROUPBY_MAX_DICT {
-        // Dense path: one flat Acc row per group code, plus a seen-bitmap so
-        // groups whose every aggregate input is NULL still appear.
-        let mut accs: Vec<Acc> = vec![Acc::new(); dict_len * n_aggs];
-        let mut seen = vec![false; dict_len];
-        for_each_selected_block(ct.row_count(), selection, &cols, |start, i, bufs| {
-            let code = bufs[0][i] as usize;
-            seen[code] = true;
-            accumulate_row(
-                &mut accs[code * n_aggs..(code + 1) * n_aggs],
-                aggregates,
-                &agg_cols,
-                &luts,
-                bufs,
-                start,
-                i,
-            );
-        });
-        for (code, seen) in seen.iter().enumerate() {
-            if !seen {
-                continue;
-            }
-            let key = Some(gcol.dictionary().decode(code as u32).clone());
-            merge_accs(
-                groups
-                    .entry(key)
-                    .or_insert_with(|| vec![Acc::new(); n_aggs]),
-                &accs[code * n_aggs..(code + 1) * n_aggs],
-            );
+    // A measure every row counts in tells which slots a row reached by its
+    // counts, which spares the kernel the per-row `seen` marks.
+    let counted = measures.iter().position(Measure::counts_every_row);
+    let mut slots = Slots::new(part, grouping);
+    let mut accs: Vec<Vec<Acc>> = vec![Vec::new(); aggregates.len()];
+    let mut seen: Vec<bool> = Vec::new();
+    let grow = |width: usize, seen: &mut Vec<bool>, accs: &mut Vec<Vec<Acc>>| {
+        if seen.len() < width {
+            seen.resize(width, false);
+            accs.iter_mut().for_each(|a| a.resize(width, Acc::new()));
         }
-    } else {
-        let mut code_groups: HashMap<u32, Vec<Acc>> = HashMap::new();
-        for_each_selected_block(ct.row_count(), selection, &cols, |start, i, bufs| {
-            let accs = code_groups
-                .entry(bufs[0][i])
-                .or_insert_with(|| vec![Acc::new(); n_aggs]);
-            accumulate_row(accs, aggregates, &agg_cols, &luts, bufs, start, i);
-        });
-        for (code, accs) in code_groups {
-            let key = Some(gcol.dictionary().decode(code).clone());
-            merge_accs(
-                groups
-                    .entry(key)
-                    .or_insert_with(|| vec![Acc::new(); n_aggs]),
-                &accs,
-            );
-        }
-    }
-}
-
-/// Block-scan driver shared by the column-store grouped-aggregation and
-/// join hot loops: decodes each of `cols` into a per-column [`BLOCK`]
-/// buffer and calls `visit(block_start, i, bufs)` for every selected row
-/// (`i` block-local, `bufs` in `cols` order), skipping blocks — and 64-row
-/// words within them — that have no selected candidate.
-fn for_each_selected_block(
-    n: usize,
-    selection: Option<&SelVec>,
-    cols: &[&ColumnData],
-    mut visit: impl FnMut(usize, usize, &[Vec<u32>]),
-) {
-    let mut bufs: Vec<Vec<u32>> = vec![vec![0u32; BLOCK]; cols.len()];
-    let mut start = 0;
-    while start < n {
+    };
+    grow(slots.len(), &mut seen, &mut accs);
+    let (mut pos, mut slot_buf, mut code_buf) =
+        (Vec::with_capacity(BLOCK), [0u32; BLOCK], [0u32; BLOCK]);
+    for start in (0..n).step_by(BLOCK) {
         let len = BLOCK.min(n - start);
-        let word_base = start / 64; // exact: BLOCK is a multiple of 64
-        let word_end = (start + len).div_ceil(64);
-        if let Some(sv) = selection {
-            if sv.words()[word_base..word_end].iter().all(|&w| w == 0) {
-                start += len;
-                continue;
+        select_block(selection, start, len, &mut pos);
+        if pos.is_empty() {
+            continue;
+        }
+        let block_slots = slots.fill(start, &mut pos, &mut slot_buf[..len]);
+        grow(slots.len(), &mut seen, &mut accs);
+        if let (Some(s), None) = (block_slots, counted) {
+            for &p in &pos {
+                seen[s[p as usize] as usize] = true;
             }
         }
-        for (col, buf) in cols.iter().zip(&mut bufs) {
-            col.decode_codes_into(start, &mut buf[..len]);
-        }
-        match selection {
-            None => {
-                for i in 0..len {
-                    visit(start, i, &bufs);
-                }
-            }
-            Some(sv) => {
-                for wi in word_base..word_end {
-                    let mut bits = sv.words()[wi];
-                    while bits != 0 {
-                        let b = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        visit(start, wi * 64 + b - start, &bufs);
-                    }
-                }
-            }
-        }
-        start += len;
-    }
-}
-
-/// Row-store grouped aggregation: tuple-at-a-time over row slices.
-fn aggregate_row_grouped(
-    rt: &RowTable,
-    selection: Option<&SelVec>,
-    aggregates: &[Aggregate],
-    group_col: ColumnIdx,
-    groups: &mut Groups,
-) {
-    let mut visit = |idx: u32| {
-        let row = rt.row(idx);
-        let key = Some(row[group_col].clone());
-        let accs = groups
-            .entry(key)
-            .or_insert_with(|| vec![Acc::new(); aggregates.len()]);
-        for (k, agg) in aggregates.iter().enumerate() {
-            match row[agg.column].as_f64() {
-                Some(v) => accs[k].add(v),
-                None => {
-                    if agg.func == AggFunc::Count && !row[agg.column].is_null() {
-                        accs[k].add_non_numeric();
-                    }
-                }
-            }
-        }
-    };
-    match selection {
-        None => {
-            for idx in 0..rt.row_count() as u32 {
-                visit(idx);
-            }
-        }
-        Some(sv) => {
-            for idx in sv.iter() {
-                visit(idx);
-            }
+        for ((m, agg), acc) in measures.iter().zip(aggregates).zip(&mut accs) {
+            m.fold(
+                agg.func,
+                start,
+                &pos,
+                block_slots,
+                acc,
+                &mut code_buf[..len],
+            );
         }
     }
-}
-
-/// Vertical pair grouped aggregation. When every referenced column lives in
-/// one fragment, delegate to that fragment's fast path; otherwise stitch
-/// row-at-a-time.
-fn aggregate_pair_grouped(
-    p: &VerticalPair,
-    selection: Option<&SelVec>,
-    aggregates: &[Aggregate],
-    group_col: ColumnIdx,
-    groups: &mut Groups,
-) {
-    let all_in_col = std::iter::once(group_col)
-        .chain(aggregates.iter().map(|a| a.column))
-        .all(|c| matches!(p.loc(c), Loc::Col(_)));
-    let all_in_row = std::iter::once(group_col)
-        .chain(aggregates.iter().map(|a| a.column))
-        .all(|c| matches!(p.loc(c), Loc::Row(_)));
-    if all_in_col || all_in_row {
-        let translate = |c: ColumnIdx| match p.loc(c) {
-            Loc::Row(i) | Loc::Col(i) => i,
-        };
-        let t_aggs: Vec<Aggregate> = aggregates
-            .iter()
-            .map(|a| Aggregate {
-                func: a.func,
-                column: translate(a.column),
-            })
-            .collect();
-        let frag = if all_in_col {
-            p.col_fragment()
-        } else {
-            p.row_fragment()
-        };
-        aggregate_part(
-            &Part::Whole(frag),
-            selection,
-            &t_aggs,
-            Some(translate(group_col)),
-            groups,
-        );
-        return;
-    }
-    // Mixed fragments: generic stitched path.
-    let mut visit = |idx: u32| {
-        let key = Some(p.value_at(idx, group_col).clone());
-        let accs = groups
-            .entry(key)
-            .or_insert_with(|| vec![Acc::new(); aggregates.len()]);
-        for (k, agg) in aggregates.iter().enumerate() {
-            let v = p.value_at(idx, agg.column);
-            match v.as_f64() {
-                Some(x) => accs[k].add(x),
-                None => {
-                    if agg.func == AggFunc::Count && !v.is_null() {
-                        accs[k].add_non_numeric();
-                    }
-                }
-            }
-        }
-    };
-    match selection {
-        None => {
-            for idx in 0..p.row_count() as u32 {
-                visit(idx);
-            }
-        }
-        Some(sv) => {
-            for idx in sv.iter() {
-                visit(idx);
-            }
-        }
-    }
-}
-
-fn merge_accs(into: &mut [Acc], from: &[Acc]) {
-    for (a, b) in into.iter_mut().zip(from) {
-        a.sum += b.sum;
-        a.count += b.count;
-        if b.min < a.min {
-            a.min = b.min;
-        }
-        if b.max > a.max {
-            a.max = b.max;
-        }
-    }
+    (0..slots.len())
+        .filter(|&s| match counted {
+            _ if matches!(slots, Slots::One) => true,
+            Some(k) => accs[k][s].count > 0,
+            None => seen[s],
+        })
+        .map(|s| (slots.key(s), accs.iter().map(|a| a[s]).collect()))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1177,93 +1231,15 @@ fn exec_join_aggregate(
         dim,
         &scan_columns(&[], std::iter::once(join.dim_pk).chain(join.group_by_dim)),
     )?;
-    let (dim_keys, group_keys) = build_dim_keys(&dim_parts, join);
-    // Dense accumulators per group index, merged into value-keyed groups at
-    // the end: the per-row hot loop never hashes a `Value`.
+    let (dim_keys, keys) = build_dim_keys(&dim_parts, join);
     let scanned = std::iter::once(join.fact_fk).chain(q.aggregates.iter().map(|a| a.column));
     let parts = parts_of_pruned(fact, &q.filter, &scan_columns(&q.filter, scanned))?;
-    let scan_part = |part: &Part<'_>| -> Vec<Vec<Acc>> {
-        let mut accs: Vec<Vec<Acc>> = vec![vec![Acc::new(); q.aggregates.len()]; group_keys.len()];
-        let selection = if q.filter.is_empty() {
-            None
-        } else {
-            Some(part.filter_selvec(&q.filter))
-        };
-        match (part.columnar(), part) {
-            (Some(ct), _) => {
-                join_aggregate_column(ct, selection.as_ref(), q, join, &dim_keys, &mut accs)
-            }
-            (None, Part::Pair(p)) => {
-                // When the join key and every aggregate resolve in the
-                // column fragment (PKs live in both fragments), run the
-                // dictionary-join fast path against the fragment; row
-                // indexes are positionally aligned across fragments.
-                let fk = p.col_fragment_position(join.fact_fk);
-                let agg_pos: Option<Vec<usize>> = q
-                    .aggregates
-                    .iter()
-                    .map(|a| p.col_fragment_position(a.column))
-                    .collect();
-                match (fk, agg_pos, p.col_fragment()) {
-                    (Some(fk), Some(agg_cols), Table::Column(ct)) => {
-                        let tq = AggregateQuery {
-                            aggregates: q
-                                .aggregates
-                                .iter()
-                                .zip(&agg_cols)
-                                .map(|(a, &c)| hsd_query::Aggregate {
-                                    func: a.func,
-                                    column: c,
-                                })
-                                .collect(),
-                            ..q.clone()
-                        };
-                        let tjoin = JoinSpec {
-                            fact_fk: fk,
-                            ..join.clone()
-                        };
-                        join_aggregate_column(
-                            ct,
-                            selection.as_ref(),
-                            &tq,
-                            &tjoin,
-                            &dim_keys,
-                            &mut accs,
-                        )
-                    }
-                    _ => join_aggregate_generic(
-                        &Part::Pair(p),
-                        selection.as_ref(),
-                        q,
-                        join,
-                        &dim_keys,
-                        &mut accs,
-                    ),
-                }
-            }
-            (None, other) => {
-                join_aggregate_generic(other, selection.as_ref(), q, join, &dim_keys, &mut accs)
-            }
-        }
-        accs
+    let grouping = Grouping::Join {
+        fk: join.fact_fk,
+        dim: dim_keys,
+        keys,
     };
-    let mut accs: Vec<Vec<Acc>> = vec![vec![Acc::new(); q.aggregates.len()]; group_keys.len()];
-    for partial in scan_parts(&parts, scan_part) {
-        for (into, from) in accs.iter_mut().zip(partial) {
-            merge_accs(into, &from);
-        }
-    }
-    let mut groups: Groups = HashMap::new();
-    for (key, acc) in group_keys.into_iter().zip(accs) {
-        // Inner join: groups no fact row matched stay absent.
-        if acc.iter().any(|a| a.count > 0) {
-            groups.insert(key, acc);
-        }
-    }
-    Ok(QueryOutput::Aggregates(finalize_groups(
-        groups,
-        &q.aggregates,
-    )))
+    Ok(aggregate_parts(&parts, q, &grouping))
 }
 
 /// Group index of a join key no dimension row holds: the inner join drops
@@ -1325,11 +1301,19 @@ fn build_dim_keys<'a>(
                     .flat_map(|g| g.dictionary().values())
                     .map(&mut intern)
                     .collect();
-                let cols: Vec<&ColumnData> = std::iter::once(pk).chain(gcol).collect();
                 let mut gi = vec![UNMATCHED; pk.dictionary().len()];
-                for_each_selected_block(ct.row_count(), None, &cols, |_, i, bufs| {
-                    gi[bufs[0][i] as usize] = bufs.get(1).map_or(0, |g| code_gi[g[i] as usize]);
-                });
+                let (mut pks, mut groups) = ([0u32; BLOCK], [0u32; BLOCK]);
+                let n = ct.row_count();
+                for start in (0..n).step_by(BLOCK) {
+                    let len = BLOCK.min(n - start);
+                    pk.decode_codes_into(start, &mut pks[..len]);
+                    if let Some(g) = gcol {
+                        g.decode_codes_into(start, &mut groups[..len]);
+                    }
+                    for (&p, &g) in pks[..len].iter().zip(&groups) {
+                        gi[p as usize] = gcol.map_or(0, |_| code_gi[g as usize]);
+                    }
+                }
                 DimKeys::Codes {
                     pk: pk.dictionary(),
                     gi,
@@ -1380,34 +1364,24 @@ fn merge_dictionaries(a: &Dictionary, b: &Dictionary, mut visit: impl FnMut(u32,
     }
 }
 
-/// Column-store fact side: translate the foreign-key dictionary to group
-/// indexes once (dictionary join), then the hot loop is code lookups only —
-/// block-decoded, like the grouped aggregation path.
-///
-/// Against a code-indexed dimension part the translation merges the fk and
-/// pk dictionaries ([`merge_dictionaries`]); a hash part is probed once per
-/// fk dictionary entry. Later parts overwrite earlier ones, as
-/// [`probe_dim`] resolves them.
-fn join_aggregate_column(
-    ct: &dyn Columns,
-    selection: Option<&SelVec>,
-    q: &AggregateQuery,
-    join: &JoinSpec,
-    dim: &[DimKeys<'_>],
-    accs: &mut [Vec<Acc>],
-) {
-    let fk = ct.column(join.fact_fk);
-    // fk code -> group index (UNMATCHED for dangling foreign keys).
-    let mut fk_lut = vec![UNMATCHED; fk.dictionary().len()];
+/// The dictionary join of a column-store fact part: fk code -> group index
+/// ([`UNMATCHED`] for dangling foreign keys), built once per part so the
+/// kernel's slot block is one array read per row. Against a code-indexed
+/// dimension part the fk and pk dictionaries merge
+/// ([`merge_dictionaries`]); a hash part is probed once per fk dictionary
+/// entry. Later parts overwrite earlier ones, as [`probe_dim`] resolves
+/// them.
+fn fk_groups(fk: &Dictionary, dim: &[DimKeys<'_>]) -> Vec<u32> {
+    let mut lut = vec![UNMATCHED; fk.len()];
     for keys in dim {
         match keys {
-            DimKeys::Codes { pk, gi } => merge_dictionaries(fk.dictionary(), pk, |f, p| {
+            DimKeys::Codes { pk, gi } => merge_dictionaries(fk, pk, |f, p| {
                 if gi[p as usize] != UNMATCHED {
-                    fk_lut[f as usize] = gi[p as usize];
+                    lut[f as usize] = gi[p as usize];
                 }
             }),
             DimKeys::Hash(map) => {
-                for (slot, v) in fk_lut.iter_mut().zip(fk.dictionary().values()) {
+                for (slot, v) in lut.iter_mut().zip(fk.values()) {
                     if let Some(&gi) = map.get(v) {
                         *slot = gi;
                     }
@@ -1415,72 +1389,7 @@ fn join_aggregate_column(
             }
         }
     }
-    let luts: Vec<Vec<Option<f64>>> = q
-        .aggregates
-        .iter()
-        .map(|a| ct.column(a.column).numeric_lut())
-        .collect();
-    let agg_cols: Vec<&ColumnData> = q.aggregates.iter().map(|a| ct.column(a.column)).collect();
-    // bufs[0] holds the foreign-key codes, bufs[1..] the aggregate columns'.
-    let mut cols: Vec<&ColumnData> = Vec::with_capacity(agg_cols.len() + 1);
-    cols.push(fk);
-    cols.extend(agg_cols.iter().copied());
-    for_each_selected_block(ct.row_count(), selection, &cols, |start, i, bufs| {
-        let gi = fk_lut[bufs[0][i] as usize];
-        if gi == UNMATCHED {
-            return; // inner join: dangling foreign keys drop out
-        }
-        let acc = &mut accs[gi as usize];
-        for (k, col) in agg_cols.iter().enumerate() {
-            if let Some(v) = luts[k][bufs[k + 1][i] as usize] {
-                acc[k].add(v);
-            } else if q.aggregates[k].func == AggFunc::Count && !col.value_at(start + i).is_null() {
-                acc[k].add_non_numeric();
-            }
-        }
-    });
-}
-
-/// Generic fact side (row store or vertical pair): one probe per tuple — a
-/// hash lookup, or `code_for` plus an array read against a code-indexed
-/// dimension part.
-fn join_aggregate_generic(
-    part: &Part<'_>,
-    selection: Option<&SelVec>,
-    q: &AggregateQuery,
-    join: &JoinSpec,
-    dim: &[DimKeys<'_>],
-    accs: &mut [Vec<Acc>],
-) {
-    let mut visit = |idx: u32| {
-        let Some(gi) = probe_dim(dim, part.value_at(idx, join.fact_fk)) else {
-            return; // inner join: dangling foreign keys drop out
-        };
-        let acc = &mut accs[gi as usize];
-        for (k, agg) in q.aggregates.iter().enumerate() {
-            let v = part.value_at(idx, agg.column);
-            match v.as_f64() {
-                Some(x) => acc[k].add(x),
-                None => {
-                    if agg.func == AggFunc::Count && !v.is_null() {
-                        acc[k].add_non_numeric();
-                    }
-                }
-            }
-        }
-    };
-    match selection {
-        None => {
-            for idx in 0..part.row_count() as u32 {
-                visit(idx);
-            }
-        }
-        Some(sv) => {
-            for idx in sv.iter() {
-                visit(idx);
-            }
-        }
-    }
+    lut
 }
 
 // ---------------------------------------------------------------------------
@@ -1700,9 +1609,9 @@ mod tests {
     #[test]
     fn dense_and_hash_group_by_agree() {
         // `kf` is unique per row, so its dictionary exceeds the dense
-        // path's limit and grouping on it takes the hash map; `grp` has
-        // three values and takes the dense array. Both must answer like
-        // the row store.
+        // limit and grouping on it goes through the code -> slot map;
+        // `grp` has three values and its codes are the slots. Both must
+        // answer like the row store.
         let n = DENSE_GROUPBY_MAX_DICT as i64 + 64;
         let grouped = |group_col| {
             Query::Aggregate(AggregateQuery {
@@ -2035,6 +1944,296 @@ mod tests {
                     .filter_map(|i| b.code_for(a.decode(i)).map(|j| (i, j)))
                     .collect();
                 prop_assert_eq!(merged, naive);
+            }
+        }
+    }
+
+    #[test]
+    fn join_keeps_groups_matched_only_by_null_measures() {
+        // Fact rows with fk 1 all carry a NULL measure; they still join
+        // dimension group 11, which must appear (with SUM 0 and COUNT 0),
+        // as a plain grouped aggregate keeps a group of NULLs.
+        let fact = TableSchema::new(
+            "f",
+            vec![
+                ColumnDef::new("id", ColumnType::BigInt),
+                ColumnDef::nullable("m", ColumnType::Double),
+                ColumnDef::new("fk", ColumnType::Integer),
+                ColumnDef::new("st", ColumnType::Integer),
+            ],
+            vec![0],
+        )
+        .unwrap();
+        let rows = (0..30).map(|i| {
+            let m = match i % 2 {
+                0 => Value::Double(i as f64),
+                _ => Value::Null,
+            };
+            vec![
+                Value::BigInt(i),
+                m,
+                Value::Int((i % 2) as i32),
+                Value::Int(0),
+            ]
+        });
+        let rows: Vec<Vec<Value>> = rows.collect();
+        let q = Query::Aggregate(AggregateQuery {
+            table: "f".into(),
+            aggregates: vec![
+                Aggregate {
+                    func: AggFunc::Sum,
+                    column: 1,
+                },
+                Aggregate {
+                    func: AggFunc::Count,
+                    column: 1,
+                },
+            ],
+            group_by: None,
+            filter: vec![],
+            join: Some(JoinSpec {
+                dim_table: "dim".into(),
+                fact_fk: 2,
+                dim_pk: 0,
+                group_by_dim: Some(1),
+            }),
+        });
+        let even: f64 = (0..30).step_by(2).map(|i| i as f64).sum();
+        for placement in all_placements() {
+            for dim_store in StoreKind::BOTH {
+                let db = HybridDatabase::new();
+                db.create_table(fact.clone(), placement.clone()).unwrap();
+                db.create_single(dim_schema(), dim_store).unwrap();
+                db.bulk_load("f", rows.clone()).unwrap();
+                db.bulk_load(
+                    "dim",
+                    (0..2).map(|i| vec![Value::Int(i), Value::Int(10 + i)]),
+                )
+                .unwrap();
+                let out = db.execute(&q).unwrap();
+                let expect = [
+                    GroupRow {
+                        key: Some(Value::Int(10)),
+                        values: vec![even, 15.0],
+                    },
+                    GroupRow {
+                        key: Some(Value::Int(11)),
+                        values: vec![0.0, 0.0],
+                    },
+                ];
+                assert_eq!(
+                    out.aggregates().unwrap(),
+                    &expect,
+                    "{placement:?} x {dim_store:?}"
+                );
+            }
+        }
+    }
+
+    /// The aggregate kernel answers every part kind alike: random tables
+    /// (NULLs; Int, Decimal and Double measures; a Text column) under every
+    /// placement, with rows inserted and updated after the load so column
+    /// stores carry un-merged dictionary tails, must give bit-identical
+    /// answers to an all-row-store copy — all five functions, grouped,
+    /// ungrouped and joined, under empty, sparse and full filters. Every
+    /// measure is a multiple of 1/4 small enough that the partial sums of a
+    /// horizontal union are exact, so no layout may change a bit.
+    mod aggregate_kernel_props {
+        use super::*;
+        use hsd_catalog::Tier;
+        use proptest::prelude::*;
+
+        const FUNCS: [AggFunc; 5] = [
+            AggFunc::Sum,
+            AggFunc::Count,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+        ];
+        /// Aggregated columns: `i`, `d`, `g`, `s`, `x`.
+        const MEASURES: [ColumnIdx; 5] = [1, 2, 3, 4, 5];
+
+        /// `k`: `g` (column 3) lands in the row fragment of the vertical
+        /// placements, so grouping on it stitches the two fragments.
+        fn fact_schema() -> TableSchema {
+            TableSchema::new(
+                "k",
+                vec![
+                    ColumnDef::new("id", ColumnType::BigInt),
+                    ColumnDef::nullable("i", ColumnType::Integer),
+                    ColumnDef::nullable("d", ColumnType::Decimal),
+                    ColumnDef::nullable("g", ColumnType::Integer),
+                    ColumnDef::nullable("s", ColumnType::Varchar),
+                    ColumnDef::nullable("x", ColumnType::Double),
+                    ColumnDef::nullable("fk", ColumnType::Integer),
+                ],
+                vec![0],
+            )
+            .unwrap()
+        }
+
+        /// Row `id` from five cell draws: a measure draw of 0 and an fk
+        /// draw of 9 are NULL, and draws beyond the load's range give
+        /// values the load's dictionaries lack.
+        fn fact_row(id: i64, (i, d, g, x, fk): (u32, u32, u32, u32, u32)) -> Vec<Value> {
+            let or_null = |c: u32, v: Value| if c == 0 { Value::Null } else { v };
+            vec![
+                Value::BigInt(id),
+                or_null(i, Value::Int(i as i32 - 4)),
+                or_null(d, Value::Decimal((d as i64 - 3) * 25)),
+                or_null(g, Value::Int((g % 4) as i32)),
+                or_null(g % 5, Value::text(format!("v{}", g % 3))),
+                or_null(x, Value::Double((x as f64 - 5.0) * 0.25)),
+                if fk == 9 {
+                    Value::Null
+                } else {
+                    Value::Int(fk as i32)
+                },
+            ]
+        }
+
+        fn query(aggs: &[(u32, u32)], grouping: u32, filter: u32, lo: i64) -> Query {
+            let join = |group_by_dim| JoinSpec {
+                dim_table: "kd".into(),
+                fact_fk: 6,
+                dim_pk: 0,
+                group_by_dim,
+            };
+            let (group_by, join) = match grouping {
+                0 => (None, None),
+                1 => (Some(3), None),
+                2 => (Some(4), None),
+                3 => (Some(1), None),
+                4 => (None, Some(join(Some(1)))),
+                _ => (None, Some(join(None))),
+            };
+            let filter = match filter {
+                0 => vec![],
+                1 => vec![ColRange::ge(0, Value::BigInt(1 << 40))],
+                2 => vec![ColRange::between(
+                    0,
+                    Value::BigInt(lo),
+                    Value::BigInt(lo + 2),
+                )],
+                3 => vec![ColRange::ge(0, Value::BigInt(0))],
+                _ => vec![ColRange::eq(3, Value::Int(1))],
+            };
+            Query::Aggregate(AggregateQuery {
+                table: "k".into(),
+                aggregates: aggs
+                    .iter()
+                    .map(|&(f, c)| Aggregate {
+                        func: FUNCS[f as usize],
+                        column: MEASURES[c as usize],
+                    })
+                    .collect(),
+                group_by,
+                filter,
+                join,
+            })
+        }
+
+        type Cells = (u32, u32, u32, u32, u32);
+
+        fn build(
+            placement: TablePlacement,
+            dim_store: StoreKind,
+            load: &[Cells],
+            inserted: &[Cells],
+            dim: &[u32],
+        ) -> HybridDatabase {
+            let db = HybridDatabase::new();
+            db.create_table(fact_schema(), placement).unwrap();
+            db.bulk_load(
+                "k",
+                load.iter()
+                    .enumerate()
+                    .map(|(id, &c)| fact_row(id as i64, c)),
+            )
+            .unwrap();
+            for (n, &c) in inserted.iter().enumerate() {
+                let row = fact_row((load.len() + n) as i64, c);
+                db.execute(&Query::Insert(InsertQuery {
+                    table: "k".into(),
+                    rows: vec![row],
+                }))
+                .unwrap();
+            }
+            // A post-load update: cold column stores grow a dictionary tail.
+            db.execute(&Query::Update(UpdateQuery {
+                table: "k".into(),
+                sets: vec![(5, Value::Double(99.75)), (1, Value::Int(77))],
+                filter: vec![ColRange::eq(0, Value::BigInt(3))],
+            }))
+            .unwrap();
+            let dim_schema = TableSchema::new(
+                "kd",
+                vec![
+                    ColumnDef::new("dk", ColumnType::Integer),
+                    ColumnDef::nullable("region", ColumnType::Integer),
+                ],
+                vec![0],
+            )
+            .unwrap();
+            db.create_single(dim_schema, dim_store).unwrap();
+            let dim_rows = dim.iter().enumerate().filter(|(_, &r)| r != 0);
+            db.bulk_load(
+                "kd",
+                dim_rows.map(|(k, &r)| {
+                    let region = if r == 1 {
+                        Value::Null
+                    } else {
+                        Value::Int((r % 3) as i32)
+                    };
+                    vec![Value::Int(k as i32), region]
+                }),
+            )
+            .unwrap();
+            db
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+            #[test]
+            fn aggregate_kernel_agrees_with_row_store_everywhere(
+                load in prop::collection::vec((0u32..8, 0u32..8, 0u32..8, 0u32..8, 0u32..10), 0..60),
+                inserted in prop::collection::vec((0u32..14, 0u32..14, 0u32..14, 0u32..14, 0u32..10), 0..10),
+                dim in prop::collection::vec(0u32..6, 9..10),
+                dim_column in any::<bool>(),
+                queries in prop::collection::vec(
+                    (prop::collection::vec((0u32..5, 0u32..5), 1..4), 0u32..6, 0u32..5, 0i64..60),
+                    4..8,
+                ),
+            ) {
+                let dim_store = if dim_column { StoreKind::Column } else { StoreKind::Row };
+                let reference = build(
+                    TablePlacement::Single(StoreKind::Row),
+                    dim_store,
+                    &load,
+                    &inserted,
+                    &dim,
+                );
+                let disk = TablePlacement::Partitioned(PartitionSpec {
+                    horizontal: Some(HorizontalSpec {
+                        split_column: 0,
+                        split_value: Value::BigInt(20),
+                    }),
+                    vertical: None,
+                    cold_tier: Tier::Disk,
+                });
+                for placement in all_placements().into_iter().chain([disk]) {
+                    let db = build(placement.clone(), dim_store, &load, &inserted, &dim);
+                    for (aggs, grouping, filter, lo) in &queries {
+                        let q = query(aggs, *grouping, *filter, *lo);
+                        prop_assert_eq!(
+                            db.execute(&q).unwrap(),
+                            reference.execute(&q).unwrap(),
+                            "{:?} {:?}",
+                            placement,
+                            q
+                        );
+                    }
+                }
             }
         }
     }

@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use hsd_catalog::{HorizontalSpec, PartitionSpec, TablePlacement, Tier, VerticalSpec};
 use hsd_storage::{
-    decode_segment, encode_segment, ColRange, ColumnData, ColumnTable, Columns, RowSel,
-    SegmentReader, SegmentStore, SelVec, StoreKind, Table,
+    decode_segment, encode_segment, ColRange, ColumnData, ColumnTable, Columns, SegmentReader,
+    SegmentStore, SelVec, StoreKind, Table,
 };
 use hsd_types::{ColumnIdx, Error, Result, TableSchema, Value};
 
@@ -241,32 +241,6 @@ impl VerticalPair {
             self.col_frag.update_rows(rows, &col_sets)?;
         }
         Ok(rows.len())
-    }
-
-    /// Visit numeric values of a logical column.
-    pub fn for_each_numeric(&self, col: ColumnIdx, sel: RowSel<'_>, f: impl FnMut(f64)) {
-        match self.locate[col] {
-            Loc::Row(p) => self.row_frag.for_each_numeric(p, sel, f),
-            Loc::Col(p) => self.col_frag.for_each_numeric(p, sel, f),
-        }
-    }
-
-    /// Visit numeric values of a logical column for the rows selected by
-    /// `sel` (`None` = all rows). Fragments are positionally aligned, so the
-    /// selection applies to either fragment unchanged.
-    pub fn for_each_numeric_sel(&self, col: ColumnIdx, sel: Option<&SelVec>, f: impl FnMut(f64)) {
-        match self.locate[col] {
-            Loc::Row(p) => self.row_frag.for_each_numeric_sel(p, sel, f),
-            Loc::Col(p) => self.col_frag.for_each_numeric_sel(p, sel, f),
-        }
-    }
-
-    /// Visit values of a logical column.
-    pub fn for_each_value(&self, col: ColumnIdx, sel: RowSel<'_>, f: impl FnMut(&Value)) {
-        match self.locate[col] {
-            Loc::Row(p) => self.row_frag.for_each_value(p, sel, f),
-            Loc::Col(p) => self.col_frag.for_each_value(p, sel, f),
-        }
     }
 
     /// Materialize logical rows (stitching both fragments back together —

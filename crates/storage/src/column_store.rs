@@ -159,10 +159,24 @@ impl ColumnData {
         self.codes.get(row)
     }
 
-    /// Per-code numeric lookup table (`lut[code] = value.as_f64()`); lets
-    /// hot loops decode via one array index instead of a dictionary probe.
-    pub fn numeric_lut(&self) -> Vec<Option<f64>> {
-        self.dict.values().map(Value::as_f64).collect()
+    /// How a scan visiting `visited` rows reads this column's numbers — the
+    /// one lookup-table rule every numeric scan shares. A per-code table
+    /// pays off only when the dictionary is small against the visit
+    /// (`dict.len() * 4 <= visited`); a near-unique column, or any column
+    /// under a selective filter, decodes per row against the dictionary
+    /// instead (O(visited), not O(dictionary)).
+    pub fn numeric_lut(&self, visited: usize) -> NumericLut<'_> {
+        if self.dict.len() * 4 > visited {
+            return NumericLut::Direct(&self.dict);
+        }
+        let mut plain = Vec::with_capacity(self.dict.len());
+        for v in self.dict.values() {
+            match v.as_f64() {
+                Some(x) => plain.push(x),
+                None => return NumericLut::Sparse(self.dict.values().map(Value::as_f64).collect()),
+            }
+        }
+        NumericLut::Plain(plain)
     }
 
     /// Overwrite the value at `row` (interning new values into the tail).
@@ -456,14 +470,9 @@ impl ColumnData {
         out
     }
 
-    /// Visit the numeric interpretation of the selected rows.
-    ///
-    /// Full scans block-decode the code vector (word-level unpacking)
-    /// instead of per-row `get` calls. When the dictionary is small relative
-    /// to the visited rows, decoding goes through a per-call lookup table so
-    /// the hot loop reads only packed codes — the column store's fast
-    /// aggregation path. For near-unique columns (LUT construction would
-    /// dominate), codes are decoded directly against the dictionary.
+    /// Visit the numeric interpretation of the selected rows, read through
+    /// [`ColumnData::numeric_lut`]. Full scans block-decode the code vector
+    /// (word-level unpacking) instead of per-row `get` calls.
     // Kept out of line: inlined into `for_each_numeric_sel`, its scan loops
     // lose registers to the selection path's state and a full-column scan
     // runs ~10 % slower.
@@ -473,38 +482,19 @@ impl ColumnData {
             RowSel::All => self.codes.len(),
             RowSel::Subset(rows) => rows.len(),
         };
-        if self.dict.len() * 4 <= visited {
-            let lut: Vec<Option<f64>> = self.dict.values().map(Value::as_f64).collect();
-            match sel {
-                RowSel::All => self.for_each_code_block(|codes| {
-                    for &c in codes {
-                        if let Some(v) = lut[c as usize] {
-                            f(v);
-                        }
-                    }
-                }),
-                RowSel::Subset(rows) => {
-                    for &i in rows {
-                        if let Some(v) = lut[self.codes.get(i as usize) as usize] {
-                            f(v);
-                        }
+        let lut = self.numeric_lut(visited);
+        match sel {
+            RowSel::All => self.for_each_code_block(|codes| {
+                for &c in codes {
+                    if let Some(v) = lut.get(c) {
+                        f(v);
                     }
                 }
-            }
-        } else {
-            match sel {
-                RowSel::All => self.for_each_code_block(|codes| {
-                    for &c in codes {
-                        if let Some(v) = self.dict.decode(c).as_f64() {
-                            f(v);
-                        }
-                    }
-                }),
-                RowSel::Subset(rows) => {
-                    for &i in rows {
-                        if let Some(v) = self.dict.decode(self.codes.get(i as usize)).as_f64() {
-                            f(v);
-                        }
+            }),
+            RowSel::Subset(rows) => {
+                for &i in rows {
+                    if let Some(v) = lut.get(self.codes.get(i as usize)) {
+                        f(v);
                     }
                 }
             }
@@ -513,55 +503,33 @@ impl ColumnData {
 
     /// Visit the numeric interpretation of the rows selected by `sel`
     /// (`None` = all rows), decoding codes block-at-a-time and walking the
-    /// selection's set bits — the batched counterpart of
-    /// [`ColumnData::for_each_numeric`] used by the engine's aggregation
-    /// pipeline.
+    /// selection's set bits; blocks with no selected candidate are skipped.
     pub fn for_each_numeric_sel(&self, sel: Option<&SelVec>, mut f: impl FnMut(f64)) {
         let Some(sv) = sel else {
             return self.for_each_numeric(RowSel::All, f);
         };
         let n = self.codes.len();
         debug_assert_eq!(sv.len(), n, "selection domain mismatch");
-        // Same trade-off as `for_each_numeric`: a per-call LUT only pays
-        // off when the selection is large relative to the dictionary;
-        // near-unique columns under selective filters decode straight
-        // against the dictionary (O(selected) instead of O(dictionary)).
-        let lut: Option<Vec<Option<f64>>> = if self.dict.len() * 4 <= sv.count() {
-            Some(self.dict.values().map(Value::as_f64).collect())
-        } else {
-            None
-        };
-        // BLOCK-sized decode runs like every other batched consumer (one
-        // decode call per 1024 rows, not per 64), skipping blocks with no
-        // selected candidate.
+        let lut = self.numeric_lut(sv.count());
         let mut buf = [0u32; BLOCK];
-        let mut start = 0;
-        while start < n {
+        for start in (0..n).step_by(BLOCK) {
             let len = BLOCK.min(n - start);
-            let word_base = start / 64; // exact: BLOCK is a multiple of 64
-            let word_end = (start + len).div_ceil(64);
-            let words = &sv.words()[word_base..word_end];
+            // exact: BLOCK is a multiple of 64
+            let words = &sv.words()[start / 64..(start + len).div_ceil(64)];
             if words.iter().all(|&w| w == 0) {
-                start += len;
                 continue;
             }
             self.codes.decode_into(start, &mut buf[..len]);
             for (wi, &w) in words.iter().enumerate() {
                 let mut bits = w;
                 while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
+                    let code = buf[wi * 64 + bits.trailing_zeros() as usize];
                     bits &= bits - 1;
-                    let code = buf[wi * 64 + b];
-                    let v = match &lut {
-                        Some(lut) => lut[code as usize],
-                        None => self.dict.decode(code).as_f64(),
-                    };
-                    if let Some(v) = v {
+                    if let Some(v) = lut.get(code) {
                         f(v);
                     }
                 }
             }
-            start += len;
         }
     }
 
@@ -669,6 +637,29 @@ impl ColumnData {
     /// Panics if any code is out of range for the dictionary.
     pub fn from_parts(dict: Dictionary, codes: BitPackedVec, epoch: u64) -> Self {
         Self::try_from_parts(dict, codes, epoch).unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// How a scan reads one column's numbers ([`ColumnData::numeric_lut`]).
+#[derive(Debug)]
+pub enum NumericLut<'a> {
+    /// Every dictionary entry is a non-null number: `lut[code]`, no branch.
+    Plain(Vec<f64>),
+    /// Some entry is NULL or non-numeric: `lut[code]` is `None` there.
+    Sparse(Vec<Option<f64>>),
+    /// The dictionary is large against the visit: decode each row's code.
+    Direct(&'a Dictionary),
+}
+
+impl NumericLut<'_> {
+    /// The number code `code` stands for, if it is one.
+    #[inline]
+    pub fn get(&self, code: u32) -> Option<f64> {
+        match self {
+            NumericLut::Plain(lut) => Some(lut[code as usize]),
+            NumericLut::Sparse(lut) => lut[code as usize],
+            NumericLut::Direct(dict) => dict.decode(code).as_f64(),
+        }
     }
 }
 

@@ -49,8 +49,9 @@
 //! 3. **Block-decoded consumers**: aggregation visits codes in
 //!    [`bitpack::BLOCK`]-sized decoded runs
 //!    ([`column_store::ColumnData::for_each_numeric_sel`]), and the engine's
-//!    group-by/join loops decode group and aggregate columns block-at-a-time
-//!    rather than calling `code_at` per row.
+//!    aggregate kernel decodes group and aggregate columns block-at-a-time
+//!    rather than calling `code_at` per row; both read numbers through one
+//!    lookup-table rule ([`column_store::ColumnData::numeric_lut`]).
 //!
 //! The element-at-a-time path
 //! ([`column_store::ColumnTable::filter_rows_scalar`]) is retained only as
@@ -78,7 +79,7 @@ pub mod table;
 pub mod wal;
 
 pub use bitpack::{BitPackedVec, BLOCK};
-pub use column_store::{ColumnData, ColumnTable, Columns, MergePlan, MergeProgress};
+pub use column_store::{ColumnData, ColumnTable, Columns, MergePlan, MergeProgress, NumericLut};
 pub use dictionary::Dictionary;
 pub use predicate::{ColRange, RowSel};
 pub use row_store::RowTable;
