@@ -1,6 +1,8 @@
 //! Basic table statistics ("data characteristics" in the paper).
 
-use hsd_storage::{RowSel, Table};
+use std::collections::HashSet;
+
+use hsd_storage::{FastState, RowTable, Table};
 use hsd_types::Value;
 
 /// Per-column statistics.
@@ -17,6 +19,24 @@ pub struct ColumnStats {
     /// paper's `f_compression` adjustment consumes exactly this quantity
     /// (e.g. "the compression rate be 0.7").
     pub compression_rate: f64,
+}
+
+impl ColumnStats {
+    /// Statistics of a column with `distinct` values and non-null bounds
+    /// `(min, max)` in a `rows`-row table.
+    fn new(distinct: usize, (min, max): (Option<Value>, Option<Value>), rows: usize) -> Self {
+        let compression_rate = if rows == 0 {
+            0.0
+        } else {
+            (1.0 - distinct as f64 / rows as f64).max(0.0)
+        };
+        ColumnStats {
+            distinct,
+            min,
+            max,
+            compression_rate,
+        }
+    }
 }
 
 /// Basic statistics for one table.
@@ -48,46 +68,17 @@ impl TableStats {
     /// Scan `table` and collect fresh statistics.
     ///
     /// For column-store tables the dictionary answers distinct counts and
-    /// min/max directly; row-store tables are scanned.
+    /// min/max directly; row-store tables are scanned once, in row order,
+    /// counting every column's distinct values (NULL included) and tracking
+    /// its non-null minimum and maximum in the same pass.
     pub fn collect(table: &Table) -> Self {
         let rows = table.row_count();
-        let arity = table.schema().arity();
-        let mut columns = Vec::with_capacity(arity);
-        for col in 0..arity {
-            let distinct = table.distinct_count(col);
-            let (mut min, mut max): (Option<Value>, Option<Value>) = match table {
-                Table::Column(ct) => ct.column(col).min_max(),
-                Table::Row(_) => (None, None),
-            };
-            if min.is_none() && max.is_none() {
-                table.for_each_value(col, RowSel::All, |v| {
-                    if v.is_null() {
-                        return;
-                    }
-                    match &min {
-                        None => min = Some(v.clone()),
-                        Some(m) if v < m => min = Some(v.clone()),
-                        _ => {}
-                    }
-                    match &max {
-                        None => max = Some(v.clone()),
-                        Some(m) if v > m => max = Some(v.clone()),
-                        _ => {}
-                    }
-                });
-            }
-            let compression_rate = if rows == 0 {
-                0.0
-            } else {
-                (1.0 - distinct as f64 / rows as f64).max(0.0)
-            };
-            columns.push(ColumnStats {
-                distinct,
-                min,
-                max,
-                compression_rate,
-            });
-        }
+        let columns = match table {
+            Table::Column(ct) => (0..table.schema().arity())
+                .map(|col| ColumnStats::new(ct.distinct_count(col), ct.column(col).min_max(), rows))
+                .collect(),
+            Table::Row(rt) => row_store_stats(rt),
+        };
         TableStats {
             row_count: rows,
             columns,
@@ -144,6 +135,39 @@ impl TableStats {
     }
 }
 
+/// Per column of a row table: the distinct count (NULL counts as a value)
+/// and the non-null `(min, max)`, from one pass over the rows. The arena
+/// is row-major, so a pass per column would stream all of it once per
+/// column; the distinct sets own their keys, so a repeat compares against
+/// a set entry instead of reaching back into the arena.
+fn row_store_stats(table: &RowTable) -> Vec<ColumnStats> {
+    let arity = table.schema().arity();
+    let rows = table.row_count();
+    let mut seen: Vec<HashSet<Value, FastState>> = (0..arity).map(|_| HashSet::default()).collect();
+    let mut bounds: Vec<Option<(&Value, &Value)>> = vec![None; arity];
+    for row in 0..rows as u32 {
+        let values = table.row(row).iter();
+        for ((v, set), bound) in values.zip(&mut seen).zip(&mut bounds) {
+            if set.contains(v) {
+                continue;
+            }
+            set.insert(v.clone());
+            if !v.is_null() {
+                *bound = Some(bound.map_or((v, v), |(lo, hi)| (lo.min(v), hi.max(v))));
+            }
+        }
+    }
+    seen.iter()
+        .zip(bounds)
+        .map(|(set, bound)| {
+            let bound = bound.map_or((None, None), |(lo, hi)| {
+                (Some(lo.clone()), Some(hi.clone()))
+            });
+            ColumnStats::new(set.len(), bound, rows)
+        })
+        .collect()
+}
+
 /// Numeric ordering key for selectivity estimation (dates and booleans are
 /// orderable numerics here, unlike in aggregation).
 trait NumericKey {
@@ -185,6 +209,112 @@ mod tests {
             (0..100).map(|i| vec![Value::Int(i), Value::Int(i % 5)]),
         )
         .unwrap()
+    }
+
+    fn mixed_schema() -> Arc<TableSchema> {
+        Arc::new(
+            TableSchema::new(
+                "m",
+                vec![
+                    ColumnDef::new("id", ColumnType::Integer),
+                    ColumnDef::nullable("none", ColumnType::Integer),
+                    ColumnDef::nullable("d", ColumnType::Double),
+                    ColumnDef::nullable("t", ColumnType::Varchar),
+                    ColumnDef::new("g", ColumnType::BigInt),
+                ],
+                vec![0],
+            )
+            .unwrap(),
+        )
+    }
+
+    const DOUBLES: [f64; 6] = [0.0, -0.0, f64::NAN, -1.5, 7.25, f64::NEG_INFINITY];
+    const TEXTS: [&str; 4] = ["", "b", "abc", "a longer value"];
+
+    /// Rows over [`mixed_schema`]: an all-NULL column, a mixed-NULL double
+    /// (signed zeros, NaN), mixed-NULL text and a small-domain integer.
+    fn mixed_rows(spec: &[(u8, u8, u16)]) -> Vec<Vec<Value>> {
+        spec.iter()
+            .enumerate()
+            .map(|(i, &(d, t, g))| {
+                vec![
+                    Value::Int(i as i32),
+                    Value::Null,
+                    DOUBLES
+                        .get(d as usize % 8)
+                        .map_or(Value::Null, |&x| Value::Double(x)),
+                    TEXTS.get(t as usize % 6).map_or(Value::Null, Value::text),
+                    Value::BigInt(i64::from(g % 40) - 20),
+                ]
+            })
+            .collect()
+    }
+
+    /// The two-pass row statistics this module computed before: a SipHash
+    /// set for the distinct count, then a second scan for min and max.
+    fn two_pass_row_stats(table: &Table) -> TableStats {
+        let rows = table.row_count();
+        let columns = (0..table.schema().arity())
+            .map(|col| {
+                let mut seen = std::collections::HashSet::new();
+                table.for_each_value(col, hsd_storage::RowSel::All, |v| {
+                    seen.insert(v.clone());
+                });
+                let (mut min, mut max): (Option<Value>, Option<Value>) = (None, None);
+                table.for_each_value(col, hsd_storage::RowSel::All, |v| {
+                    if v.is_null() {
+                        return;
+                    }
+                    if min.as_ref().is_none_or(|m| v < m) {
+                        min = Some(v.clone());
+                    }
+                    if max.as_ref().is_none_or(|m| v > m) {
+                        max = Some(v.clone());
+                    }
+                });
+                let distinct = seen.len();
+                let compression_rate = if rows == 0 {
+                    0.0
+                } else {
+                    (1.0 - distinct as f64 / rows as f64).max(0.0)
+                };
+                ColumnStats {
+                    distinct,
+                    min,
+                    max,
+                    compression_rate,
+                }
+            })
+            .collect();
+        TableStats {
+            row_count: rows,
+            columns,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn one_pass_row_stats_match_two_pass_and_column_stats(
+            spec in proptest::prop::collection::vec(
+                (
+                    proptest::prelude::any::<u8>(),
+                    proptest::prelude::any::<u8>(),
+                    0u16..1000,
+                ),
+                0..200,
+            ),
+        ) {
+            let rows = mixed_rows(&spec);
+            let row = Table::from_rows(mixed_schema(), StoreKind::Row, rows.clone().into_iter())
+                .unwrap();
+            let col = Table::from_rows(mixed_schema(), StoreKind::Column, rows.into_iter())
+                .unwrap();
+            let stats = TableStats::collect(&row);
+            proptest::prop_assert_eq!(&stats, &two_pass_row_stats(&row));
+            proptest::prop_assert_eq!(&stats, &TableStats::collect(&col));
+        }
     }
 
     #[test]

@@ -38,15 +38,24 @@
 //! # What is (and is not) captured
 //!
 //! A checkpoint stores each table's **logical rows** (packed as one
-//! column-store segment) plus its catalog placement. Restore rebuilds the
-//! physical layout from those through the same code path the advisor uses
-//! ([`crate::mover::move_table`]): hot/cold splits are re-split, vertical
-//! fragments re-derived, disk-tier cold partitions re-demoted (re-creating
-//! their segment files — segments stay a derived cache, never a recovery
-//! dependency). Physical micro-state that is *not* logically observable —
-//! un-merged dictionary tails, in-flight incremental merges — is restored
-//! compacted, exactly as full replay restores tables it has no merge
-//! records for.
+//! column-store segment) plus its catalog placement. Packing is a bulk
+//! build: the table's snapshot ([`TableData::snapshot`]; a disk-resident
+//! cold partition is decoded from its segment) feeds
+//! [`ColumnTable::build`], which sorts each column's distinct values into
+//! the dictionary and packs the codes once — the segment bytes are those
+//! inserts plus a delta merge would give, without either.
+//!
+//! Restore decodes each fragment into a column table and rebuilds the
+//! recorded physical layout through the same bulk path the advisor's moves
+//! use ([`crate::mover::move_table`] → [`TableData::build`]): hot/cold
+//! splits are re-split, vertical fragments re-derived, disk-tier cold
+//! partitions re-demoted (re-creating their segment files — segments stay
+//! a derived cache, never a recovery dependency). A column → row move
+//! fills the row arena one decoded block per column at a time and adopts
+//! the decoded key index. Physical micro-state that is *not* logically
+//! observable — un-merged dictionary tails, in-flight incremental merges —
+//! is restored compacted, exactly as full replay restores tables it has no
+//! merge records for.
 //!
 //! # Consistency
 //!
@@ -65,7 +74,7 @@ use std::path::{Path, PathBuf};
 use hsd_catalog::{placement_from_json, placement_to_json, TablePlacement};
 use hsd_storage::segment::publish_atomic;
 use hsd_storage::wal::{self, encode_frame};
-use hsd_storage::{decode_segment, encode_segment, SegmentStore, StoreKind, Table};
+use hsd_storage::{decode_segment, encode_segment, ColumnTable, SegmentStore, StoreKind, Table};
 use hsd_types::{Error, Json, Result};
 
 use crate::database::HybridDatabase;
@@ -154,24 +163,16 @@ pub fn encode_checkpoint(db: &HybridDatabase) -> Result<(Vec<u8>, u64)> {
 
     let store = db.segment_store();
     for ((name, schema, placement), guard) in tables.iter().zip(&guards) {
-        let rows = guard.snapshot_rows(store)?;
         // Pack the logical rows as one column-store segment: dictionary
         // compression plus bit-packing, the same bytes-on-disk layout as
         // demoted cold partitions.
-        let mut packed = Table::new(schema.clone(), StoreKind::Column);
-        for row in &rows {
-            packed.insert(row)?;
-        }
-        let Table::Column(mut ct) = packed else {
-            unreachable!("StoreKind::Column builds a column table")
-        };
-        ct.compact();
+        let ct = ColumnTable::build(schema.clone(), guard.snapshot(store))?;
         let meta = Json::obj([
             ("kind", Json::Str("table".into())),
             ("name", Json::Str(name.clone())),
             ("schema", schema_to_json(schema)),
             ("placement", placement_to_json(placement)),
-            ("rows", Json::Int(rows.len() as i64)),
+            ("rows", Json::Int(ct.row_count() as i64)),
         ]);
         let tag = table_tag(name);
         out.extend_from_slice(&encode_frame(tag, meta.to_string().as_bytes()));

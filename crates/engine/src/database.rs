@@ -33,13 +33,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLock
 use hsd_catalog::{Catalog, StorageLayout, TablePlacement, TableStats};
 use hsd_query::Query;
 use hsd_storage::wal::{SyncPolicy, WalStats, WalSyncHandle, WalWriter};
-use hsd_storage::{ColumnTable, SegmentStore, StoreKind, Table};
+use hsd_storage::{ColumnTable, RowSource, SegmentStore, StoreKind};
 use hsd_types::{Error, Result, TableId, TableSchema, Value};
 
 use crate::durability::WalRecord;
 use crate::executor;
 use crate::maintenance::MergeConfig;
-use crate::partition::TableData;
+use crate::partition::{TableData, TableDataBuilder};
 
 /// Acquire a read guard, absorbing poison: a panicking thread never leaves
 /// the database unusable (worker slice panics are already contained, this
@@ -327,51 +327,72 @@ impl HybridDatabase {
         self.create_table(schema, TablePlacement::Single(store))
     }
 
-    /// Bulk-load rows into a table (hot partition rules apply). For
-    /// column-store targets the dictionaries are compacted afterwards, as a
-    /// real bulk load would end with a delta merge.
+    /// Bulk-load rows into a table.
+    ///
+    /// An empty table is rebuilt from the rows in bulk
+    /// ([`TableData::build`] under its placement: a horizontal split sends
+    /// rows below the split value straight to the cold partition, column
+    /// stores end merged, secondary indexes are rebuilt). A table that
+    /// already holds rows appends them through the statement insert path
+    /// (hot partition rules apply) and merges its delta afterwards.
+    ///
+    /// A row that fails schema validation or repeats a key stops the load:
+    /// the rows before it stay applied (there is no statement rollback),
+    /// the WAL logs exactly that prefix as a plain insert so replay
+    /// reproduces it, and the error is returned.
     pub fn bulk_load<I>(&self, table: &str, rows: I) -> Result<usize>
     where
         I: IntoIterator<Item = Vec<Value>>,
     {
         self.check_writable(table)?;
         let shard = self.shard(table)?;
+        let indexed = self.catalog().entry_by_name(table)?.indexed_columns.clone();
         let wal_on = self.wal_active();
-        // The applied rows are collected (only while logging) so a midway
-        // failure can still log the prefix that stuck: the engine has no
-        // statement rollback, and recovery must reproduce the same prefix.
-        let mut applied: Vec<Vec<Value>> = Vec::new();
-        let mut failure: Option<Error> = None;
-        let mut n = 0;
+        // Collected first, so the builders are sized for the whole load
+        // (growing a key map re-hashes every key it holds).
+        let rows: Vec<Vec<Value>> = rows.into_iter().collect();
+        // Rows are kept (only while logging) so the record can name exactly
+        // the prefix that stuck.
+        let mut logged: Vec<Vec<Value>> = Vec::new();
+        let mut rows = rows.into_iter().inspect(|row| {
+            if wal_on {
+                logged.push(row.clone());
+            }
+        });
+        let failure: Option<Error>;
+        let n;
         {
             let mut data = shard.latch();
-            for row in rows {
-                match data.insert(&row) {
-                    Ok(_) => {
-                        n += 1;
-                        if wal_on {
-                            applied.push(row);
-                        }
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
+            let before = data.row_count();
+            if before == 0 && data.disk_bytes() == 0 {
+                let mut builder = TableDataBuilder::new(
+                    data.schema().clone(),
+                    &data.placement(),
+                    rows.rows_hint(),
+                )?;
+                failure = rows.drain_rows(&mut |row| builder.push(row)).err();
+                let mut built = builder.finish();
+                for &col in &indexed {
+                    built.create_index(col)?;
+                }
+                *data = built;
+            } else {
+                failure = rows.find_map(|row| data.insert(&row).err());
+                if failure.is_none() {
+                    if let Some(ct) = data.delta_region_mut() {
+                        ct.compact();
                     }
                 }
             }
-            if failure.is_none() {
-                if let Some(ct) = data.delta_region_mut() {
-                    ct.compact();
-                }
-            }
-            if wal_on && !applied.is_empty() {
-                // `load` marks the success path (replay re-compacts); a
-                // partial prefix replays as a plain insert, leaving the
-                // tail as-is. Logged under the latch: commit order ==
-                // apply order.
+            n = data.row_count() - before;
+            logged.truncate(n);
+            if wal_on && n > 0 {
+                // `load` marks the success path (replay re-runs the load);
+                // a partial prefix replays as a plain insert. Logged under
+                // the latch: commit order == apply order.
                 self.log_record(&WalRecord::Insert {
                     table: table.to_string(),
-                    rows: applied,
+                    rows: logged,
                     load: failure.is_none(),
                 })?;
             }
@@ -503,29 +524,7 @@ impl HybridDatabase {
         self.check_writable(table)?;
         let shard = self.shard(table)?;
         {
-            let mut data = shard.latch();
-            match &mut *data {
-                TableData::Single(Table::Row(rt)) => rt.create_index(col)?,
-                TableData::Single(Table::Column(_)) => {
-                    // The column store's sorted dictionary already acts as
-                    // an implicit index; nothing to build.
-                }
-                TableData::Partitioned { hot, cold, .. } => {
-                    if let Some(Table::Row(rt)) = hot.as_mut() {
-                        rt.create_index(col)?;
-                    }
-                    match cold {
-                        crate::partition::ColdPart::Single(Table::Row(rt)) => {
-                            rt.create_index(col)?
-                        }
-                        crate::partition::ColdPart::Single(Table::Column(_)) => {}
-                        crate::partition::ColdPart::Vertical(p) => p.create_row_index(col)?,
-                        // Disk segments are columnar; the dictionary is the
-                        // implicit index, so nothing to build.
-                        crate::partition::ColdPart::DiskColumn(_) => {}
-                    }
-                }
-            }
+            shard.latch().create_index(col)?;
             self.log_record(&WalRecord::CreateIndex {
                 table: table.to_string(),
                 column: col,
@@ -796,6 +795,123 @@ mod tests {
             db.catalog().entry_by_name("c").unwrap().indexed_columns,
             vec![1]
         );
+    }
+
+    /// A load stopped by a duplicate key or a schema-invalid row keeps
+    /// exactly the rows before it, logs exactly that prefix as a plain
+    /// insert, and recovery replays it to the same rows — in both stores
+    /// and under horizontal splits, including a split on a non-key column
+    /// that would send the duplicate to the other partition.
+    #[test]
+    fn failed_bulk_load_keeps_logs_and_replays_the_prefix() {
+        use crate::durability::DurabilityConfig;
+        use hsd_catalog::{HorizontalSpec, PartitionSpec};
+        let row = |i: i64, v: f64| vec![Value::BigInt(i), Value::Double(v)];
+        let split = |column, value| {
+            TablePlacement::Partitioned(PartitionSpec {
+                horizontal: Some(HorizontalSpec {
+                    split_column: column,
+                    split_value: value,
+                }),
+                ..PartitionSpec::default()
+            })
+        };
+        let placements = [
+            TablePlacement::Single(StoreKind::Row),
+            TablePlacement::Single(StoreKind::Column),
+            split(0, Value::BigInt(5)),
+            split(1, Value::Double(5.0)),
+        ];
+        let bad_rows = [row(3, 50.0), vec![Value::BigInt(100), Value::text("x")]];
+        let prefix: Vec<Vec<Value>> = (0..7).map(|i| row(i, i as f64)).collect();
+        let rows_of = |db: &HybridDatabase| {
+            let mut rows = db
+                .with_table("t", |d| d.snapshot_rows(db.segment_store()))
+                .unwrap()
+                .unwrap();
+            rows.sort();
+            rows
+        };
+        for (p, placement) in placements.iter().enumerate() {
+            for (b, bad) in bad_rows.iter().enumerate() {
+                let dir = std::env::temp_dir()
+                    .join(format!("hsd_load_prefix_{p}_{b}_{}", std::process::id()));
+                let _ = std::fs::remove_dir_all(&dir);
+                let load: Vec<Vec<Value>> = prefix
+                    .iter()
+                    .cloned()
+                    .chain([bad.clone()])
+                    .chain((20..25).map(|i| row(i, 1.0)))
+                    .collect();
+                {
+                    let (db, _) =
+                        HybridDatabase::open_dir(&dir, DurabilityConfig::default()).unwrap();
+                    db.create_table(schema("t"), placement.clone()).unwrap();
+                    assert!(db.bulk_load("t", load).is_err(), "{placement:?}");
+                    assert_eq!(rows_of(&db), prefix, "{placement:?}");
+                    db.sync_wal().unwrap();
+                }
+                let wal = std::fs::read(dir.join("wal.log")).unwrap();
+                let inserts: Vec<WalRecord> = hsd_storage::wal::scan_frames(&wal)
+                    .frames
+                    .iter()
+                    .map(|f| WalRecord::from_payload(&f.payload).unwrap())
+                    .filter(|r| matches!(r, WalRecord::Insert { .. }))
+                    .collect();
+                assert_eq!(
+                    inserts,
+                    [WalRecord::Insert {
+                        table: "t".into(),
+                        rows: prefix.clone(),
+                        load: false,
+                    }],
+                    "{placement:?}"
+                );
+                let (db, report) =
+                    HybridDatabase::open_dir(&dir, DurabilityConfig::default()).unwrap();
+                assert!(report.is_clean(), "{report:?}");
+                assert_eq!(rows_of(&db), prefix, "{placement:?} after replay");
+                drop(db);
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+
+    /// A row whose column-fragment half is invalid must reach neither
+    /// fragment of a vertical split — by bulk load or by statement — or
+    /// the positional stitch pairs keys with the wrong values.
+    #[test]
+    fn refused_rows_leave_vertical_fragments_aligned() {
+        use hsd_catalog::{PartitionSpec, VerticalSpec};
+        use hsd_query::InsertQuery;
+        let db = HybridDatabase::new();
+        let placement = TablePlacement::Partitioned(PartitionSpec {
+            vertical: Some(VerticalSpec { row_cols: vec![] }),
+            ..PartitionSpec::default()
+        });
+        db.create_table(schema("t"), placement).unwrap();
+        let good = |i: i64| vec![Value::BigInt(i), Value::Double(i as f64)];
+        let bad = vec![Value::BigInt(100), Value::text("x")];
+        let load = (0..3).map(good).chain([bad.clone()]);
+        assert!(db.bulk_load("t", load).is_err());
+        let insert = Query::Insert(InsertQuery {
+            table: "t".into(),
+            rows: vec![good(3), bad, good(4)],
+        });
+        assert!(db.execute(&insert).is_err());
+        let rows = db
+            .with_table("t", |d| d.snapshot_rows(db.segment_store()))
+            .unwrap()
+            .unwrap();
+        assert_eq!(rows, (0..4).map(good).collect::<Vec<_>>());
+        db.with_table("t", |d| match d {
+            TableData::Partitioned {
+                cold: crate::partition::ColdPart::Vertical(p),
+                ..
+            } => p.check_alignment().unwrap(),
+            other => panic!("expected a vertical split, got {other:?}"),
+        })
+        .unwrap();
     }
 
     #[test]

@@ -104,18 +104,14 @@ pub fn move_table(db: &HybridDatabase, table: &str, target: &TablePlacement) -> 
         // rows, so no separate Promote record is needed — replay's
         // move_table does the same load).
         had_segment = promote_in_place(&mut guard, &store)?;
-        // Drain the existing physical data.
+        // Drain the existing physical data straight into the target's
+        // builders (draining cannot fail: the cold partition was promoted
+        // just above). Built column stores carry no delta tail.
         let old = std::mem::replace(
             &mut *guard,
             TableData::Single(Table::new(schema.clone(), hsd_storage::StoreKind::Row)),
         );
-        // Cannot fail: the cold partition was promoted just above.
-        let rows = old.into_rows()?;
-        let mut fresh = TableData::new(schema, target)?;
-        load_partition_aware(&mut fresh, target, rows)?;
-        if let Some(ct) = fresh.delta_region_mut() {
-            ct.compact();
-        }
+        let mut fresh = TableData::build(schema, target, old)?;
         if target_is_disk {
             demote_in_place(&mut fresh, table, &store)?;
         }
@@ -245,46 +241,6 @@ pub fn promote_cold(db: &HybridDatabase, table: &str) -> Result<()> {
     sync_partition_spec(db, table)
 }
 
-/// Load rows respecting a horizontal split: historic rows (below the split
-/// value) go to the cold partition, hot rows to the hot partition. Without
-/// a horizontal split, everything goes through the normal insert path.
-fn load_partition_aware(
-    data: &mut TableData,
-    target: &TablePlacement,
-    rows: Vec<Vec<Value>>,
-) -> Result<()> {
-    match (data, target) {
-        (
-            TableData::Partitioned {
-                hot: Some(hot),
-                cold,
-                spec,
-                ..
-            },
-            TablePlacement::Partitioned(_),
-        ) => {
-            let h = spec
-                .horizontal
-                .clone()
-                .expect("hot partition implies horizontal spec");
-            for row in rows {
-                if row[h.split_column] >= h.split_value {
-                    hot.insert(&row)?;
-                } else {
-                    cold.insert(&row)?;
-                }
-            }
-            Ok(())
-        }
-        (data, _) => {
-            for row in rows {
-                data.insert(&row)?;
-            }
-            Ok(())
-        }
-    }
-}
-
 /// The one-shot delta-merge entry point: fold the dictionary tail of
 /// `table`'s delta region ([`TableData::delta_region`]) back into the
 /// sorted region, returning how many tail entries were merged. `partition`
@@ -380,8 +336,10 @@ pub fn cancel_merge(db: &HybridDatabase, table: &str) -> Result<usize> {
 
 /// Move rows that have aged out of the hot partition into the cold
 /// partition ("in certain intervals, data is moved from the row-store
-/// partition to the column-store partition"). Rows still satisfying the
-/// hot predicate stay. Returns how many rows were moved.
+/// partition to the column-store partition"): the table is rebuilt under
+/// the new split value, so the cold partition keeps its rows in order and
+/// takes the aged ones after them, while rows still satisfying the hot
+/// predicate stay hot. Returns how many rows changed partition.
 pub fn rebalance_horizontal(
     db: &HybridDatabase,
     table: &str,
@@ -396,43 +354,37 @@ pub fn rebalance_horizontal(
             cold,
             spec,
             schema,
-            hot_pure,
-        } = &mut *guard
+            ..
+        } = &*guard
         else {
             return Err(hsd_types::Error::InvalidOperation(format!(
                 "table {table} has no hot partition to rebalance"
             )));
         };
-        let Some(h) = spec.horizontal.as_mut() else {
-            return Err(hsd_types::Error::InvalidOperation(format!(
-                "table {table} has no horizontal spec"
-            )));
-        };
-        // Checked before the hot partition is drained: aged rows are
-        // inserted into the cold partition, which a segment cannot take.
+        // Checked before anything is drained: the rebuilt cold partition
+        // must be in memory, and a segment is not.
         if matches!(cold, ColdPart::DiskColumn(_)) {
             return Err(Error::InvalidOperation(format!(
                 "table {table}: promote the disk-resident cold partition before rebalancing"
             )));
         }
-        // Drain the hot partition and re-split under the new boundary.
-        let drained =
-            std::mem::replace(hot, Table::new(schema.clone(), hsd_storage::StoreKind::Row));
-        let mut moved = 0;
-        for row in drained.into_rows() {
-            if row[h.split_column] >= *new_split_value {
-                hot.insert(&row)?;
-            } else {
-                cold.insert(&row)?;
-                moved += 1;
-            }
-        }
+        let mut spec = spec.clone();
+        let Some(h) = spec.horizontal.as_mut() else {
+            return Err(hsd_types::Error::InvalidOperation(format!(
+                "table {table} has no horizontal spec"
+            )));
+        };
         h.split_value = new_split_value.clone();
-        // The re-split is strict, so the hot partition is pure again.
-        *hot_pure = true;
-        if let Some(ct) = guard.delta_region_mut() {
-            ct.compact();
-        }
+        let (schema, hot_rows) = (schema.clone(), hot.row_count());
+        let old = std::mem::replace(
+            &mut *guard,
+            TableData::Single(Table::new(schema.clone(), hsd_storage::StoreKind::Row)),
+        );
+        *guard = TableData::build(schema, &TablePlacement::Partitioned(spec), old)?;
+        let TableData::Partitioned { hot: Some(hot), .. } = &*guard else {
+            unreachable!("a horizontal spec builds a hot partition")
+        };
+        let moved = hot_rows.abs_diff(hot.row_count());
         db.log_record(&WalRecord::Rebalance {
             table: table.to_string(),
             split_value: new_split_value.clone(),
@@ -947,7 +899,9 @@ mod tests {
         let mut layout = StorageLayout::new();
         layout.set("t", split_placement(Tier::Disk));
         apply_layout(&db, &layout).unwrap();
-        let drained = db.with_table("t", |d| d.clone().into_rows()).unwrap();
+        let drained = db
+            .with_table("t", |d| hsd_storage::RowSource::into_rows(d.clone()))
+            .unwrap();
         assert!(matches!(drained, Err(Error::InvalidOperation(_))));
         // The mover promotes first, so moving such a table away works.
         move_table(&db, "t", &TablePlacement::Single(StoreKind::Row)).unwrap();

@@ -1,12 +1,15 @@
 //! Physical layout of one table: single store, or hot/cold partitions with
 //! an optional vertical split of the cold region.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use hsd_catalog::{HorizontalSpec, PartitionSpec, TablePlacement, Tier, VerticalSpec};
+use hsd_storage::table::pk_key_of;
 use hsd_storage::{
-    decode_segment, encode_segment, ColRange, ColumnData, ColumnTable, Columns, SegmentReader,
-    SegmentStore, SelVec, StoreKind, Table,
+    decode_segment, encode_segment, ColRange, ColumnBuilder, ColumnData, ColumnTable, Columns,
+    PkKey, RowBuilder, RowSource, SegmentReader, SegmentStore, SelVec, StoreKind, Table,
+    TableBuilder, BLOCK,
 };
 use hsd_types::{ColumnIdx, Error, Result, TableSchema, Value};
 
@@ -128,11 +131,19 @@ impl VerticalPair {
 
     /// Insert a logical row (appends to both fragments).
     pub fn insert(&mut self, row: &[Value]) -> Result<u32> {
+        if row.len() != self.locate.len() {
+            return Err(Error::ArityMismatch {
+                expected: self.locate.len(),
+                got: row.len(),
+            });
+        }
         let split = self.split_row(row);
+        // Both halves are checked before either fragment changes: a row
+        // one fragment refuses must not reach the other.
+        self.col_frag.schema().validate_row(&split.1)?;
         let idx = self.row_frag.insert(&split.0)?;
-        // A failure here would desynchronize the fragments; the only
-        // possible cause is a duplicate key, which the first insert already
-        // rejected, so propagate any residual error loudly.
+        // The row fragment took the key, so this cannot fail; propagate
+        // any residual error loudly.
         let idx2 = self.col_frag.insert(&split.1)?;
         debug_assert_eq!(idx, idx2, "vertical fragments must stay aligned");
         Ok(idx)
@@ -286,18 +297,6 @@ impl VerticalPair {
         out
     }
 
-    /// Drain into logical rows.
-    pub fn into_rows(self) -> Vec<Vec<Value>> {
-        let n = self.row_count() as u32;
-        (0..n)
-            .map(|r| {
-                (0..self.locate.len())
-                    .map(|c| self.value_at(r, c).clone())
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Verify the positional-alignment invariant: both fragments agree on
     /// every primary key. O(n); used by tests and debug assertions.
     pub fn check_alignment(&self) -> Result<()> {
@@ -337,6 +336,100 @@ impl VerticalPair {
                 Table::Column(_) => Ok(()),
             },
             Loc::Col(_) => Ok(()),
+        }
+    }
+}
+
+/// Reading a vertically split table as logical rows: a block of [`BLOCK`]
+/// rows is stitched column by column from both fragments
+/// ([`Table::fill_rows`]), then handed out row by row.
+impl RowSource for &VerticalPair {
+    fn rows_hint(&self) -> usize {
+        self.row_count()
+    }
+
+    fn drain_rows(self, sink: &mut dyn FnMut(&mut [Value]) -> Result<()>) -> Result<()> {
+        let width = self.locate.len();
+        let n = self.row_count();
+        let mut block = vec![Value::Null; BLOCK * width];
+        for start in (0..n).step_by(BLOCK) {
+            let rows = &mut block[..BLOCK.min(n - start) * width];
+            for (slot, loc) in self.locate.iter().enumerate() {
+                match *loc {
+                    Loc::Row(p) => self.row_frag.fill_rows(p, start, rows, width, slot),
+                    Loc::Col(p) => self.col_frag.fill_rows(p, start, rows, width, slot),
+                }
+            }
+            for row in rows.chunks_exact_mut(width) {
+                sink(row)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Bulk build of a [`VerticalPair`]: each logical row is split into its
+/// two fragment rows (the key goes to both), the row-store fragment's
+/// builder takes its half first and checks the key.
+#[derive(Debug)]
+struct PairBuilder {
+    schema: Arc<TableSchema>,
+    locate: Vec<Loc>,
+    /// `(column-fragment slot, logical column)` of each key column.
+    key_mirror: Vec<(usize, ColumnIdx)>,
+    row_frag: RowBuilder,
+    col_frag: ColumnBuilder,
+    row_half: Vec<Value>,
+    col_half: Vec<Value>,
+}
+
+impl PairBuilder {
+    fn new(schema: &Arc<TableSchema>, spec: &VerticalSpec, rows_hint: usize) -> Result<Self> {
+        let empty = VerticalPair::new(schema, spec)?;
+        let key_mirror = empty
+            .col_frag
+            .schema()
+            .primary_key
+            .iter()
+            .copied()
+            .zip(empty.logical_pk_columns())
+            .collect();
+        let row_schema = empty.row_frag.schema().clone();
+        let col_schema = empty.col_frag.schema().clone();
+        Ok(PairBuilder {
+            schema: schema.clone(),
+            locate: empty.locate,
+            key_mirror,
+            row_half: vec![Value::Null; row_schema.arity()],
+            col_half: vec![Value::Null; col_schema.arity()],
+            row_frag: RowBuilder::new(row_schema, rows_hint),
+            col_frag: ColumnBuilder::new(col_schema, rows_hint),
+        })
+    }
+
+    fn push(&mut self, row: &mut [Value]) -> Result<()> {
+        // Validated whole, so neither fragment can refuse a row the other
+        // took (the fragments must stay positionally aligned).
+        self.schema.validate_row(row)?;
+        for &(slot, logical) in &self.key_mirror {
+            self.col_half[slot] = row[logical].clone();
+        }
+        for (logical, value) in row.iter_mut().enumerate() {
+            let value = std::mem::replace(value, Value::Null);
+            match self.locate[logical] {
+                Loc::Row(p) => self.row_half[p] = value,
+                Loc::Col(p) => self.col_half[p] = value,
+            }
+        }
+        self.row_frag.push(&mut self.row_half)?;
+        self.col_frag.push(&mut self.col_half)
+    }
+
+    fn finish(self) -> VerticalPair {
+        VerticalPair {
+            row_frag: Table::Row(self.row_frag.finish()),
+            col_frag: Table::Column(self.col_frag.finish()),
+            locate: self.locate,
         }
     }
 }
@@ -516,33 +609,73 @@ pub enum TableData {
 impl TableData {
     /// Build an empty `TableData` for a placement.
     pub fn new(schema: Arc<TableSchema>, placement: &TablePlacement) -> Result<Self> {
-        match placement {
-            TablePlacement::Single(store) => Ok(TableData::Single(Table::new(schema, *store))),
-            TablePlacement::Partitioned(spec) => {
-                if spec.cold_tier == Tier::Disk && spec.vertical.is_some() {
-                    return Err(Error::InvalidOperation(format!(
-                        "table {}: a vertically split cold partition cannot be disk-resident",
-                        schema.name
-                    )));
+        Ok(TableDataBuilder::new(schema, placement, 0)?.finish())
+    }
+
+    /// Bulk-build a table under `placement` from `rows` — the one builder
+    /// every bulk path (load, move, rebalance, checkpoint restore) runs
+    /// through. Rows are split by the partition spec as they arrive (rows
+    /// at or above a horizontal split value to the row-store hot
+    /// partition, the rest to the cold partition, a vertical split into
+    /// its two fragments) and each part is built by its store's builder
+    /// ([`RowBuilder`], [`ColumnBuilder`]). Fails on the first invalid or
+    /// duplicate row.
+    pub fn build(
+        schema: Arc<TableSchema>,
+        placement: &TablePlacement,
+        mut rows: impl RowSource,
+    ) -> Result<Self> {
+        let mut builder = TableDataBuilder::new(schema, placement, rows.rows_hint())?;
+        // One target table takes every row in order: the source's key
+        // index is already the right one.
+        if let PartBuilders::Single(b) = &mut builder.parts {
+            if let Some(pk) = rows.take_pk_index(&builder.schema.primary_key) {
+                b.adopt_pk_index(pk);
+            }
+        }
+        rows.drain_rows(&mut |row| builder.push(row))?;
+        Ok(builder.finish())
+    }
+
+    /// The placement this table's physical layout realizes.
+    pub fn placement(&self) -> TablePlacement {
+        match self {
+            TableData::Single(t) => TablePlacement::Single(t.store_kind()),
+            TableData::Partitioned { spec, .. } => TablePlacement::Partitioned(spec.clone()),
+        }
+    }
+
+    /// Every logical row (cold first, then hot) read without draining the
+    /// table — the checkpoint writer's source. A disk-resident cold
+    /// partition is decoded from its segment (the checkpoint embeds the
+    /// data itself; the segment file stays a rebuildable cache).
+    pub fn snapshot<'a>(&'a self, store: &'a SegmentStore) -> Snapshot<'a> {
+        Snapshot { data: self, store }
+    }
+
+    /// Collect every logical row (cold first, then hot) without draining
+    /// the table ([`TableData::snapshot`] as owned vectors).
+    pub fn snapshot_rows(&self, store: &SegmentStore) -> Result<Vec<Vec<Value>>> {
+        self.snapshot(store).into_rows()
+    }
+
+    /// Create a row-store secondary index on logical column `col` in every
+    /// row-store region (hot partition, row-store cold partition or row
+    /// fragment). Column-store regions need none: the sorted dictionary is
+    /// the implicit index.
+    pub fn create_index(&mut self, col: ColumnIdx) -> Result<()> {
+        match self {
+            TableData::Single(Table::Row(rt)) => rt.create_index(col),
+            TableData::Single(Table::Column(_)) => Ok(()),
+            TableData::Partitioned { hot, cold, .. } => {
+                if let Some(Table::Row(rt)) = hot.as_mut() {
+                    rt.create_index(col)?;
                 }
-                let hot = spec
-                    .horizontal
-                    .as_ref()
-                    .map(|_| Table::new(schema.clone(), StoreKind::Row));
-                // A disk cold tier starts as an (empty) in-memory cold
-                // partition; the mover demotes it to a segment once data
-                // exists, and WAL replay re-applies that demotion.
-                let cold = match &spec.vertical {
-                    None => ColdPart::Single(Table::new(schema.clone(), StoreKind::Column)),
-                    Some(v) => ColdPart::Vertical(VerticalPair::new(&schema, v)?),
-                };
-                Ok(TableData::Partitioned {
-                    schema,
-                    spec: spec.clone(),
-                    hot,
-                    cold,
-                    hot_pure: true,
-                })
+                match cold {
+                    ColdPart::Single(Table::Row(rt)) => rt.create_index(col),
+                    ColdPart::Vertical(p) => p.create_row_index(col),
+                    ColdPart::Single(Table::Column(_)) | ColdPart::DiskColumn(_) => Ok(()),
+                }
             }
         }
     }
@@ -603,65 +736,6 @@ impl TableData {
             TableData::Partitioned { spec, .. } => spec.horizontal.as_ref(),
             TableData::Single(_) => None,
         }
-    }
-
-    /// Collect every logical row (cold first, then hot) without draining —
-    /// the checkpoint writer's snapshot path. A disk-resident cold
-    /// partition is decoded from its segment (the checkpoint embeds the
-    /// data itself; the segment file stays a rebuildable cache).
-    pub fn snapshot_rows(&self, store: &SegmentStore) -> Result<Vec<Vec<Value>>> {
-        fn table_rows(t: &Table, out: &mut Vec<Vec<Value>>) {
-            let cols = t.schema().columns.len();
-            out.extend(
-                (0..t.row_count() as u32)
-                    .map(|r| (0..cols).map(|c| t.value_at(r, c).clone()).collect()),
-            );
-        }
-        let mut rows = Vec::with_capacity(self.row_count());
-        match self {
-            TableData::Single(t) => table_rows(t, &mut rows),
-            TableData::Partitioned { hot, cold, .. } => {
-                match cold {
-                    ColdPart::Single(t) => table_rows(t, &mut rows),
-                    ColdPart::Vertical(p) => {
-                        let all: Vec<u32> = (0..p.row_count() as u32).collect();
-                        rows.extend(p.collect_rows(&all, None));
-                    }
-                    ColdPart::DiskColumn(f) => table_rows(&f.load(store)?, &mut rows),
-                }
-                if let Some(h) = hot {
-                    table_rows(h, &mut rows);
-                }
-            }
-        }
-        Ok(rows)
-    }
-
-    /// Collect every logical row (cold first, then hot), draining `self`.
-    ///
-    /// Fails with [`Error::InvalidOperation`] on a disk-resident cold
-    /// partition: draining needs the data in memory, so the mover promotes
-    /// first.
-    pub fn into_rows(self) -> Result<Vec<Vec<Value>>> {
-        Ok(match self {
-            TableData::Single(t) => t.into_rows(),
-            TableData::Partitioned { hot, cold, .. } => {
-                let mut rows = match cold {
-                    ColdPart::Single(t) => t.into_rows(),
-                    ColdPart::Vertical(p) => p.into_rows(),
-                    ColdPart::DiskColumn(f) => {
-                        return Err(Error::InvalidOperation(format!(
-                            "draining {} with a disk-resident cold partition (promote first)",
-                            f.reader().schema().name
-                        )))
-                    }
-                };
-                if let Some(h) = hot {
-                    rows.extend(h.into_rows());
-                }
-                rows
-            }
-        })
     }
 
     /// Approximate heap bytes across partitions.
@@ -813,6 +887,220 @@ impl TableData {
     }
 }
 
+/// Draining a table into its logical rows (cold first, then hot), for a
+/// rebuild under another placement.
+///
+/// Fails with [`Error::InvalidOperation`] on a disk-resident cold
+/// partition: draining needs the data in memory, so the mover promotes
+/// first.
+impl RowSource for TableData {
+    fn rows_hint(&self) -> usize {
+        self.row_count()
+    }
+
+    fn drain_rows(self, sink: &mut dyn FnMut(&mut [Value]) -> Result<()>) -> Result<()> {
+        match self {
+            TableData::Single(t) => t.drain_rows(sink),
+            TableData::Partitioned { hot, cold, .. } => {
+                match cold {
+                    ColdPart::Single(t) => t.drain_rows(&mut *sink)?,
+                    ColdPart::Vertical(p) => p.drain_rows(&mut *sink)?,
+                    ColdPart::DiskColumn(f) => {
+                        return Err(Error::InvalidOperation(format!(
+                            "draining {} with a disk-resident cold partition (promote first)",
+                            f.reader().schema().name
+                        )))
+                    }
+                }
+                hot.map_or(Ok(()), |h| h.drain_rows(sink))
+            }
+        }
+    }
+
+    fn take_pk_index(&mut self, primary_key: &[ColumnIdx]) -> Option<HashMap<PkKey, u32>> {
+        match self {
+            TableData::Single(t) => t.take_pk_index(primary_key),
+            TableData::Partitioned { .. } => None,
+        }
+    }
+}
+
+/// A table's logical rows read in place ([`TableData::snapshot`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Snapshot<'a> {
+    data: &'a TableData,
+    store: &'a SegmentStore,
+}
+
+impl RowSource for Snapshot<'_> {
+    fn rows_hint(&self) -> usize {
+        self.data.row_count()
+    }
+
+    fn drain_rows(self, sink: &mut dyn FnMut(&mut [Value]) -> Result<()>) -> Result<()> {
+        match self.data {
+            TableData::Single(t) => t.drain_rows(sink),
+            TableData::Partitioned { hot, cold, .. } => {
+                match cold {
+                    ColdPart::Single(t) => t.drain_rows(&mut *sink)?,
+                    ColdPart::Vertical(p) => p.drain_rows(&mut *sink)?,
+                    ColdPart::DiskColumn(f) => f.load(self.store)?.drain_rows(&mut *sink)?,
+                }
+                hot.as_ref().map_or(Ok(()), |h| h.drain_rows(sink))
+            }
+        }
+    }
+
+    fn take_pk_index(&mut self, primary_key: &[ColumnIdx]) -> Option<HashMap<PkKey, u32>> {
+        match self.data {
+            TableData::Single(t) => {
+                let mut t = t;
+                t.take_pk_index(primary_key)
+            }
+            TableData::Partitioned { .. } => None,
+        }
+    }
+}
+
+/// A bulk build of one table under a placement ([`TableData::build`]). A
+/// refused row (schema-invalid, or repeating a key in any part) changes
+/// nothing, so a build stopped at the first refusal holds exactly the
+/// rows before it.
+#[derive(Debug)]
+pub(crate) struct TableDataBuilder {
+    schema: Arc<TableSchema>,
+    parts: PartBuilders,
+}
+
+/// One build exists per bulk path call, so the variants' size gap is
+/// irrelevant.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+enum PartBuilders {
+    Single(TableBuilder),
+    Partitioned {
+        spec: PartitionSpec,
+        hot: Option<RowBuilder>,
+        cold: ColdBuilder,
+    },
+}
+
+#[derive(Debug)]
+enum ColdBuilder {
+    Single(ColumnBuilder),
+    Vertical(Box<PairBuilder>),
+}
+
+impl ColdBuilder {
+    fn push(&mut self, row: &mut [Value]) -> Result<()> {
+        match self {
+            ColdBuilder::Single(b) => b.push(row),
+            ColdBuilder::Vertical(b) => b.push(row),
+        }
+    }
+
+    fn contains_key(&self, key: &[Value]) -> bool {
+        match self {
+            ColdBuilder::Single(b) => b.contains_key(key),
+            ColdBuilder::Vertical(b) => b.row_frag.contains_key(key),
+        }
+    }
+}
+
+impl TableDataBuilder {
+    /// Start an empty build under `placement`, pre-sized for `rows_hint`
+    /// rows (the cold part is sized for all of them; the hot part of a
+    /// horizontal split grows as rows arrive).
+    pub(crate) fn new(
+        schema: Arc<TableSchema>,
+        placement: &TablePlacement,
+        rows_hint: usize,
+    ) -> Result<Self> {
+        let parts = match placement {
+            TablePlacement::Single(store) => {
+                PartBuilders::Single(TableBuilder::new(schema.clone(), *store, rows_hint))
+            }
+            TablePlacement::Partitioned(spec) => {
+                if spec.cold_tier == Tier::Disk && spec.vertical.is_some() {
+                    return Err(Error::InvalidOperation(format!(
+                        "table {}: a vertically split cold partition cannot be disk-resident",
+                        schema.name
+                    )));
+                }
+                // A disk cold tier starts as an in-memory cold partition;
+                // the mover demotes it to a segment once data exists, and
+                // WAL replay re-applies that demotion.
+                let cold = match &spec.vertical {
+                    None => ColdBuilder::Single(ColumnBuilder::new(schema.clone(), rows_hint)),
+                    Some(v) => {
+                        ColdBuilder::Vertical(Box::new(PairBuilder::new(&schema, v, rows_hint)?))
+                    }
+                };
+                PartBuilders::Partitioned {
+                    spec: spec.clone(),
+                    hot: spec
+                        .horizontal
+                        .as_ref()
+                        .map(|_| RowBuilder::new(schema.clone(), 0)),
+                    cold,
+                }
+            }
+        };
+        Ok(TableDataBuilder { schema, parts })
+    }
+
+    /// Route one row to its part, moving its values out; a refused row
+    /// changes nothing.
+    pub(crate) fn push(&mut self, row: &mut [Value]) -> Result<()> {
+        let (spec, hot, cold) = match &mut self.parts {
+            PartBuilders::Single(b) => return b.push(row),
+            PartBuilders::Partitioned { spec, hot, cold } => (spec, hot, cold),
+        };
+        self.schema.validate_row(row)?;
+        let (Some(hot), Some(split)) = (hot, &spec.horizontal) else {
+            return cold.push(row);
+        };
+        let to_hot = row[split.split_column] >= split.split_value;
+        // Rows with equal keys agree on a key column, so only a split on a
+        // non-key column can send them to different parts.
+        if !self.schema.is_pk_column(split.split_column) {
+            let key = pk_key_of(&self.schema, row);
+            let taken = match to_hot {
+                true => cold.contains_key(&key),
+                false => hot.contains_key(&key),
+            };
+            if taken {
+                return Err(Error::DuplicateKey(format!(
+                    "{}: {key:?}",
+                    self.schema.name
+                )));
+            }
+        }
+        match to_hot {
+            true => hot.push(row),
+            false => cold.push(row),
+        }
+    }
+
+    /// The table holding every accepted row. Every hot row satisfies the
+    /// split predicate, so hot-partition pruning is on.
+    pub(crate) fn finish(self) -> TableData {
+        match self.parts {
+            PartBuilders::Single(b) => TableData::Single(b.finish()),
+            PartBuilders::Partitioned { spec, hot, cold } => TableData::Partitioned {
+                schema: self.schema,
+                spec,
+                hot: hot.map(|b| Table::Row(b.finish())),
+                cold: match cold {
+                    ColdBuilder::Single(b) => ColdPart::Single(Table::Column(b.finish())),
+                    ColdBuilder::Vertical(b) => ColdPart::Vertical((*b).finish()),
+                },
+                hot_pure: true,
+            },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -926,7 +1214,7 @@ mod tests {
     #[test]
     fn pair_into_rows_preserves_logical_order() {
         let p = pair();
-        let rows = p.into_rows();
+        let rows = p.into_rows().unwrap();
         assert_eq!(rows.len(), 20);
         assert_eq!(rows[7][0], Value::BigInt(7));
         assert_eq!(rows[7][2], Value::Int(3));

@@ -71,6 +71,16 @@ fn mask_of(width: usize) -> u64 {
     }
 }
 
+/// Word capacity after pushes fill `len` entries at `width > 0` bits into a
+/// word vector of capacity `cap` (`Vec` doubling, at least 4 words).
+fn grown_words(mut cap: usize, width: u8, len: usize) -> usize {
+    let need = len.div_ceil(fields_per_word(width));
+    while cap < need {
+        cap = (cap * 2).max(4);
+    }
+    cap
+}
+
 /// Unpack every field of each word in `words` into `out`
 /// (`out.len() == words.len() * K` where `K = 64 / (W + 1)`).
 ///
@@ -322,6 +332,30 @@ impl BitPackedVec {
             wider.len += 1;
         }
         *self = wider;
+    }
+
+    /// Pack `codes` (every one below `2^width`) at `width` bits — the bulk
+    /// counterpart of pushing them one by one. `widened_at` is the position
+    /// at which the push order `codes` replace first needed `width` bits
+    /// (the first code `2^(width-1)`). The vector reserves the word
+    /// capacity that push order would have reached — the last widening
+    /// repacks to an exact fit and pushes double from there — so a built
+    /// column holds, and later grows, the same memory as an inserted one.
+    pub(crate) fn pack(
+        width: u8,
+        codes: impl ExactSizeIterator<Item = u32>,
+        widened_at: usize,
+    ) -> Self {
+        let mut v = BitPackedVec::with_capacity(width, 0);
+        if width > 0 {
+            let repacked = widened_at.div_ceil(fields_per_word(width));
+            v.words
+                .reserve_exact(grown_words(repacked, width, codes.len()));
+        }
+        for code in codes {
+            v.push(code);
+        }
+        v
     }
 
     /// Iterate over all entries.

@@ -16,11 +16,12 @@ use std::sync::Arc;
 
 use hsd_types::{ColumnIdx, Error, Result, TableSchema, Value};
 
-use crate::bitpack::{BitPackedVec, BLOCK};
+use crate::bitpack::{bits_for, BitPackedVec, BLOCK};
 use crate::dictionary::Dictionary;
+use crate::hash::FastState;
 use crate::predicate::{ColRange, RowSel};
 use crate::selvec::SelVec;
-use crate::table::{pk_key_of, PkKey};
+use crate::table::{claim_pk, KeyIndex, PkKey, RowSource};
 
 /// Progress of one bounded slice of an incremental delta merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -362,6 +363,21 @@ impl ColumnData {
     #[inline]
     pub fn decode_codes_into(&self, start: usize, out: &mut [u32]) {
         self.codes.decode_into(start, out);
+    }
+
+    /// Write the values of rows `[start, start + rows.len() / width)` into
+    /// slot `slot` of each `width`-wide row of the row-major `rows`, one
+    /// block-decoded run of codes at a time — how bulk paths turn columns
+    /// back into rows without a per-value [`ColumnData::value_at`].
+    pub fn fill_rows(&self, start: usize, rows: &mut [Value], width: usize, slot: usize) {
+        let mut codes = [0u32; BLOCK];
+        for (b, block) in rows.chunks_mut(BLOCK * width).enumerate() {
+            let run = &mut codes[..block.len() / width];
+            self.codes.decode_into(start + b * BLOCK, run);
+            for (row, &code) in block.chunks_exact_mut(width).zip(run.iter()) {
+                row[slot] = self.dict.decode(code).clone();
+            }
+        }
     }
 
     /// The code-domain match set for `range`: the sorted-region interval
@@ -745,20 +761,8 @@ impl ColumnTable {
     /// row-store appends.
     pub fn insert(&mut self, row: &[Value]) -> Result<u32> {
         self.schema.validate_row(row)?;
-        let key = pk_key_of(&self.schema, row);
         let idx = self.rows as u32;
-        match self.pk.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                return Err(Error::DuplicateKey(format!(
-                    "{}: {:?}",
-                    self.schema.name,
-                    e.key()
-                )));
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(idx);
-            }
-        }
+        claim_pk(&mut self.pk, &self.schema, row, idx)?;
         for (col, value) in self.columns.iter_mut().zip(row) {
             col.push(value);
         }
@@ -1062,9 +1066,16 @@ impl ColumnTable {
         cols + pk
     }
 
-    /// Drain this table into its rows (used by the data mover).
-    pub fn into_rows(self) -> Vec<Vec<Value>> {
-        (0..self.rows as u32).map(|i| self.row(i)).collect()
+    /// Bulk-build a column table from `rows` ([`ColumnBuilder`]): the
+    /// table inserting them one by one and merging the delta produces.
+    /// Fails on the first invalid or duplicate row.
+    pub fn build(schema: Arc<TableSchema>, mut rows: impl RowSource) -> Result<Self> {
+        let mut builder = ColumnBuilder::new(schema.clone(), rows.rows_hint());
+        if let Some(pk) = rows.take_pk_index(&schema.primary_key) {
+            builder.adopt_pk_index(pk);
+        }
+        rows.drain_rows(&mut |row| builder.push(row))?;
+        Ok(builder.finish())
     }
 
     /// Rebuild a table from restored columns (the segment decode path).
@@ -1108,6 +1119,167 @@ impl ColumnTable {
             pk,
             rows,
         })
+    }
+}
+
+/// Reading a column table as rows: a block of [`BLOCK`] rows is filled
+/// column by column from block-decoded codes ([`ColumnData::fill_rows`]),
+/// then handed out row by row.
+impl RowSource for &ColumnTable {
+    fn rows_hint(&self) -> usize {
+        self.rows
+    }
+
+    fn drain_rows(self, sink: &mut dyn FnMut(&mut [Value]) -> Result<()>) -> Result<()> {
+        let width = self.columns.len();
+        let mut block = vec![Value::Null; BLOCK * width];
+        for start in (0..self.rows).step_by(BLOCK) {
+            let rows = &mut block[..BLOCK.min(self.rows - start) * width];
+            for (slot, col) in self.columns.iter().enumerate() {
+                col.fill_rows(start, rows, width, slot);
+            }
+            for row in rows.chunks_exact_mut(width) {
+                sink(row)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn take_pk_index(&mut self, primary_key: &[ColumnIdx]) -> Option<HashMap<PkKey, u32>> {
+        (self.schema.primary_key == primary_key).then(|| self.pk.clone())
+    }
+}
+
+/// Draining a column table: the rows of [`&ColumnTable`](RowSource), and
+/// the primary-key index handed over whole.
+impl RowSource for ColumnTable {
+    fn rows_hint(&self) -> usize {
+        self.rows
+    }
+
+    fn drain_rows(self, sink: &mut dyn FnMut(&mut [Value]) -> Result<()>) -> Result<()> {
+        (&self).drain_rows(sink)
+    }
+
+    fn take_pk_index(&mut self, primary_key: &[ColumnIdx]) -> Option<HashMap<PkKey, u32>> {
+        (self.schema.primary_key == primary_key).then(|| std::mem::take(&mut self.pk))
+    }
+}
+
+/// Builds a [`ColumnTable`] from rows handed over one at a time — the bulk
+/// path of loads, moves, checkpoints and restores.
+///
+/// One pass over the rows gives every value its first-seen code (the code
+/// the insert path's dictionary tail would give it) through a per-column
+/// hash map; [`ColumnBuilder::finish`] then sorts each column's distinct
+/// values straight into the sorted dictionary region and packs the
+/// remapped codes once. The result is the table inserts plus
+/// [`ColumnTable::compact`] produce — same dictionaries, codes, merge
+/// epochs and capacities — without the tail interning and the per-row
+/// remap.
+#[derive(Debug)]
+pub struct ColumnBuilder {
+    schema: Arc<TableSchema>,
+    keys: KeyIndex,
+    columns: Vec<ColumnBuild>,
+    rows: usize,
+}
+
+/// One column's share of a [`ColumnBuilder`].
+#[derive(Debug, Default)]
+struct ColumnBuild {
+    /// First-seen code of every distinct value.
+    codes: HashMap<Value, u32, FastState>,
+    /// First-seen code of every row.
+    seen: Vec<u32>,
+    /// Row at which the largest power-of-two code first appeared: where
+    /// the insert path's code vector last widened.
+    widened_at: usize,
+}
+
+impl ColumnBuild {
+    fn finish(self) -> ColumnData {
+        let mut entries: Vec<(Value, u32)> = self.codes.into_iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut remap = vec![0u32; entries.len()];
+        let mut sorted = Vec::with_capacity(entries.len());
+        for (rank, (value, code)) in entries.into_iter().enumerate() {
+            remap[code as usize] = rank as u32;
+            sorted.push(value);
+        }
+        let width = bits_for(sorted.len().saturating_sub(1) as u32);
+        let codes = BitPackedVec::pack(
+            width,
+            self.seen.iter().map(|&c| remap[c as usize]),
+            self.widened_at,
+        );
+        ColumnData {
+            dict: Dictionary::from_regions(sorted, Vec::new()),
+            // The insert path's merge folds a non-empty tail: one handoff.
+            epoch: u64::from(!codes.is_empty()),
+            codes,
+            pending: None,
+        }
+    }
+}
+
+impl ColumnBuilder {
+    /// Start an empty build pre-sized for `rows_hint` rows.
+    pub fn new(schema: Arc<TableSchema>, rows_hint: usize) -> Self {
+        let columns = (0..schema.arity())
+            .map(|_| ColumnBuild {
+                seen: Vec::with_capacity(rows_hint),
+                ..ColumnBuild::default()
+            })
+            .collect();
+        ColumnBuilder {
+            schema,
+            keys: KeyIndex::with_capacity(rows_hint),
+            columns,
+            rows: 0,
+        }
+    }
+
+    /// Append one row, moving its values out (they are left `NULL`); a row
+    /// that fails schema validation or repeats a primary key is refused and
+    /// nothing changes.
+    pub fn push(&mut self, row: &mut [Value]) -> Result<()> {
+        self.schema.validate_row(row)?;
+        self.keys.claim(&self.schema, row, self.rows as u32)?;
+        for (col, value) in self.columns.iter_mut().zip(row) {
+            let next = col.codes.len() as u32;
+            let code = *col
+                .codes
+                .entry(std::mem::replace(value, Value::Null))
+                .or_insert(next);
+            if code == next && next.is_power_of_two() {
+                col.widened_at = self.rows;
+            }
+            col.seen.push(code);
+        }
+        self.rows += 1;
+        Ok(())
+    }
+
+    /// Whether a row with primary key `key` was already pushed.
+    pub fn contains_key(&self, key: &[Value]) -> bool {
+        self.keys.contains(key)
+    }
+
+    /// Adopt a drained table's key index whole (see
+    /// [`crate::RowBuilder::adopt_pk_index`]).
+    pub fn adopt_pk_index(&mut self, pk: HashMap<PkKey, u32>) {
+        self.keys.adopt(pk);
+    }
+
+    /// The table holding every accepted row.
+    pub fn finish(self) -> ColumnTable {
+        ColumnTable {
+            pk: self.keys.finish(self.rows),
+            schema: self.schema,
+            columns: self.columns.into_iter().map(ColumnBuild::finish).collect(),
+            rows: self.rows,
+        }
     }
 }
 
@@ -1254,9 +1426,13 @@ mod tests {
     #[test]
     fn into_rows_round_trip() {
         let t = sample();
-        let rows = t.clone().into_rows();
+        let rows = (&t).into_rows().unwrap();
         assert_eq!(rows.len(), 12);
         assert_eq!(rows[0][2], Value::text("new"));
+        let rebuilt = ColumnTable::build(schema(), rows.clone().into_iter()).unwrap();
+        assert_eq!((&rebuilt).into_rows().unwrap(), rows);
+        assert_eq!(rebuilt.merge_epoch(), t.merge_epoch());
+        assert_eq!(rebuilt.memory_bytes(), t.memory_bytes());
     }
 
     #[test]

@@ -71,6 +71,7 @@ compile_error!(
 pub mod bitpack;
 pub mod column_store;
 pub mod dictionary;
+pub mod hash;
 pub mod predicate;
 pub mod row_store;
 pub mod segment;
@@ -79,13 +80,16 @@ pub mod table;
 pub mod wal;
 
 pub use bitpack::{BitPackedVec, BLOCK};
-pub use column_store::{ColumnData, ColumnTable, Columns, MergePlan, MergeProgress, NumericLut};
+pub use column_store::{
+    ColumnBuilder, ColumnData, ColumnTable, Columns, MergePlan, MergeProgress, NumericLut,
+};
 pub use dictionary::Dictionary;
+pub use hash::{FastHasher, FastState};
 pub use predicate::{ColRange, RowSel};
-pub use row_store::RowTable;
+pub use row_store::{RowBuilder, RowTable};
 pub use segment::{decode_segment, encode_segment, SegmentHandle, SegmentReader, SegmentStore};
 pub use selvec::SelVec;
-pub use table::{PkKey, StoreKind, Table};
+pub use table::{PkKey, RowSource, StoreKind, Table, TableBuilder};
 pub use wal::{
     crc32, scan_frames, FaultFile, FaultPlan, FileBackend, Frame, MemBackend, RetryPolicy,
     ScanReport, SyncPolicy, WalBackend, WalStats, WalWriter,

@@ -8,7 +8,7 @@ use hsd_types::{ColumnIdx, Error, Result, TableSchema, Value};
 
 use crate::predicate::{ColRange, RowSel};
 use crate::selvec::SelVec;
-use crate::table::{pk_key_of, PkKey};
+use crate::table::{claim_pk, KeyIndex, PkKey, RowSource};
 
 /// A row-oriented table.
 ///
@@ -54,20 +54,8 @@ impl RowTable {
     /// `f_#rows` adjustment: verification work depends on the table size.
     pub fn insert(&mut self, row: &[Value]) -> Result<u32> {
         self.schema.validate_row(row)?;
-        let key = pk_key_of(&self.schema, row);
         let idx = self.row_count() as u32;
-        match self.pk.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                return Err(Error::DuplicateKey(format!(
-                    "{}: {:?}",
-                    self.schema.name,
-                    e.key()
-                )));
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(idx);
-            }
-        }
+        claim_pk(&mut self.pk, &self.schema, row, idx)?;
         self.data.extend_from_slice(row);
         for (&col, index) in &mut self.secondary {
             index.entry(row[col].clone()).or_default().push(idx);
@@ -315,18 +303,6 @@ impl RowTable {
         }
     }
 
-    /// Count of distinct values in `col` (scan-based; used by statistics
-    /// collection, not by query execution).
-    pub fn distinct_count(&self, col: ColumnIdx) -> usize {
-        let mut seen: std::collections::HashSet<&Value> = std::collections::HashSet::new();
-        let mut pos = col;
-        for _ in 0..self.row_count() {
-            seen.insert(&self.data[pos]);
-            pos += self.width;
-        }
-        seen.len()
-    }
-
     /// Approximate heap bytes held by the table (arena + indexes).
     pub fn memory_bytes(&self) -> usize {
         let value = std::mem::size_of::<Value>();
@@ -340,19 +316,133 @@ impl RowTable {
         arena + pk + secondary
     }
 
-    /// Drain this table into its rows (used by the data mover).
-    pub fn into_rows(self) -> Vec<Vec<Value>> {
-        let width = self.width;
-        let mut rows = Vec::with_capacity(self.row_count());
-        let mut iter = self.data.into_iter();
-        loop {
-            let row: Vec<Value> = iter.by_ref().take(width).collect();
-            if row.is_empty() {
-                break;
-            }
-            rows.push(row);
+    /// Bulk-build a row table from `rows` ([`RowBuilder`]): the table
+    /// inserting them one by one produces. Fails on the first invalid or
+    /// duplicate row.
+    pub fn build(schema: Arc<TableSchema>, mut rows: impl RowSource) -> Result<Self> {
+        let mut builder = RowBuilder::new(schema.clone(), rows.rows_hint());
+        if let Some(pk) = rows.take_pk_index(&schema.primary_key) {
+            builder.adopt_pk_index(pk);
         }
-        rows
+        rows.drain_rows(&mut |row| builder.push(row))?;
+        Ok(builder.finish())
+    }
+}
+
+/// Draining a row table hands out its arena in place: the rows are slices
+/// of the one allocation, and the builder moves the values out.
+impl RowSource for RowTable {
+    fn rows_hint(&self) -> usize {
+        self.row_count()
+    }
+
+    fn drain_rows(mut self, sink: &mut dyn FnMut(&mut [Value]) -> Result<()>) -> Result<()> {
+        for row in self.data.chunks_exact_mut(self.width) {
+            sink(row)?;
+        }
+        Ok(())
+    }
+
+    fn take_pk_index(&mut self, primary_key: &[ColumnIdx]) -> Option<HashMap<PkKey, u32>> {
+        (self.schema.primary_key == primary_key).then(|| std::mem::take(&mut self.pk))
+    }
+}
+
+/// Reading a row table without draining it: each row is cloned into one
+/// reused scratch row.
+impl RowSource for &RowTable {
+    fn rows_hint(&self) -> usize {
+        self.row_count()
+    }
+
+    fn drain_rows(self, sink: &mut dyn FnMut(&mut [Value]) -> Result<()>) -> Result<()> {
+        let mut scratch = vec![Value::Null; self.width];
+        for row in self.data.chunks_exact(self.width) {
+            scratch.clone_from_slice(row);
+            sink(&mut scratch)?;
+        }
+        Ok(())
+    }
+
+    fn take_pk_index(&mut self, primary_key: &[ColumnIdx]) -> Option<HashMap<PkKey, u32>> {
+        (self.schema.primary_key == primary_key).then(|| self.pk.clone())
+    }
+}
+
+/// The capacity a `Vec` reaches when `len` elements are appended to an
+/// empty one `step` at a time under the standard library's amortized
+/// doubling (at least 4 slots, then `max(2 × capacity, needed)`). Bulk
+/// builds reserve exactly this, so a built table holds — and a later
+/// insert grows — the same memory as one filled by inserts.
+pub(crate) fn amortized_capacity(len: usize, step: usize) -> usize {
+    let step = step.max(1);
+    let mut cap = 0;
+    while cap < len {
+        cap = (cap * 2).max((cap / step + 1) * step).max(4);
+    }
+    cap
+}
+
+/// Builds a [`RowTable`] from rows handed over one at a time — the bulk
+/// path of loads, moves and restores.
+///
+/// Each accepted row's values are moved into the arena and its key into
+/// the primary-key map, both pre-sized from the caller's row hint;
+/// [`RowBuilder::finish`] settles both at the capacity row-by-row inserts
+/// would have reached.
+#[derive(Debug)]
+pub struct RowBuilder {
+    table: RowTable,
+    keys: KeyIndex,
+}
+
+impl RowBuilder {
+    /// Start an empty build pre-sized for `rows_hint` rows.
+    pub fn new(schema: Arc<TableSchema>, rows_hint: usize) -> Self {
+        let mut table = RowTable::new(schema);
+        table.data = Vec::with_capacity(amortized_capacity(rows_hint * table.width, table.width));
+        RowBuilder {
+            table,
+            keys: KeyIndex::with_capacity(rows_hint),
+        }
+    }
+
+    /// Append one row, moving its values out (they are left `NULL`); a row
+    /// that fails schema validation or repeats a primary key is refused and
+    /// nothing changes.
+    pub fn push(&mut self, row: &mut [Value]) -> Result<()> {
+        let t = &mut self.table;
+        t.schema.validate_row(row)?;
+        self.keys.claim(&t.schema, row, t.row_count() as u32)?;
+        t.data
+            .extend(row.iter_mut().map(|v| std::mem::replace(v, Value::Null)));
+        Ok(())
+    }
+
+    /// Whether a row with primary key `key` was already pushed.
+    pub fn contains_key(&self, key: &[Value]) -> bool {
+        self.keys.contains(key)
+    }
+
+    /// Adopt `pk` as the table's primary-key index instead of hashing every
+    /// pushed key ([`RowSource::take_pk_index`]). Only for a build that is
+    /// then handed every row of the index's table, in order; pushes no
+    /// longer check keys.
+    pub fn adopt_pk_index(&mut self, pk: HashMap<PkKey, u32>) {
+        self.keys.adopt(pk);
+    }
+
+    /// The table holding every accepted row.
+    pub fn finish(self) -> RowTable {
+        let mut t = self.table;
+        let target = amortized_capacity(t.data.len(), t.width);
+        if t.data.capacity() > target {
+            t.data.shrink_to(target);
+        } else {
+            t.data.reserve_exact(target - t.data.len());
+        }
+        t.pk = self.keys.finish(t.row_count());
+        t
     }
 }
 
@@ -506,18 +596,27 @@ mod tests {
     }
 
     #[test]
-    fn distinct_count_works() {
+    fn into_rows_round_trip() {
         let t = sample();
-        assert_eq!(t.distinct_count(0), 10);
-        assert_eq!(t.distinct_count(2), 3);
+        let borrowed = (&t).into_rows().unwrap();
+        let rows = t.clone().into_rows().unwrap();
+        assert_eq!(rows, borrowed);
+        assert_eq!(rows.len(), 10);
+        assert_eq!(rows[9][0], Value::Int(9));
+        let rebuilt = RowTable::build(schema(), t.clone()).unwrap();
+        assert_eq!((&rebuilt).into_rows().unwrap(), rows);
+        assert_eq!(rebuilt.memory_bytes(), t.memory_bytes());
     }
 
     #[test]
-    fn into_rows_round_trip() {
-        let t = sample();
-        let rows = t.clone().into_rows();
-        assert_eq!(rows.len(), 10);
-        assert_eq!(rows[9][0], Value::Int(9));
+    fn amortized_capacity_matches_vec_growth() {
+        for step in [1, 3, 16] {
+            let mut v: Vec<Value> = Vec::new();
+            for rows in 0..200 {
+                assert_eq!(v.capacity(), amortized_capacity(rows * step, step));
+                v.extend_from_slice(&vec![Value::Null; step]);
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! Store-agnostic table facade.
+//! Store-agnostic table facade, and the bulk-build surface every store
+//! shares: a [`RowSource`] hands rows one at a time to a builder
+//! ([`TableBuilder`], [`RowBuilder`], [`ColumnBuilder`]).
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
-use hsd_types::{ColumnIdx, Result, TableSchema, Value};
+use hsd_types::{ColumnIdx, Error, Result, TableSchema, Value};
 
-use crate::column_store::ColumnTable;
+use crate::column_store::{ColumnBuilder, ColumnTable};
 use crate::predicate::{ColRange, RowSel};
-use crate::row_store::RowTable;
+use crate::row_store::{RowBuilder, RowTable};
 use crate::selvec::SelVec;
 
 /// Which of the two stores a table (or partition) lives in.
@@ -51,6 +54,210 @@ pub type PkKey = Box<[Value]>;
 /// Extract the primary-key values of `row` under `schema`.
 pub fn pk_key_of(schema: &TableSchema, row: &[Value]) -> PkKey {
     schema.primary_key.iter().map(|&i| row[i].clone()).collect()
+}
+
+/// Record `row`'s primary key as row `idx` of a store's uniqueness index,
+/// or fail with [`Error::DuplicateKey`] leaving the index untouched — the
+/// one key check inserts and bulk builds share.
+pub(crate) fn claim_pk(
+    pk: &mut HashMap<PkKey, u32>,
+    schema: &TableSchema,
+    row: &[Value],
+    idx: u32,
+) -> Result<()> {
+    match pk.entry(pk_key_of(schema, row)) {
+        Entry::Occupied(e) => Err(Error::DuplicateKey(format!(
+            "{}: {:?}",
+            schema.name,
+            e.key()
+        ))),
+        Entry::Vacant(e) => {
+            e.insert(idx);
+            Ok(())
+        }
+    }
+}
+
+/// A bulk build's primary-key index: claimed key by key as rows arrive,
+/// or adopted whole from a drained table ([`RowSource::take_pk_index`]).
+#[derive(Debug)]
+pub(crate) struct KeyIndex {
+    map: HashMap<PkKey, u32>,
+    /// Adopted whole: every key is already in, so claims are skipped.
+    adopted: bool,
+}
+
+impl KeyIndex {
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        KeyIndex {
+            map: HashMap::with_capacity(rows),
+            adopted: false,
+        }
+    }
+
+    pub(crate) fn claim(&mut self, schema: &TableSchema, row: &[Value], idx: u32) -> Result<()> {
+        match self.adopted {
+            true => Ok(()),
+            false => claim_pk(&mut self.map, schema, row, idx),
+        }
+    }
+
+    pub(crate) fn adopt(&mut self, map: HashMap<PkKey, u32>) {
+        *self = KeyIndex { map, adopted: true };
+    }
+
+    pub(crate) fn contains(&self, key: &[Value]) -> bool {
+        self.map.contains_key(key)
+    }
+
+    /// The index of the finished `rows`-row table. A map pre-sized past
+    /// its rows shrinks to the bucket count inserting them would have
+    /// grown.
+    pub(crate) fn finish(mut self, rows: usize) -> HashMap<PkKey, u32> {
+        debug_assert_eq!(self.map.len(), rows, "key index out of step with the rows");
+        self.map.shrink_to(rows);
+        self.map
+    }
+}
+
+/// Where a bulk build reads its rows from: loaded rows, a drained table, a
+/// snapshot. The source hands each row to `sink` as a mutable slice in
+/// logical order, so the builder can move the values out instead of
+/// cloning them; no source allocates a `Vec` per row.
+pub trait RowSource: Sized {
+    /// Rows the source expects to hand over (builders pre-size from it; a
+    /// wrong hint costs time, never correctness).
+    fn rows_hint(&self) -> usize;
+
+    /// Hand every row, in order, to `sink`, stopping at (and returning) the
+    /// first error the sink or the source reports.
+    fn drain_rows(self, sink: &mut dyn FnMut(&mut [Value]) -> Result<()>) -> Result<()>;
+
+    /// Give up the source's own primary-key index (key → row position), if
+    /// it has one over the key columns `primary_key`; a borrowed table
+    /// hands over a copy. A build that takes every row of the source, in
+    /// order, into one table adopts it instead of hashing every key again
+    /// (copying a map re-hashes nothing).
+    fn take_pk_index(&mut self, _primary_key: &[ColumnIdx]) -> Option<HashMap<PkKey, u32>> {
+        None
+    }
+
+    /// Collect the rows as owned vectors (tests and small tools).
+    fn into_rows(self) -> Result<Vec<Vec<Value>>> {
+        let mut rows = Vec::with_capacity(self.rows_hint());
+        self.drain_rows(&mut |row| {
+            rows.push(row.to_vec());
+            Ok(())
+        })?;
+        Ok(rows)
+    }
+}
+
+/// Rows given as owned vectors, e.g. a generator's output.
+impl<I: Iterator<Item = Vec<Value>>> RowSource for I {
+    fn rows_hint(&self) -> usize {
+        self.size_hint().0
+    }
+
+    fn drain_rows(self, sink: &mut dyn FnMut(&mut [Value]) -> Result<()>) -> Result<()> {
+        for mut row in self {
+            sink(&mut row)?;
+        }
+        Ok(())
+    }
+}
+
+/// Draining a table: a row table moves its values out, a column table
+/// decodes block by block.
+impl RowSource for Table {
+    fn rows_hint(&self) -> usize {
+        self.row_count()
+    }
+
+    fn drain_rows(self, sink: &mut dyn FnMut(&mut [Value]) -> Result<()>) -> Result<()> {
+        match self {
+            Table::Row(t) => t.drain_rows(sink),
+            Table::Column(t) => (&t).drain_rows(sink),
+        }
+    }
+
+    fn take_pk_index(&mut self, primary_key: &[ColumnIdx]) -> Option<HashMap<PkKey, u32>> {
+        match self {
+            Table::Row(t) => t.take_pk_index(primary_key),
+            Table::Column(t) => t.take_pk_index(primary_key),
+        }
+    }
+}
+
+/// Reading a table without draining it (values are cloned).
+impl RowSource for &Table {
+    fn rows_hint(&self) -> usize {
+        self.row_count()
+    }
+
+    fn drain_rows(self, sink: &mut dyn FnMut(&mut [Value]) -> Result<()>) -> Result<()> {
+        match self {
+            Table::Row(t) => t.drain_rows(sink),
+            Table::Column(t) => t.drain_rows(sink),
+        }
+    }
+
+    fn take_pk_index(&mut self, primary_key: &[ColumnIdx]) -> Option<HashMap<PkKey, u32>> {
+        match *self {
+            Table::Row(t) => {
+                let mut t = t;
+                t.take_pk_index(primary_key)
+            }
+            Table::Column(t) => {
+                let mut t = t;
+                t.take_pk_index(primary_key)
+            }
+        }
+    }
+}
+
+/// A bulk build into either store.
+#[derive(Debug)]
+pub enum TableBuilder {
+    /// Building a row table.
+    Row(RowBuilder),
+    /// Building a column table.
+    Column(ColumnBuilder),
+}
+
+impl TableBuilder {
+    /// Start an empty build in `store`, pre-sized for `rows_hint` rows.
+    pub fn new(schema: Arc<TableSchema>, store: StoreKind, rows_hint: usize) -> Self {
+        match store {
+            StoreKind::Row => TableBuilder::Row(RowBuilder::new(schema, rows_hint)),
+            StoreKind::Column => TableBuilder::Column(ColumnBuilder::new(schema, rows_hint)),
+        }
+    }
+
+    /// Append one row ([`RowBuilder::push`], [`ColumnBuilder::push`]).
+    pub fn push(&mut self, row: &mut [Value]) -> Result<()> {
+        match self {
+            TableBuilder::Row(b) => b.push(row),
+            TableBuilder::Column(b) => b.push(row),
+        }
+    }
+
+    /// Adopt a drained table's key index whole (see
+    /// [`RowBuilder::adopt_pk_index`]).
+    pub fn adopt_pk_index(&mut self, pk: HashMap<PkKey, u32>) {
+        match self {
+            TableBuilder::Row(b) => b.adopt_pk_index(pk),
+            TableBuilder::Column(b) => b.adopt_pk_index(pk),
+        }
+    }
+
+    /// The table holding every accepted row.
+    pub fn finish(self) -> Table {
+        match self {
+            TableBuilder::Row(b) => Table::Row(b.finish()),
+            TableBuilder::Column(b) => Table::Column(b.finish()),
+        }
+    }
 }
 
 /// A table stored in either the row or the column store, with a uniform
@@ -179,6 +386,28 @@ impl Table {
         }
     }
 
+    /// Write `col`'s values of rows `[start, start + rows.len() / width)`
+    /// into slot `slot` of each `width`-wide row of the row-major `rows`
+    /// (column stores decode block by block, see
+    /// [`crate::column_store::ColumnData::fill_rows`]).
+    pub fn fill_rows(
+        &self,
+        col: ColumnIdx,
+        start: usize,
+        rows: &mut [Value],
+        width: usize,
+        slot: usize,
+    ) {
+        match self {
+            Table::Row(t) => {
+                for (i, row) in rows.chunks_exact_mut(width).enumerate() {
+                    row[slot] = t.value_at((start + i) as u32, col).clone();
+                }
+            }
+            Table::Column(t) => t.column(col).fill_rows(start, rows, width, slot),
+        }
+    }
+
     /// Materialize selected rows with optional projection.
     pub fn collect_rows(&self, sel: RowSel<'_>, cols: Option<&[ColumnIdx]>) -> Vec<Vec<Value>> {
         match self {
@@ -204,14 +433,6 @@ impl Table {
         }
     }
 
-    /// Count distinct values of `col`.
-    pub fn distinct_count(&self, col: ColumnIdx) -> usize {
-        match self {
-            Table::Row(t) => t.distinct_count(col),
-            Table::Column(t) => t.distinct_count(col),
-        }
-    }
-
     /// Approximate heap bytes.
     pub fn memory_bytes(&self) -> usize {
         match self {
@@ -220,27 +441,19 @@ impl Table {
         }
     }
 
-    /// Drain into raw rows (for data movement between stores).
-    pub fn into_rows(self) -> Vec<Vec<Value>> {
-        match self {
-            Table::Row(t) => t.into_rows(),
-            Table::Column(t) => t.into_rows(),
-        }
-    }
-
-    /// Bulk-build a table in `store` from rows.
-    pub fn from_rows<I>(schema: Arc<TableSchema>, store: StoreKind, rows: I) -> Result<Self>
-    where
-        I: IntoIterator<Item = Vec<Value>>,
-    {
-        let mut table = Table::new(schema, store);
-        for row in rows {
-            table.insert(&row)?;
-        }
-        if let Table::Column(t) = &mut table {
-            t.compact();
-        }
-        Ok(table)
+    /// Bulk-build a table in `store` from `rows` ([`RowTable::build`],
+    /// [`ColumnTable::build`]): the table inserting the rows one by one
+    /// (and, in the column store, merging the delta) produces. Fails on the
+    /// first invalid or duplicate row.
+    pub fn from_rows(
+        schema: Arc<TableSchema>,
+        store: StoreKind,
+        rows: impl RowSource,
+    ) -> Result<Self> {
+        Ok(match store {
+            StoreKind::Row => Table::Row(RowTable::build(schema, rows)?),
+            StoreKind::Column => Table::Column(ColumnTable::build(schema, rows)?),
+        })
     }
 }
 
@@ -298,8 +511,7 @@ mod tests {
             t.insert(&[Value::Int(i), Value::Double(i as f64 * 2.0)])
                 .unwrap();
         }
-        let rows = t.into_rows();
-        let moved = Table::from_rows(schema(), StoreKind::Column, rows).unwrap();
+        let moved = Table::from_rows(schema(), StoreKind::Column, t).unwrap();
         assert_eq!(moved.store_kind(), StoreKind::Column);
         assert_eq!(moved.row_count(), 8);
         assert_eq!(moved.row(7), vec![Value::Int(7), Value::Double(14.0)]);

@@ -394,8 +394,9 @@ proptest! {
     fn store_migration_round_trips(rows in rows_strategy()) {
         let (rt, _) = build_both(&rows);
         let original: Vec<Vec<Value>> = rt.collect_rows(RowSel::All, None);
-        let as_col = Table::from_rows(schema(), StoreKind::Column, original.clone()).unwrap();
-        let back = Table::from_rows(schema(), StoreKind::Row, as_col.into_rows()).unwrap();
+        let as_col =
+            Table::from_rows(schema(), StoreKind::Column, original.clone().into_iter()).unwrap();
+        let back = Table::from_rows(schema(), StoreKind::Row, as_col).unwrap();
         prop_assert_eq!(back.collect_rows(RowSel::All, None), original);
     }
 }
