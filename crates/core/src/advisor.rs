@@ -7,7 +7,7 @@ use std::sync::Arc;
 use hsd_catalog::{
     Catalog, ExtendedStats, PartitionSpec, StorageLayout, TablePlacement, TableStats, Tier,
 };
-use hsd_engine::{HybridDatabase, StatisticsRecorder};
+use hsd_engine::StatisticsRecorder;
 use hsd_query::{Query, Workload};
 use hsd_storage::StoreKind;
 use hsd_types::{Result, TableSchema};
@@ -552,16 +552,7 @@ pub fn analyze_workload(
     schemas: &[Arc<TableSchema>],
     workload: &Workload,
 ) -> Result<ExtendedStats> {
-    // A schema-only database gives the recorder its arity lookups.
-    let db = HybridDatabase::new();
-    for schema in schemas {
-        db.create_single((**schema).clone(), StoreKind::Row)?;
-    }
-    let mut recorder = StatisticsRecorder::new();
-    for q in &workload.queries {
-        recorder.record(&db, q);
-    }
-    Ok(recorder.into_stats())
+    Ok(StatisticsRecorder::analyze(schemas, &workload.queries))
 }
 
 // ---------------------------------------------------------------------------

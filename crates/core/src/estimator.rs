@@ -10,7 +10,7 @@ use std::ops::Bound;
 
 use hsd_catalog::{StorageLayout, TablePlacement, TableStats};
 use hsd_query::{AggregateQuery, Query, SelectQuery, UpdateQuery, Workload};
-use hsd_storage::{ColRange, StoreKind};
+use hsd_storage::{pk_point, ColRange, StoreKind};
 use hsd_types::{ColumnIdx, ColumnType, Value};
 
 use crate::cost::{store_index, CostModel, StoreModel};
@@ -126,19 +126,10 @@ fn tail_factor(m: &StoreModel, part: Part) -> f64 {
     m.f_tail.eval(frac).max(1.0)
 }
 
-/// Whether the filter is a point predicate on the table's full primary key.
+/// Whether the filter is a point predicate on the table's full primary key
+/// ([`pk_point`]).
 fn is_pk_point(ctx: &TableCtx, filter: &[ColRange]) -> bool {
-    let pk: &[ColumnIdx] = if ctx.pk_columns.is_empty() {
-        &[0]
-    } else {
-        &ctx.pk_columns
-    };
-    filter.len() == pk.len()
-        && pk.iter().all(|col| {
-            filter
-                .iter()
-                .any(|r| r.column == *col && r.as_eq().is_some())
-        })
+    pk_point(&ctx.pk_columns, filter).is_some()
 }
 
 /// The store a *join dimension* is priced in: a partitioned dimension is

@@ -292,7 +292,7 @@ pub fn restore_checkpoint(db: &HybridDatabase, bytes: &[u8]) -> Result<u64> {
         // Region-exact install of the decoded fragment, then rebuild the
         // recorded physical layout through the mover (re-splitting and
         // re-demoting exactly as the original layout change did).
-        *shard.latch() = TableData::Single(Table::Column(ct));
+        *shard.latch() = TableData::single(Table::Column(ct));
         if placement != TablePlacement::Single(StoreKind::Column) {
             mover::move_table(db, &name, &placement)?;
         }

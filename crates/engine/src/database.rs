@@ -30,7 +30,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use hsd_catalog::{Catalog, StorageLayout, TablePlacement, TableStats};
+use hsd_catalog::{Catalog, StorageLayout, TablePlacement};
 use hsd_query::Query;
 use hsd_storage::wal::{SyncPolicy, WalStats, WalSyncHandle, WalWriter};
 use hsd_storage::{ColumnTable, RowSource, SegmentStore, StoreKind};
@@ -75,8 +75,8 @@ struct WalCell {
     /// `synced` advanced) so waiting appenders/syncers re-check.
     cv: Condvar,
     /// Whether a writer is attached, readable without `state`: a database
-    /// without a WAL (the advisor's schema-only scratch databases, replay
-    /// targets) must not pay for encoding records nobody appends. It only
+    /// without a WAL (in-memory databases, replay targets) must not pay
+    /// for encoding records nobody appends. It only
     /// gates that work; the writer itself is read under `state`.
     attached: AtomicBool,
 }
@@ -368,14 +368,11 @@ impl HybridDatabase {
                 let mut builder = TableDataBuilder::new(
                     data.schema().clone(),
                     &data.placement(),
+                    &indexed,
                     rows.rows_hint(),
                 )?;
                 failure = rows.drain_rows(&mut |row| builder.push(row)).err();
-                let mut built = builder.finish();
-                for &col in &indexed {
-                    built.create_index(col)?;
-                }
-                *data = built;
+                *data = builder.finish()?;
             } else {
                 failure = rows.find_map(|row| data.insert(&row).err());
                 if failure.is_none() {
@@ -503,7 +500,7 @@ impl HybridDatabase {
         let shard = self.shard(table)?;
         let stats = {
             let pin = shard.pin();
-            collect_stats(&pin, self.segment_store())?
+            executor::collect_logical_stats(&pin, self.segment_store())?
         };
         let mut catalog = write_lock(&self.catalog);
         let id = catalog.id_of(table)?;
@@ -725,20 +722,6 @@ impl HybridDatabase {
     }
 }
 
-/// Collect stats over whatever layout the table currently has, by observing
-/// the logical table (partition-transparent).
-fn collect_stats(data: &TableData, store: &SegmentStore) -> Result<TableStats> {
-    match data {
-        TableData::Single(t) => Ok(TableStats::collect(t)),
-        partitioned => {
-            // Partition-aware collection: rebuild logical stats from parts.
-            // Cheap approach: materialize nothing; scan via the executor's
-            // logical visitors.
-            executor::collect_logical_stats(partitioned, store)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -904,11 +887,8 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(rows, (0..4).map(good).collect::<Vec<_>>());
-        db.with_table("t", |d| match d {
-            TableData::Partitioned {
-                cold: crate::partition::ColdPart::Vertical(p),
-                ..
-            } => p.check_alignment().unwrap(),
+        db.with_table("t", |d| match &d.base {
+            crate::partition::Region::Pair(p) => p.check_alignment().unwrap(),
             other => panic!("expected a vertical split, got {other:?}"),
         })
         .unwrap();

@@ -25,19 +25,19 @@
 
 use std::collections::HashMap;
 
-use hsd_catalog::TableStats;
+use hsd_catalog::{ColumnStats, TableStats};
 use hsd_query::{
     AggFunc, Aggregate, AggregateQuery, InsertQuery, JoinSpec, Query, SelectQuery, UpdateQuery,
 };
 use hsd_storage::{
-    ColRange, ColumnData, Columns, Dictionary, NumericLut, RowSel, RowTable, SegmentStore, SelVec,
-    Table, BLOCK,
+    pk_point, ColRange, ColumnData, Columns, Dictionary, NumericLut, RowSel, RowTable,
+    SegmentStore, SelVec, Table, BLOCK,
 };
 use hsd_types::{ColumnIdx, Error, Result, Value};
 
 use crate::database::HybridDatabase;
 use crate::durability::WalRecord;
-use crate::partition::{ColdPart, ColdView, DiskFragment, Loc, TableData, VerticalPair};
+use crate::partition::{ColdView, DiskFragment, Loc, Region, TableData, VerticalPair};
 
 /// Minimum total rows before a multi-partition scan fans out to threads;
 /// below this the spawn overhead dominates the scan itself.
@@ -255,30 +255,17 @@ fn parts_of_pruned<'a>(
     filter: &[ColRange],
     scan_cols: &[ColumnIdx],
 ) -> Result<Vec<Part<'a>>> {
-    Ok(match data {
-        TableData::Single(t) => vec![Part::Whole(t)],
-        TableData::Partitioned { hot, cold, .. } => {
-            let (use_cold, use_hot) = pruning(data, filter);
-            let mut parts = Vec::with_capacity(2);
-            if use_cold {
-                match cold {
-                    ColdPart::Single(t) => parts.push(Part::Whole(t)),
-                    ColdPart::Vertical(p) => parts.push(Part::Pair(p)),
-                    // Pruned-away disk partitions never touch the store —
-                    // partition elimination saves the segment read itself.
-                    ColdPart::DiskColumn(f) => {
-                        parts.push(Part::Cold(ColdView::fetch(f, scan_cols)?))
-                    }
-                }
-            }
-            if use_hot {
-                if let Some(h) = hot {
-                    parts.push(Part::Whole(h));
-                }
-            }
-            parts
-        }
-    })
+    let (use_cold, use_hot) = pruning(data, filter);
+    let mut parts = Vec::with_capacity(2);
+    // Pruned-away disk partitions never touch the store — partition
+    // elimination saves the segment read itself.
+    if use_cold {
+        parts.push(Part::of(&data.base, scan_cols)?);
+    }
+    if let (true, Some(h)) = (use_hot, &data.hot) {
+        parts.push(Part::Whole(h));
+    }
+    Ok(parts)
 }
 
 fn range_overlaps_hot(r: &ColRange, split: &Value) -> bool {
@@ -314,7 +301,16 @@ fn pruning(data: &TableData, filter: &[ColRange]) -> (bool, bool) {
     (use_cold, use_hot)
 }
 
-impl Part<'_> {
+impl<'a> Part<'a> {
+    /// The read view of `region`; a disk segment fetches `scan_cols`.
+    fn of(region: &'a Region, scan_cols: &[ColumnIdx]) -> Result<Self> {
+        Ok(match region {
+            Region::Table(t) => Part::Whole(t),
+            Region::Pair(p) => Part::Pair(p),
+            Region::Disk(f) => Part::Cold(ColdView::fetch(f, scan_cols)?),
+        })
+    }
+
     /// The column-store read surface, when the part has one: a dimension
     /// part is indexed by primary-key code on it whether the columns are
     /// resident or were fetched from a segment.
@@ -406,8 +402,7 @@ fn exec_insert(db: &HybridDatabase, q: &InsertQuery) -> Result<QueryOutput> {
         // Inserts land in the hot partition when one exists; only a
         // hot-less layout with a disk-resident cold partition needs the
         // write-through load.
-        let needs_cold_load = disk_fragment(&data).is_some()
-            && matches!(&*data, TableData::Partitioned { hot: None, .. });
+        let needs_cold_load = data.base.as_disk().is_some() && data.hot.is_none();
         let mut apply_rows = |data: &mut TableData| {
             let mut applied = 0usize;
             for row in &q.rows {
@@ -498,7 +493,7 @@ fn exec_update(db: &HybridDatabase, q: &UpdateQuery) -> Result<QueryOutput> {
         // asked of the segment in place first, so a statement whose matches
         // are all hot never loads or rewrites anything.
         let mut write_through = false;
-        if let (true, Some(frag)) = (use_cold, disk_fragment(data)) {
+        if let (true, Some(frag)) = (use_cold, data.base.as_disk()) {
             use_cold = cold_matches(frag, point.as_deref(), &q.filter)?;
             write_through = use_cold;
         }
@@ -538,17 +533,6 @@ fn exec_update(db: &HybridDatabase, q: &UpdateQuery) -> Result<QueryOutput> {
     Ok(QueryOutput::Affected(applied?))
 }
 
-/// The table's disk-resident cold partition, if it has one.
-fn disk_fragment(data: &TableData) -> Option<&DiskFragment> {
-    match data {
-        TableData::Partitioned {
-            cold: ColdPart::DiskColumn(f),
-            ..
-        } => Some(f),
-        _ => None,
-    }
-}
-
 /// Whether any row of a disk-resident cold partition matches the statement:
 /// a point key is located in place, a filter is evaluated on the fetched
 /// filter columns.
@@ -564,10 +548,9 @@ fn cold_matches(frag: &DiskFragment, point: Option<&[Value]>, filter: &[ColRange
 /// Whether a point key resolves in the hot partition (no cold access
 /// needed).
 fn hot_point_hit(data: &TableData, key: &[Value]) -> bool {
-    matches!(
-        data,
-        TableData::Partitioned { hot: Some(h), .. } if h.point_lookup(key).is_some()
-    )
+    data.hot
+        .as_ref()
+        .is_some_and(|h| h.point_lookup(key).is_some())
 }
 
 /// The layout-dispatched body of an update statement over the partitions
@@ -585,56 +568,23 @@ fn apply_update(
         return update_point(data, key, &q.sets, use_cold);
     }
     let mut affected = 0;
-    match data {
-        TableData::Single(t) => {
-            let rows = t.filter_rows(&q.filter);
-            affected += t.update_rows(&rows, &q.sets)?;
-        }
-        TableData::Partitioned { hot, cold, .. } => {
-            if use_cold {
-                match cold {
-                    ColdPart::Single(t) => {
-                        let rows = t.filter_rows(&q.filter);
-                        affected += t.update_rows(&rows, &q.sets)?;
-                    }
-                    ColdPart::Vertical(p) => {
-                        let rows = p.filter_rows(&q.filter);
-                        affected += p.update_rows(&rows, &q.sets)?;
-                    }
-                    ColdPart::DiskColumn(f) => {
-                        return Err(Error::InvalidOperation(format!(
-                            "update reached disk-resident cold partition of {} \
-                             without write-through load",
-                            f.reader().schema().name
-                        )));
-                    }
-                }
-            }
-            if use_hot {
-                if let Some(h) = hot {
-                    let rows = h.filter_rows(&q.filter);
-                    affected += h.update_rows(&rows, &q.sets)?;
-                }
-            }
-        }
+    if use_cold {
+        affected += data.base.update_where(&q.filter, &q.sets)?;
+    }
+    if let (true, Some(h)) = (use_hot, &mut data.hot) {
+        affected += h.update_rows(&h.filter_rows(&q.filter), &q.sets)?;
     }
     Ok(affected)
 }
 
-/// If the filter is exactly an equality on every primary-key column (and
-/// nothing else), return the key in PK order.
+/// The point key ([`pk_point`]) of a filter on `data`, owned.
 fn pk_point_key(data: &TableData, filter: &[ColRange]) -> Option<Vec<Value>> {
-    let schema = data.schema();
-    let pk = &schema.primary_key;
-    if filter.len() != pk.len() {
-        return None;
-    }
-    let mut key = Vec::with_capacity(pk.len());
-    for col in pk {
-        let range = filter.iter().find(|r| r.column == *col)?;
-        key.push(range.as_eq()?.clone());
-    }
-    Some(key)
+    Some(
+        pk_point(&data.schema.primary_key, filter)?
+            .into_iter()
+            .cloned()
+            .collect(),
+    )
 }
 
 fn update_point(
@@ -643,37 +593,15 @@ fn update_point(
     sets: &[(ColumnIdx, Value)],
     use_cold: bool,
 ) -> Result<usize> {
-    match data {
-        TableData::Single(t) => match t.point_lookup(key) {
-            Some(idx) => t.update_rows(&[idx], sets),
-            None => Ok(0),
-        },
-        TableData::Partitioned { hot, cold, .. } => {
-            if let Some(h) = hot {
-                if let Some(idx) = h.point_lookup(key) {
-                    return h.update_rows(&[idx], sets);
-                }
-            }
-            if !use_cold {
-                return Ok(0);
-            }
-            match cold {
-                ColdPart::Single(t) => match t.point_lookup(key) {
-                    Some(idx) => t.update_rows(&[idx], sets),
-                    None => Ok(0),
-                },
-                ColdPart::Vertical(p) => match p.point_lookup(key) {
-                    Some(idx) => p.update_rows(&[idx], sets),
-                    None => Ok(0),
-                },
-                ColdPart::DiskColumn(f) => Err(Error::InvalidOperation(format!(
-                    "point update reached disk-resident cold partition of {} \
-                     without write-through load",
-                    f.reader().schema().name
-                ))),
-            }
+    if let Some(h) = &mut data.hot {
+        if let Some(idx) = h.point_lookup(key) {
+            return h.update_rows(&[idx], sets);
         }
     }
+    if !use_cold {
+        return Ok(0);
+    }
+    data.base.update_point(key, sets)
 }
 
 // ---------------------------------------------------------------------------
@@ -689,7 +617,7 @@ fn exec_select(db: &HybridDatabase, q: &SelectQuery) -> Result<QueryOutput> {
     // the query and — for a disk-resident cold partition — avoids touching
     // a segment the row cannot be in.
     if let Some(key) = pk_point_key(data, &q.filter) {
-        if let TableData::Partitioned { hot: Some(h), .. } = data {
+        if let Some(h) = &data.hot {
             if let Some(idx) = h.point_lookup(&key) {
                 return Ok(QueryOutput::Rows(
                     h.collect_rows(RowSel::Subset(&[idx]), cols),
@@ -1395,85 +1323,50 @@ fn fk_groups(fk: &Dictionary, dim: &[DimKeys<'_>]) -> Vec<u32> {
 // ---------------------------------------------------------------------------
 // Partition-aware maintenance helpers used by the database facade
 
-/// Collect logical statistics over a partitioned table. Distinct counts are
-/// approximated by the per-part maximum (exact union counting would require
-/// materializing cross-part value sets).
+/// Collect a table's statistics. A single-store table is one table's
+/// statistics; a partitioned one folds its parts' statistics column by
+/// column, approximating distinct counts by the per-part maximum (exact
+/// union counting would require materializing cross-part value sets).
 pub(crate) fn collect_logical_stats(data: &TableData, store: &SegmentStore) -> Result<TableStats> {
-    let arity = data.schema().arity();
+    if let (None, Region::Table(t)) = (&data.spec, &data.base) {
+        return Ok(TableStats::collect(t));
+    }
     let rows = data.row_count();
-    let mut stats = TableStats::empty(arity);
+    let mut stats = TableStats::empty(data.schema().arity());
     stats.row_count = rows;
     // Statistics read every column's dictionary: for a disk-resident cold
     // partition that is the whole-fragment path, not a per-statement view.
     let loaded;
-    let parts = match data {
-        TableData::Partitioned {
-            hot,
-            cold: ColdPart::DiskColumn(f),
-            ..
-        } => {
+    let parts = match &data.base {
+        Region::Disk(f) => {
             loaded = f.load(store)?;
             std::iter::once(&loaded)
-                .chain(hot)
+                .chain(&data.hot)
                 .map(Part::Whole)
                 .collect()
         }
         _ => parts_of(data, &[])?,
     };
     for part in parts {
-        let (part_stats, map): (TableStats, Vec<Option<(usize, usize)>>) = match &part {
-            Part::Whole(t) => (
-                TableStats::collect(t),
-                (0..arity).map(|c| Some((0, c))).collect(),
-            ),
-            Part::Cold(_) => unreachable!("disk-resident cold partitions were loaded above"),
+        match part {
+            Part::Whole(t) => {
+                let part_stats = TableStats::collect(t);
+                for (dst, src) in stats.columns.iter_mut().zip(&part_stats.columns) {
+                    fold_column_stats(dst, src);
+                }
+            }
             Part::Pair(p) => {
                 let row_stats = TableStats::collect(p.row_fragment());
                 let col_stats = TableStats::collect(p.col_fragment());
-                let map: Vec<Option<(usize, usize)>> = (0..arity)
-                    .map(|c| match p.loc(c) {
-                        Loc::Row(i) => Some((1usize, i)),
-                        Loc::Col(i) => Some((2usize, i)),
-                    })
-                    .collect();
-                // stash both fragment stats: encode via a merged vec below
-                let mut merged = TableStats::empty(0);
-                merged.row_count = row_stats.row_count;
-                merged.columns = row_stats.columns;
-                merged.columns.extend(col_stats.columns);
-                // map indexes: frag 1 -> offset 0, frag 2 -> offset row_arity
-                let row_arity = p.row_fragment().schema().arity();
-                let map: Vec<Option<(usize, usize)>> = map
-                    .into_iter()
-                    .map(|m| {
-                        m.map(|(frag, i)| {
-                            if frag == 1 {
-                                (0, i)
-                            } else {
-                                (0, row_arity + i)
-                            }
-                        })
-                    })
-                    .collect();
-                (merged, map)
-            }
-        };
-        for (c, m) in map.iter().enumerate() {
-            if let Some((_, i)) = m {
-                let src = &part_stats.columns[*i];
-                let dst = &mut stats.columns[c];
-                dst.distinct = dst.distinct.max(src.distinct);
-                match (&dst.min, &src.min) {
-                    (None, Some(v)) => dst.min = Some(v.clone()),
-                    (Some(a), Some(v)) if v < a => dst.min = Some(v.clone()),
-                    _ => {}
-                }
-                match (&dst.max, &src.max) {
-                    (None, Some(v)) => dst.max = Some(v.clone()),
-                    (Some(a), Some(v)) if v > a => dst.max = Some(v.clone()),
-                    _ => {}
+                for (c, dst) in stats.columns.iter_mut().enumerate() {
+                    let src = match p.loc(c) {
+                        Loc::Row(i) => &row_stats.columns[i],
+                        Loc::Col(i) => &col_stats.columns[i],
+                    };
+                    fold_column_stats(dst, src);
                 }
             }
+            Part::Cold(_) => unreachable!("disk-resident cold partitions were loaded above"),
         }
     }
     for col in &mut stats.columns {
@@ -1484,6 +1377,21 @@ pub(crate) fn collect_logical_stats(data: &TableData, store: &SegmentStore) -> R
         };
     }
     Ok(stats)
+}
+
+/// Fold one part's statistics of a column into the table's.
+fn fold_column_stats(dst: &mut ColumnStats, src: &ColumnStats) {
+    dst.distinct = dst.distinct.max(src.distinct);
+    match (&dst.min, &src.min) {
+        (None, Some(v)) => dst.min = Some(v.clone()),
+        (Some(a), Some(v)) if v < a => dst.min = Some(v.clone()),
+        _ => {}
+    }
+    match (&dst.max, &src.max) {
+        (None, Some(v)) => dst.max = Some(v.clone()),
+        (Some(a), Some(v)) if v > a => dst.max = Some(v.clone()),
+        _ => {}
+    }
 }
 
 #[cfg(test)]
@@ -2245,25 +2153,64 @@ mod tests {
         assert!(db.execute(&q).is_err());
     }
 
+    /// Folded statistics of every column match the rows, on a vertical
+    /// split (column 3 is the row fragment's) and on a hot/cold split whose
+    /// cold side is a disk segment: `(distinct, min, max)` per column, the
+    /// distinct count being the largest part's.
     #[test]
     fn logical_stats_cover_partitions() {
-        let db = db_with(partitioned_placement());
-        // put rows into the hot partition too
-        db.execute(&Query::Insert(InsertQuery {
-            table: "t".into(),
-            rows: vec![vec![
+        let disk_split = TablePlacement::Partitioned(PartitionSpec {
+            horizontal: Some(HorizontalSpec {
+                split_column: 0,
+                split_value: Value::BigInt(20),
+            }),
+            ..Default::default()
+        });
+        // Cold ids 0..30 (one vertical pair) plus hot id 2000.
+        let pair_distinct = [30, 30, 3, 2];
+        // Cold ids 0..20 on disk; hot ids 20..30 plus 2000, whose grp
+        // values 0, 1, 2 and 7 are the widest part.
+        let disk_distinct = [20, 20, 4, 2];
+        for (placement, distinct) in [
+            (partitioned_placement(), pair_distinct),
+            (disk_split, disk_distinct),
+        ] {
+            let db = db_with(placement.clone());
+            if matches!(&placement, TablePlacement::Partitioned(s) if s.vertical.is_none()) {
+                crate::mover::demote_cold(&db, "t").unwrap();
+                assert!(db.disk_bytes("t").unwrap() > 0);
+            }
+            db.execute(&Query::Insert(InsertQuery {
+                table: "t".into(),
+                rows: vec![vec![
+                    Value::BigInt(2000),
+                    Value::Double(123.0),
+                    Value::Int(7),
+                    Value::Int(1),
+                ]],
+            }))
+            .unwrap();
+            db.refresh_stats("t").unwrap();
+            let catalog = db.catalog();
+            let stats = &catalog.entry_by_name("t").unwrap().stats;
+            assert_eq!(stats.row_count, 31, "{placement:?}");
+            let min = [
+                Value::BigInt(0),
+                Value::Double(0.0),
+                Value::Int(0),
+                Value::Int(0),
+            ];
+            let max = [
                 Value::BigInt(2000),
                 Value::Double(123.0),
                 Value::Int(7),
                 Value::Int(1),
-            ]],
-        }))
-        .unwrap();
-        db.refresh_stats("t").unwrap();
-        let catalog = db.catalog();
-        let stats = &catalog.entry_by_name("t").unwrap().stats;
-        assert_eq!(stats.row_count, 31);
-        assert_eq!(stats.columns[0].max, Some(Value::BigInt(2000)));
-        assert_eq!(stats.columns[1].max, Some(Value::Double(123.0)));
+            ];
+            for (c, col) in stats.columns.iter().enumerate() {
+                let got = (col.distinct, col.min.as_ref(), col.max.as_ref());
+                let want = (distinct[c], Some(&min[c]), Some(&max[c]));
+                assert_eq!(got, want, "column {c} under {placement:?}");
+            }
+        }
     }
 }

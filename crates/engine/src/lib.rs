@@ -38,7 +38,7 @@ pub use database::{TableRead, TableShard, TableWrite};
 pub use durability::{DegradedTable, DurabilityConfig, RecoveryReport, WalRecord};
 pub use executor::{GroupRow, QueryOutput};
 pub use maintenance::MergeConfig;
-pub use partition::{MergePartition, TableData, VerticalPair};
+pub use partition::{MergePartition, Region, TableData, VerticalPair};
 pub use recorder::{MergeSliceSample, OpClass, StatisticsRecorder, TimingSample};
 pub use runner::{RunReport, WorkloadRunner};
 pub use worker::{

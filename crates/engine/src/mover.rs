@@ -18,7 +18,7 @@ use hsd_types::{Error, Result, Value};
 
 use crate::database::HybridDatabase;
 use crate::durability::WalRecord;
-use crate::partition::{ColdPart, DiskFragment, MergePartition, TableData};
+use crate::partition::{DiskFragment, MergePartition, Region, TableData};
 
 /// Segment name a table's demoted cold partition is stored under. One
 /// stable name per table: demotion and every write-through republish
@@ -51,10 +51,7 @@ fn log_merge_complete(
 /// line with its physical spec. Call with no shard latch held: catalog
 /// locks are acquired strictly outside shard latches.
 pub(crate) fn sync_partition_spec(db: &HybridDatabase, table: &str) -> Result<()> {
-    let spec = db.with_table(table, |data| match data {
-        TableData::Partitioned { spec, .. } => Some(spec.clone()),
-        TableData::Single(_) => None,
-    })?;
+    let spec = db.with_table(table, |data| data.spec.clone())?;
     if let Some(spec) = spec {
         let id = db.catalog().id_of(table)?;
         db.catalog_mut()
@@ -89,7 +86,11 @@ pub fn apply_layout(db: &HybridDatabase, layout: &StorageLayout) -> Result<Vec<S
 /// outside shard latches.
 pub fn move_table(db: &HybridDatabase, table: &str, target: &TablePlacement) -> Result<()> {
     db.check_writable(table)?;
-    let schema = db.catalog().entry_by_name(table)?.schema.clone();
+    let (schema, indexed) = {
+        let catalog = db.catalog();
+        let entry = catalog.entry_by_name(table)?;
+        (entry.schema.clone(), entry.indexed_columns.clone())
+    };
     let shard = db.shard(table)?;
     let store = db.segment_store().clone();
     let target_is_disk = matches!(
@@ -106,12 +107,10 @@ pub fn move_table(db: &HybridDatabase, table: &str, target: &TablePlacement) -> 
         had_segment = promote_in_place(&mut guard, &store)?;
         // Drain the existing physical data straight into the target's
         // builders (draining cannot fail: the cold partition was promoted
-        // just above). Built column stores carry no delta tail.
-        let old = std::mem::replace(
-            &mut *guard,
-            TableData::Single(Table::new(schema.clone(), hsd_storage::StoreKind::Row)),
-        );
-        let mut fresh = TableData::build(schema, target, old)?;
+        // just above). Built column stores carry no delta tail; row-store
+        // parts get the catalog's secondary indexes back.
+        let old = guard.take();
+        let mut fresh = TableData::build(schema, target, &indexed, old)?;
         if target_is_disk {
             demote_in_place(&mut fresh, table, &store)?;
         }
@@ -137,15 +136,12 @@ pub fn move_table(db: &HybridDatabase, table: &str, target: &TablePlacement) -> 
 /// place. Returns whether a segment was loaded (its name stays in the
 /// store; the caller decides whether to drop or overwrite it).
 fn promote_in_place(data: &mut TableData, store: &SegmentStore) -> Result<bool> {
-    let TableData::Partitioned { cold, spec, .. } = data else {
-        return Ok(false);
-    };
-    let ColdPart::DiskColumn(frag) = cold else {
+    let (Region::Disk(frag), Some(spec)) = (&data.base, &mut data.spec) else {
         return Ok(false);
     };
     let loaded = frag.load(store)?;
-    *cold = ColdPart::Single(loaded);
     spec.cold_tier = Tier::Memory;
+    data.base = Region::Table(loaded);
     Ok(true)
 }
 
@@ -154,26 +150,26 @@ fn promote_in_place(data: &mut TableData, store: &SegmentStore) -> Result<bool> 
 /// partition should be compacted first — demotion encodes whatever delta
 /// tail exists, but a folded dictionary packs tighter.
 fn demote_in_place(data: &mut TableData, table: &str, store: &SegmentStore) -> Result<u64> {
-    let TableData::Partitioned { cold, spec, .. } = data else {
+    let Some(spec) = &mut data.spec else {
         return Err(Error::InvalidOperation(format!(
             "table {table} is not partitioned; move it to a partitioned \
              placement before demoting"
         )));
     };
-    match cold {
-        ColdPart::DiskColumn(f) => Ok(f.disk_bytes), // already demoted
-        ColdPart::Vertical(_) => Err(Error::InvalidOperation(format!(
+    match &data.base {
+        Region::Disk(f) => Ok(f.disk_bytes), // already demoted
+        Region::Pair(_) => Err(Error::InvalidOperation(format!(
             "table {table}: a vertically split cold partition cannot be \
              demoted (its row fragment serves point reads)"
         ))),
-        ColdPart::Single(Table::Row(_)) => Err(Error::InvalidOperation(format!(
+        Region::Table(Table::Row(_)) => Err(Error::InvalidOperation(format!(
             "table {table}: cold partition is row-store resident; segments \
              hold column-store data only"
         ))),
-        ColdPart::Single(Table::Column(ct)) => {
+        Region::Table(Table::Column(ct)) => {
             let frag = DiskFragment::publish(store, &cold_segment_name(table), ct)?;
             let disk_bytes = frag.disk_bytes;
-            *cold = ColdPart::DiskColumn(frag);
+            data.base = Region::Disk(frag);
             spec.cold_tier = Tier::Disk;
             Ok(disk_bytes)
         }
@@ -196,13 +192,7 @@ pub fn demote_cold(db: &HybridDatabase, table: &str) -> Result<u64> {
     let store = db.segment_store().clone();
     let disk_bytes = {
         let mut guard = shard.latch();
-        if matches!(
-            &*guard,
-            TableData::Partitioned {
-                cold: ColdPart::DiskColumn(_),
-                ..
-            }
-        ) {
+        if guard.base.as_disk().is_some() {
             // Already demoted: no state change, no WAL record.
             return Ok(guard.disk_bytes());
         }
@@ -346,24 +336,18 @@ pub fn rebalance_horizontal(
     new_split_value: &Value,
 ) -> Result<usize> {
     db.check_writable(table)?;
+    let indexed = db.catalog().entry_by_name(table)?.indexed_columns.clone();
     let shard = db.shard(table)?;
     let moved = {
         let mut guard = shard.latch();
-        let TableData::Partitioned {
-            hot: Some(hot),
-            cold,
-            spec,
-            schema,
-            ..
-        } = &*guard
-        else {
+        let (Some(hot), Some(spec)) = (&guard.hot, &guard.spec) else {
             return Err(hsd_types::Error::InvalidOperation(format!(
                 "table {table} has no hot partition to rebalance"
             )));
         };
         // Checked before anything is drained: the rebuilt cold partition
         // must be in memory, and a segment is not.
-        if matches!(cold, ColdPart::DiskColumn(_)) {
+        if guard.base.as_disk().is_some() {
             return Err(Error::InvalidOperation(format!(
                 "table {table}: promote the disk-resident cold partition before rebalancing"
             )));
@@ -375,15 +359,14 @@ pub fn rebalance_horizontal(
             )));
         };
         h.split_value = new_split_value.clone();
-        let (schema, hot_rows) = (schema.clone(), hot.row_count());
-        let old = std::mem::replace(
-            &mut *guard,
-            TableData::Single(Table::new(schema.clone(), hsd_storage::StoreKind::Row)),
-        );
-        *guard = TableData::build(schema, &TablePlacement::Partitioned(spec), old)?;
-        let TableData::Partitioned { hot: Some(hot), .. } = &*guard else {
-            unreachable!("a horizontal spec builds a hot partition")
-        };
+        let hot_rows = hot.row_count();
+        let old = guard.take();
+        let placement = TablePlacement::Partitioned(spec);
+        *guard = TableData::build(old.schema.clone(), &placement, &indexed, old)?;
+        let hot = guard
+            .hot
+            .as_ref()
+            .expect("a horizontal spec builds a hot partition");
         let moved = hot_rows.abs_diff(hot.row_count());
         db.log_record(&WalRecord::Rebalance {
             table: table.to_string(),
@@ -475,18 +458,11 @@ mod tests {
         assert_eq!(checksum(&db), before);
         let shard = db.shard("t").unwrap();
         let pin = shard.pin();
-        match &*pin {
-            TableData::Partitioned {
-                hot: Some(h), cold, ..
-            } => {
-                assert_eq!(h.row_count(), 10);
-                assert_eq!(cold.row_count(), 90);
-                match cold {
-                    ColdPart::Vertical(p) => p.check_alignment().unwrap(),
-                    other => panic!("expected vertical cold partition, got {other:?}"),
-                }
-            }
-            other => panic!("expected partitioned table, got {other:?}"),
+        assert_eq!(pin.hot.as_ref().map(Table::row_count), Some(10));
+        assert_eq!(pin.base.row_count(), 90);
+        match &pin.base {
+            Region::Pair(p) => p.check_alignment().unwrap(),
+            other => panic!("expected vertical cold partition, got {other:?}"),
         }
     }
 
@@ -535,16 +511,65 @@ mod tests {
         assert_eq!(moved, 15);
         let shard = db.shard("t").unwrap();
         let pin = shard.pin();
-        match &*pin {
-            TableData::Partitioned {
-                hot: Some(h), cold, ..
-            } => {
-                assert_eq!(h.row_count(), 5);
-                assert_eq!(cold.row_count(), 95);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(pin.hot.as_ref().map(Table::row_count), Some(5));
+        assert_eq!(pin.base.row_count(), 95);
         assert_eq!(db.row_count("t").unwrap(), 100);
+    }
+
+    /// Whether `table`'s row-store part holding logical column `col` (the
+    /// hot partition if there is one, else the base) has an index on it,
+    /// and whether the catalog lists one.
+    fn index_state(db: &HybridDatabase, col: usize) -> (bool, bool) {
+        let built = db
+            .with_table("t", |d| match (&d.hot, &d.base) {
+                (Some(Table::Row(rt)), _) | (None, Region::Table(Table::Row(rt))) => {
+                    rt.has_index(col)
+                }
+                other => panic!("expected a row-store part, got {other:?}"),
+            })
+            .unwrap();
+        let listed = db
+            .catalog()
+            .entry_by_name("t")
+            .unwrap()
+            .indexed_columns
+            .contains(&col);
+        (built, listed)
+    }
+
+    /// The estimator prices index scans from the catalog's
+    /// `indexed_columns`, so every rebuild must leave the data carrying the
+    /// indexes the catalog lists.
+    #[test]
+    fn rebuilds_keep_secondary_indexes() {
+        let db = loaded_db();
+        db.create_index("t", 1).unwrap();
+        assert_eq!(index_state(&db, 1), (true, true));
+        move_table(&db, "t", &TablePlacement::Single(StoreKind::Column)).unwrap();
+        move_table(&db, "t", &TablePlacement::Single(StoreKind::Row)).unwrap();
+        assert_eq!(
+            index_state(&db, 1),
+            (true, true),
+            "moved to a column store and back"
+        );
+
+        let db = loaded_db();
+        move_table(&db, "t", &split_placement(Tier::Memory)).unwrap();
+        db.create_index("t", 1).unwrap();
+        assert_eq!(index_state(&db, 1), (true, true));
+        assert_eq!(
+            rebalance_horizontal(&db, "t", &Value::BigInt(95)).unwrap(),
+            5
+        );
+        assert_eq!(index_state(&db, 1), (true, true), "rebalanced");
+        let rows = db
+            .execute(&hsd_query::Query::Select(hsd_query::SelectQuery {
+                table: "t".into(),
+                columns: Some(vec![0]),
+                filter: vec![hsd_storage::ColRange::eq(1, Value::Double(97.0))],
+            }))
+            .unwrap();
+        assert_eq!(rows.rows().unwrap(), [vec![Value::BigInt(97)]]);
     }
 
     #[test]
@@ -661,15 +686,7 @@ mod tests {
     }
 
     fn cold_is_disk(db: &HybridDatabase) -> bool {
-        let shard = db.shard("t").unwrap();
-        let pin = shard.pin();
-        matches!(
-            &*pin,
-            TableData::Partitioned {
-                cold: ColdPart::DiskColumn(_),
-                ..
-            }
-        )
+        db.with_table("t", |d| d.base.as_disk().is_some()).unwrap()
     }
 
     #[test]
@@ -754,11 +771,8 @@ mod tests {
         }
         assert!(cold_is_disk(&db));
         let segment_tail = db
-            .with_table("t", |d| match d {
-                TableData::Partitioned {
-                    cold: ColdPart::DiskColumn(f),
-                    ..
-                } => f.reader().column(1).unwrap().tail_len(),
+            .with_table("t", |d| match &d.base {
+                Region::Disk(f) => f.reader().column(1).unwrap().tail_len(),
                 other => panic!("expected a disk-resident cold partition, got {other:?}"),
             })
             .unwrap();

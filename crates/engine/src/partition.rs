@@ -1,5 +1,10 @@
-//! Physical layout of one table: single store, or hot/cold partitions with
-//! an optional vertical split of the cold region.
+//! Physical layout of one table, in one shape for every placement: a
+//! [`TableData`] is a base [`Region`] — a resident [`Table`], a
+//! [`VerticalPair`] or a demoted [`DiskFragment`] — plus a row-store hot
+//! partition when the placement splits horizontally. A single-store table
+//! is the unsplit case (no spec, no hot partition, the whole table in
+//! `Region::Table`), so inserts, updates, drains, indexes and delta merges
+//! dispatch on the region alone, never on the placement.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -542,74 +547,185 @@ impl Columns for ColdView<'_> {
     }
 }
 
-/// The cold region of a partitioned table.
+/// One stored region of a table: the whole table in a single-store
+/// placement, the cold partition of a hot/cold layout.
 #[derive(Debug, Clone)]
-pub enum ColdPart {
-    /// Unsplit cold partition (typically column store).
-    Single(Table),
-    /// Vertically split cold partition.
-    Vertical(VerticalPair),
-    /// Cold partition demoted to an on-disk column segment.
-    DiskColumn(DiskFragment),
+pub enum Region {
+    /// Resident in one store.
+    Table(Table),
+    /// Vertically split into a row-store and a column-store fragment.
+    Pair(VerticalPair),
+    /// Demoted to an on-disk column segment (a cold partition only).
+    Disk(DiskFragment),
 }
 
-impl ColdPart {
+impl Region {
     /// Number of rows.
-    pub fn row_count(&self) -> usize {
+    pub(crate) fn row_count(&self) -> usize {
         match self {
-            ColdPart::Single(t) => t.row_count(),
-            ColdPart::Vertical(p) => p.row_count(),
-            ColdPart::DiskColumn(f) => f.reader().row_count(),
+            Region::Table(t) => t.row_count(),
+            Region::Pair(p) => p.row_count(),
+            Region::Disk(f) => f.reader().row_count(),
         }
     }
 
-    /// Insert a logical row. Disk-resident cold partitions are immutable;
-    /// the executor's write-through path loads them back to memory before
-    /// any mutation reaches this method.
-    pub fn insert(&mut self, row: &[Value]) -> Result<u32> {
+    /// Approximate resident heap bytes. A disk segment keeps only its stub
+    /// and the reader's footer directory in memory.
+    pub(crate) fn memory_bytes(&self) -> usize {
         match self {
-            ColdPart::Single(t) => t.insert(row),
-            ColdPart::Vertical(p) => p.insert(row),
-            ColdPart::DiskColumn(f) => Err(Error::InvalidOperation(format!(
-                "insert into disk-resident cold partition of {} without write-through load",
-                f.reader().schema().name
-            ))),
+            Region::Table(t) => t.memory_bytes(),
+            Region::Pair(p) => p.memory_bytes(),
+            Region::Disk(f) => std::mem::size_of::<DiskFragment>() + f.reader().resident_bytes(),
+        }
+    }
+
+    /// The column table carrying the region's dictionary delta: the table
+    /// itself, or a pair's column-store fragment. `None` for row stores and
+    /// disk segments.
+    pub(crate) fn as_column(&self) -> Option<&ColumnTable> {
+        match self {
+            Region::Table(t) => t.as_column(),
+            Region::Pair(p) => p.col_fragment().as_column(),
+            Region::Disk(_) => None,
+        }
+    }
+
+    /// Mutable [`Region::as_column`].
+    pub(crate) fn as_column_mut(&mut self) -> Option<&mut ColumnTable> {
+        match self {
+            Region::Table(t) => t.as_column_mut(),
+            Region::Pair(p) => p.col_fragment_mut().as_column_mut(),
+            Region::Disk(_) => None,
+        }
+    }
+
+    /// The disk fragment, if the region is demoted.
+    pub(crate) fn as_disk(&self) -> Option<&DiskFragment> {
+        match self {
+            Region::Disk(f) => Some(f),
+            _ => None,
+        }
+    }
+
+    /// Insert a logical row.
+    pub(crate) fn insert(&mut self, row: &[Value]) -> Result<u32> {
+        match self {
+            Region::Table(t) => t.insert(row),
+            Region::Pair(p) => p.insert(row),
+            Region::Disk(f) => Err(unloaded(f, "insert")),
+        }
+    }
+
+    /// Apply `sets` to every row matching `filter`; returns the rows
+    /// changed.
+    pub(crate) fn update_where(
+        &mut self,
+        filter: &[ColRange],
+        sets: &[(ColumnIdx, Value)],
+    ) -> Result<usize> {
+        match self {
+            Region::Table(t) => t.update_rows(&t.filter_rows(filter), sets),
+            Region::Pair(p) => p.update_rows(&p.filter_rows(filter), sets),
+            Region::Disk(f) => Err(unloaded(f, "update")),
+        }
+    }
+
+    /// Apply `sets` to the row holding primary key `key`, if any.
+    pub(crate) fn update_point(
+        &mut self,
+        key: &[Value],
+        sets: &[(ColumnIdx, Value)],
+    ) -> Result<usize> {
+        match self {
+            Region::Table(t) => t
+                .point_lookup(key)
+                .map_or(Ok(0), |i| t.update_rows(&[i], sets)),
+            Region::Pair(p) => p
+                .point_lookup(key)
+                .map_or(Ok(0), |i| p.update_rows(&[i], sets)),
+            Region::Disk(f) => Err(unloaded(f, "point update")),
+        }
+    }
+
+    /// Create a row-store secondary index on logical column `col` wherever
+    /// the region keeps it in a row store. Column stores need none: the
+    /// sorted dictionary is the implicit index.
+    pub(crate) fn create_index(&mut self, col: ColumnIdx) -> Result<()> {
+        match self {
+            Region::Table(Table::Row(rt)) => rt.create_index(col),
+            Region::Pair(p) => p.create_row_index(col),
+            Region::Table(Table::Column(_)) | Region::Disk(_) => Ok(()),
         }
     }
 }
 
-/// Physical data of one logical table.
-///
-/// The partitioned variant is much larger than the single-store one; the
-/// enum lives behind a map entry per table, so the size gap is irrelevant.
-#[allow(clippy::large_enum_variant)]
+/// The one refusal of a write or drain that reached a disk segment: the
+/// executor loads it first (write-through, [`TableData::with_cold_loaded`]),
+/// the mover promotes it first.
+fn unloaded(f: &DiskFragment, op: &str) -> Error {
+    Error::InvalidOperation(format!(
+        "{op} reached the disk-resident cold partition of {} without a \
+         write-through load (promote first)",
+        f.reader().schema().name
+    ))
+}
+
+/// Draining a region into its logical rows. A disk segment refuses
+/// ([`Error::InvalidOperation`]): draining needs the data in memory.
+impl RowSource for Region {
+    fn rows_hint(&self) -> usize {
+        self.row_count()
+    }
+
+    fn drain_rows(self, sink: &mut dyn FnMut(&mut [Value]) -> Result<()>) -> Result<()> {
+        match self {
+            Region::Table(t) => t.drain_rows(sink),
+            Region::Pair(p) => p.drain_rows(sink),
+            Region::Disk(f) => Err(unloaded(&f, "drain")),
+        }
+    }
+}
+
+/// Physical data of one logical table, in one shape for every placement:
+/// a `base` region, plus a row-store `hot` partition when the placement
+/// splits horizontally. A single-store table is the unsplit case —
+/// `spec: None, hot: None, base: Region::Table(t)`; a hot/cold layout
+/// keeps its cold partition (unsplit, vertically split or on disk) in
+/// `base`.
 #[derive(Debug, Clone)]
-pub enum TableData {
-    /// Entire table in one store.
-    Single(Table),
-    /// Hot/cold layout: optional row-store hot partition receiving all
-    /// inserts, and a cold partition (optionally vertically split).
-    Partitioned {
-        /// Logical schema of the table.
-        schema: Arc<TableSchema>,
-        /// The partition annotation that produced this layout.
-        spec: PartitionSpec,
-        /// Hot partition (present iff the spec has a horizontal split).
-        hot: Option<Table>,
-        /// Cold partition.
-        cold: ColdPart,
-        /// Whether every hot row still satisfies the split predicate
-        /// (`split_column >= split_value`). Inserts of "old" rows clear
-        /// this, disabling hot-partition pruning; the cold partition always
-        /// satisfies the complement by construction.
-        hot_pure: bool,
-    },
+pub struct TableData {
+    /// Logical schema of the table.
+    pub(crate) schema: Arc<TableSchema>,
+    /// The partition annotation this layout realizes (`None` for a single
+    /// store).
+    pub(crate) spec: Option<PartitionSpec>,
+    /// Hot partition receiving all inserts (present iff the spec has a
+    /// horizontal split).
+    pub(crate) hot: Option<Table>,
+    /// The whole table, or the cold partition of a hot/cold layout.
+    pub(crate) base: Region,
+    /// Whether every hot row still satisfies the split predicate
+    /// (`split_column >= split_value`). Inserts of "old" rows clear this,
+    /// disabling hot-partition pruning; the cold partition always satisfies
+    /// the complement by construction.
+    pub(crate) hot_pure: bool,
 }
 
 impl TableData {
     /// Build an empty `TableData` for a placement.
     pub fn new(schema: Arc<TableSchema>, placement: &TablePlacement) -> Result<Self> {
-        Ok(TableDataBuilder::new(schema, placement, 0)?.finish())
+        TableDataBuilder::new(schema, placement, &[], 0)?.finish()
+    }
+
+    /// A single-store table holding `table`.
+    pub(crate) fn single(table: Table) -> Self {
+        TableData {
+            schema: table.schema().clone(),
+            spec: None,
+            hot: None,
+            base: Region::Table(table),
+            hot_pure: true,
+        }
     }
 
     /// Bulk-build a table under `placement` from `rows` — the one builder
@@ -618,30 +734,40 @@ impl TableData {
     /// at or above a horizontal split value to the row-store hot
     /// partition, the rest to the cold partition, a vertical split into
     /// its two fragments) and each part is built by its store's builder
-    /// ([`RowBuilder`], [`ColumnBuilder`]). Fails on the first invalid or
-    /// duplicate row.
+    /// ([`RowBuilder`], [`ColumnBuilder`]); the secondary indexes on
+    /// `indexed` columns are then created on every row-store part. Fails on
+    /// the first invalid or duplicate row.
     pub fn build(
         schema: Arc<TableSchema>,
         placement: &TablePlacement,
+        indexed: &[ColumnIdx],
         mut rows: impl RowSource,
     ) -> Result<Self> {
-        let mut builder = TableDataBuilder::new(schema, placement, rows.rows_hint())?;
+        let mut builder = TableDataBuilder::new(schema, placement, indexed, rows.rows_hint())?;
         // One target table takes every row in order: the source's key
         // index is already the right one.
-        if let PartBuilders::Single(b) = &mut builder.parts {
+        if let (None, RegionBuilder::Table(b)) = (&builder.spec, &mut builder.base) {
             if let Some(pk) = rows.take_pk_index(&builder.schema.primary_key) {
                 b.adopt_pk_index(pk);
             }
         }
         rows.drain_rows(&mut |row| builder.push(row))?;
-        Ok(builder.finish())
+        builder.finish()
+    }
+
+    /// Swap an empty single row table in and return the old data (a
+    /// rebuild drains what this returns).
+    pub(crate) fn take(&mut self) -> TableData {
+        let empty = TableData::single(Table::new(self.schema.clone(), StoreKind::Row));
+        std::mem::replace(self, empty)
     }
 
     /// The placement this table's physical layout realizes.
     pub fn placement(&self) -> TablePlacement {
-        match self {
-            TableData::Single(t) => TablePlacement::Single(t.store_kind()),
-            TableData::Partitioned { spec, .. } => TablePlacement::Partitioned(spec.clone()),
+        match (&self.spec, &self.base) {
+            (Some(spec), _) => TablePlacement::Partitioned(spec.clone()),
+            (None, Region::Table(t)) => TablePlacement::Single(t.store_kind()),
+            (None, other) => unreachable!("a single-store table is one resident table: {other:?}"),
         }
     }
 
@@ -660,144 +786,81 @@ impl TableData {
     }
 
     /// Create a row-store secondary index on logical column `col` in every
-    /// row-store region (hot partition, row-store cold partition or row
-    /// fragment). Column-store regions need none: the sorted dictionary is
-    /// the implicit index.
+    /// row-store part (hot partition, row-store base or row fragment).
     pub fn create_index(&mut self, col: ColumnIdx) -> Result<()> {
-        match self {
-            TableData::Single(Table::Row(rt)) => rt.create_index(col),
-            TableData::Single(Table::Column(_)) => Ok(()),
-            TableData::Partitioned { hot, cold, .. } => {
-                if let Some(Table::Row(rt)) = hot.as_mut() {
-                    rt.create_index(col)?;
-                }
-                match cold {
-                    ColdPart::Single(Table::Row(rt)) => rt.create_index(col),
-                    ColdPart::Vertical(p) => p.create_row_index(col),
-                    ColdPart::Single(Table::Column(_)) | ColdPart::DiskColumn(_) => Ok(()),
-                }
-            }
+        if let Some(Table::Row(rt)) = self.hot.as_mut() {
+            rt.create_index(col)?;
         }
+        self.base.create_index(col)
     }
 
     /// Logical schema.
     pub fn schema(&self) -> &Arc<TableSchema> {
-        match self {
-            TableData::Single(t) => t.schema(),
-            TableData::Partitioned { schema, .. } => schema,
-        }
+        &self.schema
+    }
+
+    /// The base region: the whole table, or the cold partition of a
+    /// hot/cold layout.
+    pub fn base(&self) -> &Region {
+        &self.base
     }
 
     /// Total logical rows.
     pub fn row_count(&self) -> usize {
-        match self {
-            TableData::Single(t) => t.row_count(),
-            TableData::Partitioned { hot, cold, .. } => {
-                hot.as_ref().map_or(0, Table::row_count) + cold.row_count()
-            }
-        }
+        self.hot.as_ref().map_or(0, Table::row_count) + self.base.row_count()
     }
 
     /// Insert a row. With a horizontal split, *all* inserts go to the hot
     /// row-store partition ("newly arriving tuples are stored in the
     /// row-store partition, which allows for faster inserts").
     pub fn insert(&mut self, row: &[Value]) -> Result<u32> {
-        match self {
-            TableData::Single(t) => t.insert(row),
-            TableData::Partitioned {
-                hot: Some(h),
-                spec,
-                hot_pure,
-                ..
-            } => {
-                if let Some(hs) = &spec.horizontal {
-                    if row[hs.split_column] < hs.split_value {
-                        *hot_pure = false;
-                    }
-                }
-                h.insert(row)
+        let Some(hot) = &mut self.hot else {
+            return self.base.insert(row);
+        };
+        if let Some(hs) = self.spec.as_ref().and_then(|s| s.horizontal.as_ref()) {
+            if row[hs.split_column] < hs.split_value {
+                self.hot_pure = false;
             }
-            TableData::Partitioned { cold, .. } => cold.insert(row),
         }
+        hot.insert(row)
     }
 
     /// Whether hot-partition pruning is allowed (every hot row satisfies the
     /// split predicate).
     pub fn hot_is_pure(&self) -> bool {
-        match self {
-            TableData::Single(_) => true,
-            TableData::Partitioned { hot_pure, .. } => *hot_pure,
-        }
+        self.hot_pure
     }
 
     /// The horizontal split spec, if any.
     pub fn horizontal_spec(&self) -> Option<&HorizontalSpec> {
-        match self {
-            TableData::Partitioned { spec, .. } => spec.horizontal.as_ref(),
-            TableData::Single(_) => None,
-        }
+        self.spec.as_ref()?.horizontal.as_ref()
     }
 
     /// Approximate heap bytes across partitions.
     pub fn memory_bytes(&self) -> usize {
-        match self {
-            TableData::Single(t) => t.memory_bytes(),
-            TableData::Partitioned { hot, cold, .. } => {
-                let h = hot.as_ref().map_or(0, Table::memory_bytes);
-                let c = match cold {
-                    ColdPart::Single(t) => t.memory_bytes(),
-                    ColdPart::Vertical(p) => p.memory_bytes(),
-                    // The data lives on disk; the stub and the reader's
-                    // footer directory are what stays resident.
-                    ColdPart::DiskColumn(f) => {
-                        std::mem::size_of::<DiskFragment>() + f.reader().resident_bytes()
-                    }
-                };
-                h + c
-            }
-        }
+        self.hot.as_ref().map_or(0, Table::memory_bytes) + self.base.memory_bytes()
     }
 
     /// Bytes of on-disk segment data owned by this table (0 unless the cold
     /// partition is disk-resident). The disk-footprint counterpart of
     /// [`TableData::memory_bytes`].
     pub fn disk_bytes(&self) -> u64 {
-        match self {
-            TableData::Partitioned {
-                cold: ColdPart::DiskColumn(f),
-                ..
-            } => f.disk_bytes,
-            _ => 0,
-        }
+        self.base.as_disk().map_or(0, |f| f.disk_bytes)
     }
 
     /// The column table that carries this table's dictionary delta — the
     /// one region every delta merge, tail count and merge observer works
-    /// on: the whole table for a single column store, the cold partition
-    /// (or its column-store fragment) for hot/cold layouts. `None` for
-    /// row-store layouts and for disk segments, whose tail is folded before
-    /// every publish (see [`TableData::with_cold_loaded`]).
+    /// on: the base region (or its column-store fragment), never the
+    /// row-store hot partition. `None` for row-store layouts and for disk
+    /// segments, whose tail is folded before every publish (see
+    /// [`TableData::with_cold_loaded`]).
     pub fn delta_region(&self) -> Option<&ColumnTable> {
-        match self {
-            TableData::Single(t) => t.as_column(),
-            TableData::Partitioned { cold, .. } => match cold {
-                ColdPart::Single(t) => t.as_column(),
-                ColdPart::Vertical(p) => p.col_fragment().as_column(),
-                ColdPart::DiskColumn(_) => None,
-            },
-        }
+        self.base.as_column()
     }
 
     /// Mutable [`TableData::delta_region`].
     pub fn delta_region_mut(&mut self) -> Option<&mut ColumnTable> {
-        match self {
-            TableData::Single(t) => t.as_column_mut(),
-            TableData::Partitioned { cold, .. } => match cold {
-                ColdPart::Single(t) => t.as_column_mut(),
-                ColdPart::Vertical(p) => p.col_fragment_mut().as_column_mut(),
-                ColdPart::DiskColumn(_) => None,
-            },
-        }
+        self.base.as_column_mut()
     }
 
     /// Accumulated dictionary-tail entries of the delta region (the delta
@@ -807,28 +870,21 @@ impl TableData {
         self.delta_region().map_or(0, ColumnTable::tail_total)
     }
 
-    /// Rows resident in the region a delta merge actually remaps: the whole
-    /// table for single-store layouts, the cold partition for hot/cold
-    /// layouts (the hot partition is row-store resident and never merged).
+    /// Rows resident in the region a delta merge actually remaps: the base
+    /// region (the hot partition is row-store resident and never merged).
     /// This is the row count merge-cost models should use — pricing a
     /// cold-fragment merge at the full table's row count over-charges
     /// partitioned placements.
     pub fn merge_region_rows(&self) -> usize {
-        match self {
-            TableData::Single(t) => t.row_count(),
-            TableData::Partitioned { cold, .. } => cold.row_count(),
-        }
+        self.base.row_count()
     }
 
     /// The table's merge epoch (0 for row-store layouts): increases at
     /// every completed dictionary handoff of the delta region. A disk
     /// segment reports the epoch recorded in its footer.
     pub fn merge_epoch(&self) -> u64 {
-        match self {
-            TableData::Partitioned {
-                cold: ColdPart::DiskColumn(f),
-                ..
-            } => f.reader().merge_epoch(),
+        match &self.base {
+            Region::Disk(f) => f.reader().merge_epoch(),
             _ => self.delta_region().map_or(0, ColumnTable::merge_epoch),
         }
     }
@@ -855,31 +911,24 @@ impl TableData {
         store: &SegmentStore,
         f: impl FnOnce(&mut TableData) -> R,
     ) -> Result<(R, Result<()>)> {
-        let TableData::Partitioned {
-            cold: ColdPart::DiskColumn(frag),
-            ..
-        } = self
-        else {
+        let Region::Disk(frag) = &self.base else {
             return Ok((f(self), Ok(())));
         };
         let segment = frag.segment.clone();
-        let loaded = frag.load(store)?;
-        if let TableData::Partitioned { cold, .. } = self {
-            *cold = ColdPart::Single(loaded);
-        }
+        self.base = Region::Table(frag.load(store)?);
         let result = f(self);
         let mut republished = Ok(());
-        if let TableData::Partitioned { cold, spec, .. } = self {
-            if let ColdPart::Single(Table::Column(ct)) = cold {
-                // Fold what the write interned: nothing merges a segment's
-                // tail while it stays on disk.
-                ct.compact();
-                match DiskFragment::publish(store, &segment, ct) {
-                    Ok(frag) => *cold = ColdPart::DiskColumn(frag),
-                    Err(e) => {
+        if let Region::Table(Table::Column(ct)) = &mut self.base {
+            // Fold what the write interned: nothing merges a segment's
+            // tail while it stays on disk.
+            ct.compact();
+            match DiskFragment::publish(store, &segment, ct) {
+                Ok(frag) => self.base = Region::Disk(frag),
+                Err(e) => {
+                    if let Some(spec) = &mut self.spec {
                         spec.cold_tier = Tier::Memory;
-                        republished = Err(e);
                     }
+                    republished = Err(e);
                 }
             }
         }
@@ -899,28 +948,14 @@ impl RowSource for TableData {
     }
 
     fn drain_rows(self, sink: &mut dyn FnMut(&mut [Value]) -> Result<()>) -> Result<()> {
-        match self {
-            TableData::Single(t) => t.drain_rows(sink),
-            TableData::Partitioned { hot, cold, .. } => {
-                match cold {
-                    ColdPart::Single(t) => t.drain_rows(&mut *sink)?,
-                    ColdPart::Vertical(p) => p.drain_rows(&mut *sink)?,
-                    ColdPart::DiskColumn(f) => {
-                        return Err(Error::InvalidOperation(format!(
-                            "draining {} with a disk-resident cold partition (promote first)",
-                            f.reader().schema().name
-                        )))
-                    }
-                }
-                hot.map_or(Ok(()), |h| h.drain_rows(sink))
-            }
-        }
+        self.base.drain_rows(&mut *sink)?;
+        self.hot.map_or(Ok(()), |h| h.drain_rows(sink))
     }
 
     fn take_pk_index(&mut self, primary_key: &[ColumnIdx]) -> Option<HashMap<PkKey, u32>> {
-        match self {
-            TableData::Single(t) => t.take_pk_index(primary_key),
-            TableData::Partitioned { .. } => None,
+        match (&self.spec, &mut self.base) {
+            (None, Region::Table(t)) => t.take_pk_index(primary_key),
+            _ => None,
         }
     }
 }
@@ -938,26 +973,24 @@ impl RowSource for Snapshot<'_> {
     }
 
     fn drain_rows(self, sink: &mut dyn FnMut(&mut [Value]) -> Result<()>) -> Result<()> {
-        match self.data {
-            TableData::Single(t) => t.drain_rows(sink),
-            TableData::Partitioned { hot, cold, .. } => {
-                match cold {
-                    ColdPart::Single(t) => t.drain_rows(&mut *sink)?,
-                    ColdPart::Vertical(p) => p.drain_rows(&mut *sink)?,
-                    ColdPart::DiskColumn(f) => f.load(self.store)?.drain_rows(&mut *sink)?,
-                }
-                hot.as_ref().map_or(Ok(()), |h| h.drain_rows(sink))
-            }
+        match &self.data.base {
+            Region::Table(t) => t.drain_rows(&mut *sink)?,
+            Region::Pair(p) => p.drain_rows(&mut *sink)?,
+            Region::Disk(f) => f.load(self.store)?.drain_rows(&mut *sink)?,
         }
+        self.data
+            .hot
+            .as_ref()
+            .map_or(Ok(()), |h| h.drain_rows(sink))
     }
 
     fn take_pk_index(&mut self, primary_key: &[ColumnIdx]) -> Option<HashMap<PkKey, u32>> {
-        match self.data {
-            TableData::Single(t) => {
+        match (&self.data.spec, &self.data.base) {
+            (None, Region::Table(t)) => {
                 let mut t = t;
                 t.take_pk_index(primary_key)
             }
-            TableData::Partitioned { .. } => None,
+            _ => None,
         }
     }
 }
@@ -969,57 +1002,58 @@ impl RowSource for Snapshot<'_> {
 #[derive(Debug)]
 pub(crate) struct TableDataBuilder {
     schema: Arc<TableSchema>,
-    parts: PartBuilders,
+    spec: Option<PartitionSpec>,
+    /// Columns whose row-store secondary index the built table carries.
+    indexed: Vec<ColumnIdx>,
+    hot: Option<RowBuilder>,
+    base: RegionBuilder,
 }
 
-/// One build exists per bulk path call, so the variants' size gap is
-/// irrelevant.
-#[allow(clippy::large_enum_variant)]
+/// The builder of a [`Region`]: one store's builder, or a vertical pair's.
 #[derive(Debug)]
-enum PartBuilders {
-    Single(TableBuilder),
-    Partitioned {
-        spec: PartitionSpec,
-        hot: Option<RowBuilder>,
-        cold: ColdBuilder,
-    },
+enum RegionBuilder {
+    Table(TableBuilder),
+    Pair(Box<PairBuilder>),
 }
 
-#[derive(Debug)]
-enum ColdBuilder {
-    Single(ColumnBuilder),
-    Vertical(Box<PairBuilder>),
-}
-
-impl ColdBuilder {
+impl RegionBuilder {
     fn push(&mut self, row: &mut [Value]) -> Result<()> {
         match self {
-            ColdBuilder::Single(b) => b.push(row),
-            ColdBuilder::Vertical(b) => b.push(row),
+            RegionBuilder::Table(b) => b.push(row),
+            RegionBuilder::Pair(b) => b.push(row),
         }
     }
 
     fn contains_key(&self, key: &[Value]) -> bool {
         match self {
-            ColdBuilder::Single(b) => b.contains_key(key),
-            ColdBuilder::Vertical(b) => b.row_frag.contains_key(key),
+            RegionBuilder::Table(b) => b.contains_key(key),
+            RegionBuilder::Pair(b) => b.row_frag.contains_key(key),
+        }
+    }
+
+    fn finish(self) -> Region {
+        match self {
+            RegionBuilder::Table(b) => Region::Table(b.finish()),
+            RegionBuilder::Pair(b) => Region::Pair((*b).finish()),
         }
     }
 }
 
 impl TableDataBuilder {
     /// Start an empty build under `placement`, pre-sized for `rows_hint`
-    /// rows (the cold part is sized for all of them; the hot part of a
+    /// rows (the base region is sized for all of them; the hot part of a
     /// horizontal split grows as rows arrive).
     pub(crate) fn new(
         schema: Arc<TableSchema>,
         placement: &TablePlacement,
+        indexed: &[ColumnIdx],
         rows_hint: usize,
     ) -> Result<Self> {
-        let parts = match placement {
-            TablePlacement::Single(store) => {
-                PartBuilders::Single(TableBuilder::new(schema.clone(), *store, rows_hint))
-            }
+        let (spec, base) = match placement {
+            TablePlacement::Single(store) => (
+                None,
+                RegionBuilder::Table(TableBuilder::new(schema.clone(), *store, rows_hint)),
+            ),
             TablePlacement::Partitioned(spec) => {
                 if spec.cold_tier == Tier::Disk && spec.vertical.is_some() {
                     return Err(Error::InvalidOperation(format!(
@@ -1030,43 +1064,47 @@ impl TableDataBuilder {
                 // A disk cold tier starts as an in-memory cold partition;
                 // the mover demotes it to a segment once data exists, and
                 // WAL replay re-applies that demotion.
-                let cold = match &spec.vertical {
-                    None => ColdBuilder::Single(ColumnBuilder::new(schema.clone(), rows_hint)),
+                let base = match &spec.vertical {
+                    None => RegionBuilder::Table(TableBuilder::new(
+                        schema.clone(),
+                        StoreKind::Column,
+                        rows_hint,
+                    )),
                     Some(v) => {
-                        ColdBuilder::Vertical(Box::new(PairBuilder::new(&schema, v, rows_hint)?))
+                        RegionBuilder::Pair(Box::new(PairBuilder::new(&schema, v, rows_hint)?))
                     }
                 };
-                PartBuilders::Partitioned {
-                    spec: spec.clone(),
-                    hot: spec
-                        .horizontal
-                        .as_ref()
-                        .map(|_| RowBuilder::new(schema.clone(), 0)),
-                    cold,
-                }
+                (Some(spec.clone()), base)
             }
         };
-        Ok(TableDataBuilder { schema, parts })
+        let hot = spec
+            .as_ref()
+            .and_then(|s| s.horizontal.as_ref())
+            .map(|_| RowBuilder::new(schema.clone(), 0));
+        Ok(TableDataBuilder {
+            schema,
+            spec,
+            indexed: indexed.to_vec(),
+            hot,
+            base,
+        })
     }
 
     /// Route one row to its part, moving its values out; a refused row
     /// changes nothing.
     pub(crate) fn push(&mut self, row: &mut [Value]) -> Result<()> {
-        let (spec, hot, cold) = match &mut self.parts {
-            PartBuilders::Single(b) => return b.push(row),
-            PartBuilders::Partitioned { spec, hot, cold } => (spec, hot, cold),
+        let split = self.spec.as_ref().and_then(|s| s.horizontal.as_ref());
+        let (Some(hot), Some(split)) = (&mut self.hot, split) else {
+            return self.base.push(row);
         };
         self.schema.validate_row(row)?;
-        let (Some(hot), Some(split)) = (hot, &spec.horizontal) else {
-            return cold.push(row);
-        };
         let to_hot = row[split.split_column] >= split.split_value;
         // Rows with equal keys agree on a key column, so only a split on a
         // non-key column can send them to different parts.
         if !self.schema.is_pk_column(split.split_column) {
             let key = pk_key_of(&self.schema, row);
             let taken = match to_hot {
-                true => cold.contains_key(&key),
+                true => self.base.contains_key(&key),
                 false => hot.contains_key(&key),
             };
             if taken {
@@ -1078,26 +1116,25 @@ impl TableDataBuilder {
         }
         match to_hot {
             true => hot.push(row),
-            false => cold.push(row),
+            false => self.base.push(row),
         }
     }
 
-    /// The table holding every accepted row. Every hot row satisfies the
-    /// split predicate, so hot-partition pruning is on.
-    pub(crate) fn finish(self) -> TableData {
-        match self.parts {
-            PartBuilders::Single(b) => TableData::Single(b.finish()),
-            PartBuilders::Partitioned { spec, hot, cold } => TableData::Partitioned {
-                schema: self.schema,
-                spec,
-                hot: hot.map(|b| Table::Row(b.finish())),
-                cold: match cold {
-                    ColdBuilder::Single(b) => ColdPart::Single(Table::Column(b.finish())),
-                    ColdBuilder::Vertical(b) => ColdPart::Vertical((*b).finish()),
-                },
-                hot_pure: true,
-            },
+    /// The table holding every accepted row, with its secondary indexes.
+    /// Every hot row satisfies the split predicate, so hot-partition
+    /// pruning is on.
+    pub(crate) fn finish(self) -> Result<TableData> {
+        let mut data = TableData {
+            schema: self.schema,
+            spec: self.spec,
+            hot: self.hot.map(|b| Table::Row(b.finish())),
+            base: self.base.finish(),
+            hot_pure: true,
+        };
+        for &col in &self.indexed {
+            data.create_index(col)?;
         }
+        Ok(data)
     }
 }
 
@@ -1243,15 +1280,8 @@ mod tests {
             .unwrap();
         }
         assert_eq!(td.row_count(), 10);
-        match &td {
-            TableData::Partitioned {
-                hot: Some(h), cold, ..
-            } => {
-                assert_eq!(h.row_count(), 10);
-                assert_eq!(cold.row_count(), 0);
-            }
-            other => panic!("unexpected layout {other:?}"),
-        }
+        assert_eq!(td.hot.as_ref().map(Table::row_count), Some(10));
+        assert_eq!(td.base.row_count(), 0);
         let rows = td.into_rows().unwrap();
         assert_eq!(rows.len(), 10);
     }

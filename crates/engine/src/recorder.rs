@@ -1,12 +1,12 @@
 //! Statistics recorder: accumulates the online mode's extended workload
 //! statistics as queries execute.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use hsd_catalog::{ExtendedStats, TablePlacement, Tier};
 use hsd_query::{Query, SelectQuery, UpdateQuery};
-use hsd_storage::StoreKind;
+use hsd_storage::{pk_point, StoreKind};
 use hsd_types::TableSchema;
 
 use crate::database::HybridDatabase;
@@ -174,6 +174,22 @@ impl StatisticsRecorder {
     /// Drain the buffered per-merge-slice timings.
     pub fn take_merge_slice_samples(&mut self) -> Vec<MergeSliceSample> {
         std::mem::take(&mut self.merge_slices)
+    }
+
+    /// The offline mode's workload analysis: every query recorded against
+    /// the table schemas alone. Arities come from `schemas` (the first
+    /// schema of a name wins); no engine is consulted and no live counter
+    /// is sampled.
+    pub fn analyze(schemas: &[Arc<TableSchema>], queries: &[Query]) -> ExtendedStats {
+        let mut by_name: HashMap<&str, &Arc<TableSchema>> = HashMap::new();
+        for schema in schemas {
+            by_name.entry(schema.name.as_str()).or_insert(schema);
+        }
+        let mut recorder = StatisticsRecorder::new();
+        for query in queries {
+            recorder.record_probed(&Probe::offline(&by_name, query), query);
+        }
+        recorder.into_stats()
     }
 
     /// Record one query. The database is consulted for schema arity and for
@@ -382,6 +398,26 @@ struct Probe {
 }
 
 impl Probe {
+    /// A probe over schemas alone: a single row-store table each, with no
+    /// live side.
+    fn offline(schemas: &HashMap<&str, &Arc<TableSchema>>, query: &Query) -> Self {
+        let entry = schemas.get(query.table()).map(|schema| ProbedEntry {
+            schema: Arc::clone(schema),
+            store: StoreKind::Row,
+            partitioned: false,
+            disk_cold: false,
+        });
+        let dim_arity = query
+            .join_dim()
+            .and_then(|d| schemas.get(d))
+            .map_or(0, |schema| schema.arity());
+        Probe {
+            entry,
+            dim_arity,
+            live: None,
+        }
+    }
+
     fn of(db: &HybridDatabase, query: &Query) -> Self {
         let table = query.table();
         let (entry, dim_arity) = {
@@ -438,15 +474,7 @@ fn classify(schema: &TableSchema, query: &Query) -> OpClass {
             }
         }
         Query::Select(q) => {
-            let pk = &schema.primary_key;
-            let is_point = !pk.is_empty()
-                && q.filter.len() == pk.len()
-                && pk.iter().all(|c| {
-                    q.filter
-                        .iter()
-                        .any(|r| r.column == *c && r.as_eq().is_some())
-                });
-            if is_point {
+            if pk_point(&schema.primary_key, &q.filter).is_some() {
                 OpClass::Point
             } else {
                 OpClass::FilteredScan

@@ -85,7 +85,7 @@ pub use column_store::{
 };
 pub use dictionary::Dictionary;
 pub use hash::{FastHasher, FastState};
-pub use predicate::{ColRange, RowSel};
+pub use predicate::{pk_point, ColRange, RowSel};
 pub use row_store::{RowBuilder, RowTable};
 pub use segment::{decode_segment, encode_segment, SegmentHandle, SegmentReader, SegmentStore};
 pub use selvec::SelVec;

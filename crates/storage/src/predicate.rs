@@ -141,6 +141,19 @@ impl ColRange {
     }
 }
 
+/// The primary-key point rule the executor, the estimator and the
+/// statistics recorder share: when `filter` is exactly one equality on each
+/// primary-key column of `pk` and nothing else, the key values in `pk`
+/// order.
+pub fn pk_point<'a>(pk: &[ColumnIdx], filter: &'a [ColRange]) -> Option<Vec<&'a Value>> {
+    if pk.is_empty() || filter.len() != pk.len() {
+        return None;
+    }
+    pk.iter()
+        .map(|&col| filter.iter().find(|r| r.column == col)?.as_eq())
+        .collect()
+}
+
 fn bound_ref(b: &Bound<Value>) -> Bound<&Value> {
     match b {
         Bound::Unbounded => Bound::Unbounded,
@@ -203,6 +216,25 @@ mod tests {
         assert!(!ColRange::lt(0, Value::Int(3)).matches(&Value::Null));
         // but an explicit NULL equality does match
         assert!(ColRange::eq(0, Value::Null).matches(&Value::Null));
+    }
+
+    #[test]
+    fn pk_point_needs_one_equality_per_key_column_and_nothing_else() {
+        let (a, b) = (Value::Int(1), Value::Int(2));
+        let eq = |c, v: &Value| ColRange::eq(c, v.clone());
+        assert_eq!(
+            pk_point(&[0, 2], &[eq(2, &b), eq(0, &a)]),
+            Some(vec![&a, &b])
+        );
+        assert_eq!(
+            pk_point(&[0], &[ColRange::between(0, a.clone(), a.clone())]),
+            Some(vec![&a])
+        );
+        assert_eq!(pk_point(&[0, 2], &[eq(0, &a)]), None);
+        assert_eq!(pk_point(&[0], &[eq(0, &a), eq(1, &b)]), None);
+        assert_eq!(pk_point(&[0, 2], &[eq(0, &a), eq(1, &b)]), None);
+        assert_eq!(pk_point(&[0], &[ColRange::ge(0, a.clone())]), None);
+        assert_eq!(pk_point(&[], &[]), None);
     }
 
     #[test]

@@ -242,6 +242,14 @@ impl TableBuilder {
         }
     }
 
+    /// Whether a row with primary key `key` was already pushed.
+    pub fn contains_key(&self, key: &[Value]) -> bool {
+        match self {
+            TableBuilder::Row(b) => b.contains_key(key),
+            TableBuilder::Column(b) => b.contains_key(key),
+        }
+    }
+
     /// Adopt a drained table's key index whole (see
     /// [`RowBuilder::adopt_pk_index`]).
     pub fn adopt_pk_index(&mut self, pk: HashMap<PkKey, u32>) {

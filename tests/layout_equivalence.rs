@@ -109,8 +109,8 @@ fn run_and_snapshot(
     mover::move_table(&db, &spec.name, &TablePlacement::Single(StoreKind::Row)).unwrap();
     let shard = db.shard(&spec.name).unwrap();
     let pin = shard.pin();
-    let mut rows = match &*pin {
-        hybrid_store_advisor::engine::TableData::Single(t) => {
+    let mut rows = match pin.base() {
+        hybrid_store_advisor::engine::partition::Region::Table(t) => {
             t.collect_rows(hybrid_store_advisor::storage::RowSel::All, None)
         }
         other => panic!("expected single table after move, got {other:?}"),
@@ -711,8 +711,7 @@ fn disk_tier_answers_like_memory_tier() {
 /// reads from a demoted partition's segment is what its class needs.
 #[test]
 fn cold_statements_read_what_their_request_class_needs() {
-    use hybrid_store_advisor::engine::partition::ColdPart;
-    use hybrid_store_advisor::engine::TableData;
+    use hybrid_store_advisor::engine::partition::Region;
     let spec = TableSpec::paper_wide("t", 30_000, 3);
     let db = HybridDatabase::new();
     db.create_single(spec.schema().unwrap(), StoreKind::Column)
@@ -723,11 +722,8 @@ fn cold_statements_read_what_their_request_class_needs() {
     // Bytes `q` fetched from the segment (any backend: the reader counts).
     let read_by = |q: Query| -> u64 {
         let bytes_read = || {
-            db.with_table("t", |d| match d {
-                TableData::Partitioned {
-                    cold: ColdPart::DiskColumn(f),
-                    ..
-                } => f.reader().bytes_read(),
+            db.with_table("t", |d| match d.base() {
+                Region::Disk(f) => f.reader().bytes_read(),
                 other => panic!("expected a demoted cold partition, got {other:?}"),
             })
             .unwrap()
