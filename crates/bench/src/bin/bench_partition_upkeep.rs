@@ -148,12 +148,7 @@ fn main() {
         .expect("create");
     db.bulk_load(&s.name, s.rows()).expect("load");
     let schemas = vec![db.catalog().entries()[0].schema.clone()];
-    let stats = db
-        .catalog()
-        .entries()
-        .iter()
-        .map(|e| (e.schema.name.clone(), e.stats.clone()))
-        .collect();
+    let stats = hsd_bench::catalog_stats(&db);
     drop(db);
 
     let advisor = StorageAdvisor::new(model);

@@ -1,19 +1,19 @@
 //! Shared experiment harness for reproducing the paper's figures.
 //!
-//! Every figure of the evaluation section has a binary in `src/bin/`
-//! (`fig6a` … `fig10`) that prints the same series the paper plots. The
-//! experiments run at a configurable fraction of the paper's data sizes
-//! (default 1/10th; set `HSD_SCALE=1.0` for paper scale) — the *shapes* of
-//! the curves, not the absolute milliseconds, are the reproduction target.
+//! The `reproduce` bin runs every figure of the evaluation section (or one,
+//! with `--fig 8`), prints the series the paper plots, and checks each
+//! figure's claim ([`claims`]). The experiments run at a configurable
+//! fraction of the paper's data sizes (default 1/10th; set `HSD_SCALE=1.0`
+//! for paper scale) — the *orderings* of the curves, not the absolute
+//! milliseconds, are the reproduction target.
 
 #![warn(missing_docs)]
 
-pub mod fig9;
-pub mod scan_workload;
+pub mod claims;
 
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::collections::BTreeMap;
 
+use hsd_catalog::TableStats;
 use hsd_core::{calibrate, CalibrationConfig, CostModel};
 use hsd_engine::HybridDatabase;
 use hsd_query::TableSpec;
@@ -90,28 +90,13 @@ pub fn build_db(spec: &TableSpec, store: StoreKind) -> Result<HybridDatabase> {
     Ok(db)
 }
 
-/// Calibrate the cost model at the experiment scale, caching the result as
-/// JSON under `target/` so a session of figure runs calibrates once.
-pub fn calibrated_model() -> Result<CostModel> {
-    let base_rows = scaled_rows(2_000_000).min(300_000);
-    let cache = cache_path(base_rows);
-    if let Ok(json) = std::fs::read_to_string(&cache) {
-        if let Ok(model) = CostModel::from_json(&json) {
-            if model.meta.base_rows == base_rows {
-                eprintln!("[calibration] reusing cached model ({})", cache.display());
-                return Ok(model);
-            }
-        }
-    }
-    eprintln!("[calibration] calibrating cost model at base_rows={base_rows} ...");
-    let cfg = CalibrationConfig {
-        base_rows,
-        ..Default::default()
-    };
-    let model = calibrate(&cfg)?;
-    let _ = std::fs::create_dir_all(cache.parent().expect("cache has parent"));
-    let _ = std::fs::write(&cache, model.to_json());
-    Ok(model)
+/// Every table's catalog statistics, by name (the advisor's input).
+pub fn catalog_stats(db: &HybridDatabase) -> BTreeMap<String, TableStats> {
+    db.catalog()
+        .entries()
+        .iter()
+        .map(|e| (e.schema.name.clone(), e.stats.clone()))
+        .collect()
 }
 
 /// Estimation context straight from a live database's catalog.
@@ -122,59 +107,27 @@ pub fn ctx_of(db: &HybridDatabase) -> hsd_core::EstimationCtx {
         .iter()
         .map(|e| e.schema.clone())
         .collect();
-    let stats = db
-        .catalog()
-        .entries()
-        .iter()
-        .map(|e| (e.schema.name.clone(), e.stats.clone()))
-        .collect();
-    hsd_core::advisor::build_ctx(&schemas, &stats)
+    hsd_core::advisor::build_ctx(&schemas, &catalog_stats(db))
 }
 
-fn cache_path(base_rows: usize) -> PathBuf {
-    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into());
-    PathBuf::from(target).join(format!("hsd_cost_model_{base_rows}.json"))
-}
-
-/// Print an aligned series table (the textual equivalent of one figure).
-pub fn print_series(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let mut out = std::io::stdout().lock();
-    let _ = writeln!(out, "\n=== {title} ===");
-    let widths: Vec<usize> = headers
-        .iter()
-        .enumerate()
-        .map(|(i, h)| {
-            rows.iter()
-                .map(|r| r.get(i).map_or(0, String::len))
-                .chain(std::iter::once(h.len()))
-                .max()
-                .unwrap_or(0)
-        })
+/// Print an aligned series table (the textual equivalent of one figure)
+/// under `|`-separated column `headers`.
+pub fn print_series(title: &str, headers: &str, rows: &[Vec<String>]) {
+    let lines: Vec<Vec<&str>> = std::iter::once(headers.split('|').collect())
+        .chain(rows.iter().map(|r| r.iter().map(String::as_str).collect()))
         .collect();
-    let header_line: Vec<String> = headers
-        .iter()
-        .zip(&widths)
-        .map(|(h, w)| format!("{h:>w$}"))
-        .collect();
-    let _ = writeln!(out, "{}", header_line.join("  "));
-    for row in rows {
-        let line: Vec<String> = row
-            .iter()
-            .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}"))
-            .collect();
-        let _ = writeln!(out, "{}", line.join("  "));
+    let width = |i: usize| lines.iter().map(|l| l.get(i).map_or(0, |c| c.len())).max();
+    println!("\n=== {title} ===");
+    for line in &lines {
+        let cells = line.iter().enumerate();
+        let cells = cells.map(|(i, c)| format!("{c:>w$}", w = width(i).unwrap_or(0)));
+        println!("{}", cells.collect::<Vec<_>>().join("  "));
     }
 }
 
 /// Format seconds with 3 decimals.
 pub fn fmt_s(seconds: f64) -> String {
     format!("{seconds:.3}")
-}
-
-/// Format milliseconds with 2 decimals.
-pub fn fmt_ms(ms: f64) -> String {
-    format!("{ms:.2}")
 }
 
 #[cfg(test)]

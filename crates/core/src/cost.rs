@@ -937,10 +937,9 @@ mod tests {
         ];
         let mut out = Vec::new();
         for store in [StoreKind::Row, StoreKind::Column] {
-            let assign: std::collections::BTreeMap<String, StoreKind> =
-                [("t".to_string(), store)].into();
+            let layout = hsd_catalog::StorageLayout::uniform(["t"], store);
             for q in &queries {
-                out.push(crate::estimator::estimate_query(m, &ctx, &assign, q));
+                out.push(crate::estimator::estimate_query_layout(m, &ctx, &layout, q));
             }
         }
         out

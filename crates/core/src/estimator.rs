@@ -1,5 +1,4 @@
-//! Query- and workload-cost estimation against hypothetical store
-//! assignments and layouts.
+//! Query- and workload-cost estimation against hypothetical layouts.
 //!
 //! This is the evaluation half of Section 3: given the calibrated model,
 //! "the storage advisor can estimate and compare the workload runtimes for
@@ -174,22 +173,6 @@ pub(crate) fn estimate_query_placed(
     }
 }
 
-/// Estimate one query's runtime (ms) under a per-table store assignment.
-///
-/// `assignment` maps table name → store; unlisted tables default to the row
-/// store (matching [`StorageLayout::placement`] semantics).
-pub fn estimate_query(
-    model: &CostModel,
-    ctx: &EstimationCtx,
-    assignment: &BTreeMap<String, StoreKind>,
-    query: &Query,
-) -> f64 {
-    let store_of = |t: &str| assignment.get(t).copied().unwrap_or(StoreKind::Row);
-    let dim_store = query.join_dim().map_or(StoreKind::Row, store_of);
-    let placement = TablePlacement::Single(store_of(query.table()));
-    estimate_query_placed(model, ctx, query, &placement, dim_store)
-}
-
 /// Single-store estimate over `part` of the query's table (`None`: the
 /// table has no statistics).
 fn estimate_single(
@@ -323,20 +306,6 @@ fn estimate_update(m: &StoreModel, part: Part, store: StoreKind, q: &UpdateQuery
     let locate = locate_cost(m, part, &q.filter, store);
     let k = q.sets.len().max(1) as f64;
     locate + m.upd_row_ms * matched * m.f_affected_columns.eval(k).max(0.0)
-}
-
-/// Estimate a whole workload (ms) under a per-table store assignment.
-pub fn estimate_workload(
-    model: &CostModel,
-    ctx: &EstimationCtx,
-    assignment: &BTreeMap<String, StoreKind>,
-    workload: &Workload,
-) -> f64 {
-    workload
-        .queries
-        .iter()
-        .map(|q| estimate_query(model, ctx, assignment, q))
-        .sum()
 }
 
 // ---------------------------------------------------------------------------
@@ -704,10 +673,8 @@ mod tests {
         c
     }
 
-    fn assign(s: StoreKind) -> BTreeMap<String, StoreKind> {
-        let mut a = BTreeMap::new();
-        a.insert("t".to_string(), s);
-        a
+    fn assign(s: StoreKind) -> StorageLayout {
+        StorageLayout::uniform(["t"], s)
     }
 
     #[test]
@@ -715,13 +682,13 @@ mod tests {
         let m = model();
         let c = ctx();
         let q = Query::Aggregate(AggregateQuery::simple("t", AggFunc::Sum, 1));
-        let rs = estimate_query(&m, &c, &assign(StoreKind::Row), &q);
-        let cs = estimate_query(&m, &c, &assign(StoreKind::Column), &q);
+        let rs = estimate_query_layout(&m, &c, &assign(StoreKind::Row), &q);
+        let cs = estimate_query_layout(&m, &c, &assign(StoreKind::Column), &q);
         assert!(rs > cs, "rs={rs} cs={cs}");
         // linear in rows: doubling rows roughly doubles cost
         let mut big = EstimationCtx::new();
         big.insert("t", tctx(20_000));
-        let rs2 = estimate_query(&m, &big, &assign(StoreKind::Row), &q);
+        let rs2 = estimate_query_layout(&m, &big, &assign(StoreKind::Row), &q);
         assert!(rs2 > rs * 1.8 && rs2 < rs * 2.2);
     }
 
@@ -736,8 +703,8 @@ mod tests {
             column: 1,
         });
         let two = Query::Aggregate(two_q);
-        let c1 = estimate_query(&m, &c, &assign(StoreKind::Column), &one);
-        let c2 = estimate_query(&m, &c, &assign(StoreKind::Column), &two);
+        let c1 = estimate_query_layout(&m, &c, &assign(StoreKind::Column), &one);
+        let c2 = estimate_query_layout(&m, &c, &assign(StoreKind::Column), &two);
         assert!(
             (c2 / c1 - 2.0).abs() < 1e-6,
             "two aggregates cost twice the base term"
@@ -750,14 +717,14 @@ mod tests {
         m.column.c_group_by = 3.0;
         let c = ctx();
         let mut q = AggregateQuery::simple("t", AggFunc::Sum, 1);
-        let without = estimate_query(
+        let without = estimate_query_layout(
             &m,
             &c,
             &assign(StoreKind::Column),
             &Query::Aggregate(q.clone()),
         );
         q.group_by = Some(1);
-        let with = estimate_query(&m, &c, &assign(StoreKind::Column), &Query::Aggregate(q));
+        let with = estimate_query_layout(&m, &c, &assign(StoreKind::Column), &Query::Aggregate(q));
         assert!((with / without - 3.0).abs() < 1e-6);
     }
 
@@ -769,8 +736,8 @@ mod tests {
             table: "t".into(),
             rows: vec![vec![Value::BigInt(1), Value::Double(0.0)]; 10],
         });
-        let rs = estimate_query(&m, &c, &assign(StoreKind::Row), &q);
-        let cs = estimate_query(&m, &c, &assign(StoreKind::Column), &q);
+        let rs = estimate_query_layout(&m, &c, &assign(StoreKind::Row), &q);
+        let cs = estimate_query_layout(&m, &c, &assign(StoreKind::Column), &q);
         assert!(cs > rs);
         assert!((rs - 0.01).abs() < 1e-9); // 10 rows × 0.001
     }
@@ -780,7 +747,7 @@ mod tests {
         let m = model();
         let c = ctx();
         let q = Query::Select(SelectQuery::point("t", 0, Value::BigInt(5)));
-        let rs = estimate_query(&m, &c, &assign(StoreKind::Row), &q);
+        let rs = estimate_query_layout(&m, &c, &assign(StoreKind::Row), &q);
         assert!((rs - 0.002).abs() < 1e-9);
     }
 
@@ -799,8 +766,8 @@ mod tests {
             sets: vec![(1, Value::Double(0.0))],
             filter: vec![ColRange::between(0, Value::BigInt(0), Value::BigInt(4999))],
         });
-        let p = estimate_query(&m, &c, &assign(StoreKind::Row), &point);
-        let r = estimate_query(&m, &c, &assign(StoreKind::Row), &range);
+        let p = estimate_query_layout(&m, &c, &assign(StoreKind::Row), &point);
+        let r = estimate_query_layout(&m, &c, &assign(StoreKind::Row), &range);
         assert!(r > p * 100.0, "range update much dearer than point update");
     }
 
@@ -817,15 +784,15 @@ mod tests {
         t.delta_tail = 1_000; // 10% tail -> factor 2.0
         tailed.insert("t", t);
         let agg = Query::Aggregate(AggregateQuery::simple("t", AggFunc::Sum, 1));
-        let cs_clean = estimate_query(&m, &clean, &assign(StoreKind::Column), &agg);
-        let cs_tailed = estimate_query(&m, &tailed, &assign(StoreKind::Column), &agg);
+        let cs_clean = estimate_query_layout(&m, &clean, &assign(StoreKind::Column), &agg);
+        let cs_tailed = estimate_query_layout(&m, &tailed, &assign(StoreKind::Column), &agg);
         assert!(
             (cs_tailed / cs_clean - 2.0).abs() < 1e-9,
             "10% tail at slope 10 doubles the column scan estimate"
         );
         // The row store has no delta region: neutral f_tail, unchanged cost.
-        let rs_clean = estimate_query(&m, &clean, &assign(StoreKind::Row), &agg);
-        let rs_tailed = estimate_query(&m, &tailed, &assign(StoreKind::Row), &agg);
+        let rs_clean = estimate_query_layout(&m, &clean, &assign(StoreKind::Row), &agg);
+        let rs_tailed = estimate_query_layout(&m, &tailed, &assign(StoreKind::Row), &agg);
         assert!((rs_tailed - rs_clean).abs() < 1e-12);
         // Filtered scans pay the tail in the locate term as well.
         let mut m2 = m.clone();
@@ -835,8 +802,8 @@ mod tests {
             columns: None,
             filter: vec![ColRange::ge(1, Value::Double(50.0))],
         });
-        let f_clean = estimate_query(&m2, &clean, &assign(StoreKind::Column), &filtered);
-        let f_tailed = estimate_query(&m2, &tailed, &assign(StoreKind::Column), &filtered);
+        let f_clean = estimate_query_layout(&m2, &clean, &assign(StoreKind::Column), &filtered);
+        let f_tailed = estimate_query_layout(&m2, &tailed, &assign(StoreKind::Column), &filtered);
         assert!(f_tailed > f_clean);
     }
 
@@ -846,8 +813,8 @@ mod tests {
         let c = ctx();
         let q = Query::Aggregate(AggregateQuery::simple("t", AggFunc::Sum, 1));
         let w = Workload::from_queries(vec![q.clone(), q.clone()]);
-        let single = estimate_query(&m, &c, &assign(StoreKind::Column), &w.queries[0]);
-        let total = estimate_workload(&m, &c, &assign(StoreKind::Column), &w);
+        let single = estimate_query_layout(&m, &c, &assign(StoreKind::Column), &w.queries[0]);
+        let total = estimate_workload_layout(&m, &c, &assign(StoreKind::Column), &w);
         assert!((total - 2.0 * single).abs() < 1e-9);
     }
 
@@ -1015,7 +982,7 @@ mod tests {
             }),
         );
         let partitioned = estimate_query_layout(&m, &c, &layout, &ins);
-        let single = estimate_query(&m, &c, &BTreeMap::new(), &ins);
+        let single = estimate_query_layout(&m, &c, &StorageLayout::new(), &ins);
         assert!(single > 0.0, "row-store insert estimate is nonzero");
         assert_eq!(
             partitioned, single,
@@ -1050,8 +1017,8 @@ mod tests {
             }),
         );
         let partitioned = estimate_query_layout(&m, &c, &part, &q);
-        let cs = estimate_query(&m, &c, &assign(StoreKind::Column), &q);
-        let rs = estimate_query(&m, &c, &assign(StoreKind::Row), &q);
+        let cs = estimate_query_layout(&m, &c, &assign(StoreKind::Column), &q);
+        let rs = estimate_query_layout(&m, &c, &assign(StoreKind::Row), &q);
         assert!(
             (partitioned - cs).abs() < 1e-9,
             "hot fraction 0: the aggregate scans only the cold column \
@@ -1155,10 +1122,10 @@ mod tests {
         });
         let q = Query::Aggregate(q);
         let mut a = assign(StoreKind::Row);
-        a.insert("dim".into(), StoreKind::Row);
-        let rr = estimate_query(&m, &c, &a, &q);
-        a.insert("dim".into(), StoreKind::Column);
-        let rc = estimate_query(&m, &c, &a, &q);
+        a.set("dim", TablePlacement::Single(StoreKind::Row));
+        let rr = estimate_query_layout(&m, &c, &a, &q);
+        a.set("dim", TablePlacement::Single(StoreKind::Column));
+        let rc = estimate_query_layout(&m, &c, &a, &q);
         assert!(rc > rr, "factor 4 vs 2 for dim in CS");
     }
 }

@@ -20,7 +20,8 @@
 //!                                             wal_len, tables}
 //! frames 1..=2k      per table, in sorted name order:
 //!   meta             (tag = table_tag(name))  JSON {kind:"table", name,
-//!                                             schema, placement, rows}
+//!                                             schema, placement, indexed,
+//!                                             rows}
 //!   fragment         (tag = table_tag(name))  binary: the table's rows
 //!                                             packed in the segment format
 //!                                             (see [`hsd_storage::segment`])
@@ -38,9 +39,10 @@
 //! # What is (and is not) captured
 //!
 //! A checkpoint stores each table's **logical rows** (packed as one
-//! column-store segment) plus its catalog placement. Packing is a bulk
-//! build: the table's snapshot ([`TableData::snapshot`]; a disk-resident
-//! cold partition is decoded from its segment) feeds
+//! column-store segment) plus its catalog placement and secondary-index
+//! columns (`indexed`). Packing is a bulk build: the table's snapshot
+//! ([`TableData::snapshot`]; a disk-resident cold partition is decoded
+//! from its segment) feeds
 //! [`ColumnTable::build`], which sorts each column's distinct values into
 //! the dictionary and packs the codes once — the segment bytes are those
 //! inserts plus a delta merge would give, without either.
@@ -48,7 +50,8 @@
 //! Restore decodes each fragment into a column table and rebuilds the
 //! recorded physical layout through the same bulk path the advisor's moves
 //! use ([`crate::mover::move_table`] → [`TableData::build`]): hot/cold
-//! splits are re-split, vertical fragments re-derived, disk-tier cold
+//! splits are re-split, vertical fragments re-derived, the recorded
+//! secondary indexes re-created on the row-store parts, disk-tier cold
 //! partitions re-demoted (re-creating their segment files — segments stay
 //! a derived cache, never a recovery dependency). A column → row move
 //! fills the row arena one decoded block per column at a time and adopts
@@ -63,7 +66,12 @@
 //! sorted name order, the global latch order) before reading the WAL
 //! length, so the captured `wal_len` is a frontier: every per-table record
 //! at an offset below it is reflected in the snapshot, every record at or
-//! past it is not and replays from the suffix. Concurrent DDL
+//! past it is not and replays from the suffix. The catalog entries are
+//! read before the latches (the lock order forbids the reverse), so an
+//! index created in between would be missing from the image although its
+//! record lies before the frontier; [`encode_checkpoint`] re-reads the
+//! indexes after releasing the latches and encodes again when they moved.
+//! Concurrent DDL
 //! ([`HybridDatabase::create_table`] logs without holding a table latch)
 //! is not serialized against a running checkpoint — run checkpoints from a
 //! quiesced maintenance window, not racing schema changes (see
@@ -71,7 +79,7 @@
 
 use std::path::{Path, PathBuf};
 
-use hsd_catalog::{placement_from_json, placement_to_json, TablePlacement};
+use hsd_catalog::{placement_from_json, placement_to_json, TableEntry, TablePlacement};
 use hsd_storage::segment::publish_atomic;
 use hsd_storage::wal::{self, encode_frame};
 use hsd_storage::{decode_segment, encode_segment, ColumnTable, SegmentStore, StoreKind, Table};
@@ -86,8 +94,9 @@ use crate::partition::TableData;
 
 /// Checkpoint container format version (the `version` field of the header
 /// frame). Bumped on incompatible changes; restore rejects unknown
-/// versions, falling back to older checkpoints or full replay.
-pub const CHECKPOINT_VERSION: i64 = 2;
+/// versions, falling back to older checkpoints or full replay. Version 3
+/// added the per-table `indexed` list.
+pub const CHECKPOINT_VERSION: i64 = 3;
 
 /// How many published checkpoints [`HybridDatabase::checkpoint`] retains.
 /// The newest is the fast-recovery path; the second-newest is the fallback
@@ -129,17 +138,39 @@ pub fn encode_checkpoint(db: &HybridDatabase) -> Result<(Vec<u8>, u64)> {
     for name in &names {
         db.check_writable(name)?;
     }
-    // Catalog placements are read before latching (latch-then-catalog is
-    // forbidden by the lock order). A table move that commits its catalog
-    // update between this read and the latch acquisition below leaves the
-    // checkpointed placement one move behind — data is unaffected (the
-    // snapshot rows are authoritative) and the next checkpoint catches up.
+    loop {
+        let (tables, image, wal_len) = encode_image(db, &names)?;
+        // `create_index` lists an index in the catalog before it appends the
+        // index's record under the table latch, so an index whose record
+        // lies before the image's frontier is listed by now. If the entries
+        // the image was encoded from missed one, encode again (indexes are
+        // never dropped, so this ends).
+        let catalog = db.catalog();
+        let mut missed = false;
+        for e in &tables {
+            missed |= catalog.entry_by_name(&e.schema.name)?.indexed_columns != e.indexed_columns;
+        }
+        if !missed {
+            return Ok((image, wal_len));
+        }
+    }
+}
+
+/// One checkpoint image of the `names` tables, with the catalog entries it
+/// was encoded from.
+fn encode_image(db: &HybridDatabase, names: &[String]) -> Result<(Vec<TableEntry>, Vec<u8>, u64)> {
+    // Catalog entries (placement, indexes) are read before latching
+    // (latch-then-catalog is forbidden by the lock order). A table move that
+    // commits its catalog update between this read and the latch
+    // acquisition below leaves the checkpointed placement one move behind —
+    // data is unaffected (the snapshot rows are authoritative) and the next
+    // checkpoint catches up. An index created in that window is caught by
+    // [`encode_checkpoint`]'s re-read.
     let mut tables = Vec::with_capacity(names.len());
     {
         let catalog = db.catalog();
-        for name in &names {
-            let entry = catalog.entry_by_name(name)?;
-            tables.push((name.clone(), entry.schema.clone(), entry.placement.clone()));
+        for name in names {
+            tables.push(catalog.entry_by_name(name)?.clone());
         }
     }
     // Sorted-name latch order is the global multi-latch order. With every
@@ -147,7 +178,7 @@ pub fn encode_checkpoint(db: &HybridDatabase) -> Result<(Vec<u8>, u64)> {
     // happen under the owning table's latch), so `wal_len` is a frontier.
     let shards = tables
         .iter()
-        .map(|(name, _, _)| db.shard(name))
+        .map(|e| db.shard(&e.schema.name))
         .collect::<Result<Vec<_>>>()?;
     let guards: Vec<_> = shards.iter().map(|s| s.latch()).collect();
     let wal_len = db.wal_len();
@@ -162,16 +193,19 @@ pub fn encode_checkpoint(db: &HybridDatabase) -> Result<(Vec<u8>, u64)> {
     out.extend_from_slice(&encode_frame(0, header.to_string().as_bytes()));
 
     let store = db.segment_store();
-    for ((name, schema, placement), guard) in tables.iter().zip(&guards) {
+    for (entry, guard) in tables.iter().zip(&guards) {
+        let name = &entry.schema.name;
         // Pack the logical rows as one column-store segment: dictionary
         // compression plus bit-packing, the same bytes-on-disk layout as
         // demoted cold partitions.
-        let ct = ColumnTable::build(schema.clone(), guard.snapshot(store))?;
+        let ct = ColumnTable::build(entry.schema.clone(), guard.snapshot(store))?;
+        let indexed = entry.indexed_columns.iter().map(|&c| Json::Int(c as i64));
         let meta = Json::obj([
             ("kind", Json::Str("table".into())),
             ("name", Json::Str(name.clone())),
-            ("schema", schema_to_json(schema)),
-            ("placement", placement_to_json(placement)),
+            ("schema", schema_to_json(&entry.schema)),
+            ("placement", placement_to_json(&entry.placement)),
+            ("indexed", Json::Arr(indexed.collect())),
             ("rows", Json::Int(ct.row_count() as i64)),
         ]);
         let tag = table_tag(name);
@@ -184,7 +218,7 @@ pub fn encode_checkpoint(db: &HybridDatabase) -> Result<(Vec<u8>, u64)> {
         ("tables", Json::Int(tables.len() as i64)),
     ]);
     out.extend_from_slice(&encode_frame(0, end.to_string().as_bytes()));
-    Ok((out, wal_len))
+    Ok((tables, out, wal_len))
 }
 
 /// Restore a checkpoint image into `db` (which must be freshly constructed
@@ -270,6 +304,15 @@ pub fn restore_checkpoint(db: &HybridDatabase, bytes: &[u8]) -> Result<u64> {
         let placement =
             placement_from_json(meta.get("placement").map_err(|e| invalid(e.to_string()))?)
                 .map_err(|e| invalid(e.to_string()))?;
+        let indexed = meta
+            .get("indexed")
+            .and_then(Json::as_arr)
+            .and_then(|cols| {
+                cols.iter()
+                    .map(Json::as_usize)
+                    .collect::<std::result::Result<Vec<_>, _>>()
+            })
+            .map_err(|e| invalid(e.to_string()))?;
         let rows = meta
             .get("rows")
             .and_then(Json::as_usize)
@@ -293,6 +336,11 @@ pub fn restore_checkpoint(db: &HybridDatabase, bytes: &[u8]) -> Result<u64> {
         // recorded physical layout through the mover (re-splitting and
         // re-demoting exactly as the original layout change did).
         *shard.latch() = TableData::single(Table::Column(ct));
+        // Listed in the catalog (a column store needs no index structure)
+        // before the move below, which builds them on every row-store part.
+        for &col in &indexed {
+            db.create_index(&name, col)?;
+        }
         if placement != TablePlacement::Single(StoreKind::Column) {
             mover::move_table(db, &name, &placement)?;
         }
@@ -702,7 +750,8 @@ mod tests {
         .map(|frame| encode_frame(0, frame.to_string().as_bytes()))
         .concat();
         let err = restore_checkpoint(&HybridDatabase::new(), &v1).unwrap_err();
-        assert!(err.to_string().contains("unsupported version 1"), "{err}");
+        let older = format!("unsupported version {}", CHECKPOINT_VERSION - 1);
+        assert!(err.to_string().contains(&older), "{err}");
 
         std::fs::write(checkpoint_path(&dir.join("checkpoints"), 1), &v1).unwrap();
         let (db, report) = HybridDatabase::open_dir(&dir, DurabilityConfig::default()).unwrap();
@@ -710,6 +759,120 @@ mod tests {
         assert_eq!(report.checkpoints_skipped, 1);
         assert_eq!(checksum(&db, "t"), before);
         drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The catalog entry of `t` a restart must keep, and for each part that
+    /// can hold column 3 (hot partition, then the base's table or row
+    /// fragment) whether it is a row store indexed on it.
+    fn entry_and_indexes(db: &HybridDatabase) -> (String, Vec<bool>) {
+        use crate::partition::{Loc, Region};
+        let e = db.catalog().entry_by_name("t").unwrap().clone();
+        let entry = format!("{:?}", (&e.schema, &e.placement, &e.indexed_columns));
+        let indexed = |(t, c): (&Table, usize)| matches!(t, Table::Row(rt) if rt.has_index(c));
+        let built = db.with_table("t", |d| {
+            let base = match &d.base {
+                Region::Table(t) => Some((t, 3)),
+                Region::Pair(p) => match p.loc(3) {
+                    Loc::Row(i) => Some((p.row_fragment(), i)),
+                    Loc::Col(_) => None,
+                },
+                Region::Disk(_) => None,
+            };
+            d.hot
+                .iter()
+                .map(|t| (t, 3))
+                .chain(base)
+                .map(indexed)
+                .collect()
+        });
+        (entry, built.unwrap())
+    }
+
+    /// Every table shape, a disk-resident cold side included, with and
+    /// without a secondary index, comes back from a checkpoint with the same
+    /// catalog entry and the same built indexes — through `checkpoint()` and
+    /// a reopen as through `encode_checkpoint` + `restore_checkpoint`.
+    #[test]
+    fn restart_keeps_catalog_entry_and_secondary_indexes() {
+        use crate::executor::tests::{all_placements, rows, schema};
+        let mut placements = all_placements();
+        let TablePlacement::Partitioned(split) = placements[2].clone() else {
+            panic!("the third placement is the hot/cold split");
+        };
+        let cold_tier = Tier::Disk;
+        placements.push(TablePlacement::Partitioned(PartitionSpec {
+            cold_tier,
+            ..split
+        }));
+        let dir = temp_dir("indexes");
+        for placement in placements {
+            for indexed in [false, true] {
+                let _ = std::fs::remove_dir_all(&dir);
+                let (db, _) = HybridDatabase::open_dir(&dir, DurabilityConfig::default()).unwrap();
+                db.create_single(schema(), StoreKind::Row).unwrap();
+                db.bulk_load("t", rows(30)).unwrap();
+                if indexed {
+                    db.create_index("t", 3).unwrap();
+                }
+                mover::move_table(&db, "t", &placement).unwrap();
+                let before = entry_and_indexes(&db);
+                assert_eq!(
+                    before.1.contains(&true),
+                    indexed && placement != TablePlacement::Single(StoreKind::Column),
+                    "{placement:?}: {before:?}"
+                );
+
+                let back = HybridDatabase::new();
+                restore_checkpoint(&back, &encode_checkpoint(&db).unwrap().0).unwrap();
+                assert_eq!(entry_and_indexes(&back), before, "restored image");
+
+                db.checkpoint().unwrap();
+                drop(db);
+                let (db, report) =
+                    HybridDatabase::open_dir(&dir, DurabilityConfig::default()).unwrap();
+                assert_eq!(report.checkpoint_seq, Some(1));
+                assert_eq!(report.records_replayed, 0);
+                assert_eq!(entry_and_indexes(&db), before, "reopened {placement:?}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `create_index` racing `encode_checkpoint`. The index is listed in
+    /// the catalog before `create_index` takes the table latch, under which
+    /// it logs the index's record (the order the checkpoint's re-read relies
+    /// on); whichever of the two then takes the latch first, the image
+    /// restored and replayed from its frontier lists and builds the index.
+    #[test]
+    fn checkpoint_racing_create_index_keeps_the_index() {
+        use crate::executor::tests::{rows, schema};
+        let dir = temp_dir("index_race");
+        let (db, _) = HybridDatabase::open_dir(&dir, DurabilityConfig::default()).unwrap();
+        db.create_single(schema(), StoreKind::Row).unwrap();
+        db.bulk_load("t", rows(30)).unwrap();
+        let shard = db.shard("t").unwrap();
+        let latch = shard.latch();
+        let (listed_while_latched, (image, wal_len)) = std::thread::scope(|s| {
+            let indexer = s.spawn(|| db.create_index("t", 3).unwrap());
+            let listed = (0..10_000).any(|_| {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                db.catalog().entry_by_name("t").unwrap().indexed_columns == [3]
+            });
+            let waiting = !indexer.is_finished();
+            let encoder = s.spawn(|| encode_checkpoint(&db).unwrap());
+            drop(latch);
+            (listed && waiting, encoder.join().unwrap())
+        });
+        assert!(listed_while_latched);
+        let expected = entry_and_indexes(&db);
+        assert_eq!(expected.1, [true]);
+        drop((shard, db));
+        let back = HybridDatabase::new();
+        restore_checkpoint(&back, &image).unwrap();
+        let wal = std::fs::read(dir.join("wal.log")).unwrap();
+        crate::durability::replay_into(&back, &wal, wal_len);
+        assert_eq!(entry_and_indexes(&back), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -517,23 +517,29 @@ impl HybridDatabase {
 
     /// Create a row-store secondary index on a column of a single-store
     /// row table (and annotate the catalog for the cost model).
+    ///
+    /// The catalog lists the index before its WAL record is appended, and
+    /// the append happens under the table latch: a checkpoint whose
+    /// frontier lies past the record therefore finds the index listed when
+    /// it re-reads the catalog after its latches ([`crate::checkpoint`]).
     pub fn create_index(&self, table: &str, col: usize) -> Result<()> {
         self.check_writable(table)?;
         let shard = self.shard(table)?;
         {
-            shard.latch().create_index(col)?;
-            self.log_record(&WalRecord::CreateIndex {
-                table: table.to_string(),
-                column: col,
-            })?;
+            let mut catalog = write_lock(&self.catalog);
+            let id = catalog.id_of(table)?;
+            let entry = catalog.entry_mut(id)?;
+            entry.schema.column(col)?;
+            if !entry.indexed_columns.contains(&col) {
+                entry.indexed_columns.push(col);
+            }
         }
-        let mut catalog = write_lock(&self.catalog);
-        let id = catalog.id_of(table)?;
-        let entry = catalog.entry_mut(id)?;
-        if !entry.indexed_columns.contains(&col) {
-            entry.indexed_columns.push(col);
-        }
-        Ok(())
+        let mut data = shard.latch();
+        data.create_index(col)?;
+        self.log_record(&WalRecord::CreateIndex {
+            table: table.to_string(),
+            column: col,
+        })
     }
 
     /// Current layout snapshot.

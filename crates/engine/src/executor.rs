@@ -1395,14 +1395,14 @@ fn fold_column_stats(dst: &mut ColumnStats, src: &ColumnStats) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hsd_catalog::{HorizontalSpec, PartitionSpec, TablePlacement, VerticalSpec};
     use hsd_query::{AggregateQuery, SelectQuery};
     use hsd_storage::StoreKind;
     use hsd_types::{ColumnDef, ColumnType, TableSchema};
 
-    fn schema() -> TableSchema {
+    pub(crate) fn schema() -> TableSchema {
         TableSchema::new(
             "t",
             vec![
@@ -1416,7 +1416,7 @@ mod tests {
         .unwrap()
     }
 
-    fn rows(n: i64) -> Vec<Vec<Value>> {
+    pub(crate) fn rows(n: i64) -> Vec<Vec<Value>> {
         (0..n)
             .map(|i| {
                 vec![
@@ -1447,7 +1447,7 @@ mod tests {
         })
     }
 
-    fn all_placements() -> Vec<TablePlacement> {
+    pub(crate) fn all_placements() -> Vec<TablePlacement> {
         vec![
             TablePlacement::Single(StoreKind::Row),
             TablePlacement::Single(StoreKind::Column),

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hybrid_store_advisor::advisor::advisor::build_ctx;
-use hybrid_store_advisor::advisor::estimator::estimate_query;
+use hybrid_store_advisor::advisor::estimator::estimate_query_layout;
 use hybrid_store_advisor::prelude::*;
 
 fn wide(rows: usize) -> TableSpec {
@@ -32,10 +32,9 @@ fn calibrated_estimates_track_measured_runtimes() {
                 .map(|e| (e.schema.name.clone(), e.stats.clone()))
                 .collect();
             let ctx = build_ctx(&schemas, &stats);
-            let assignment: BTreeMap<String, StoreKind> =
-                [("t".to_string(), store)].into_iter().collect();
+            let layout = StorageLayout::uniform(["t"], store);
             let q = Query::Aggregate(AggregateQuery::simple("t", AggFunc::Sum, spec.kf_col(0)));
-            let est = estimate_query(&model, &ctx, &assignment, &q);
+            let est = estimate_query_layout(&model, &ctx, &layout, &q);
             let run = runner.time_query(&db, &q, 5).unwrap().as_secs_f64() * 1e3;
             let ratio = est / run;
             assert!(
