@@ -507,14 +507,6 @@ impl HybridDatabase {
         catalog.set_stats(id, stats)
     }
 
-    /// Recompute statistics for every table.
-    pub fn refresh_all_stats(&self) -> Result<()> {
-        for name in self.table_names() {
-            self.refresh_stats(&name)?;
-        }
-        Ok(())
-    }
-
     /// Create a row-store secondary index on a column of a single-store
     /// row table (and annotate the catalog for the cost model).
     ///

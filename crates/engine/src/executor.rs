@@ -33,7 +33,7 @@ use hsd_storage::{
     pk_point, ColRange, ColumnData, Columns, Dictionary, NumericLut, RowSel, RowTable,
     SegmentStore, SelVec, Table, BLOCK,
 };
-use hsd_types::{ColumnIdx, Error, Result, Value};
+use hsd_types::{ColumnIdx, Error, Result, TableSchema, Value};
 
 use crate::database::HybridDatabase;
 use crate::durability::WalRecord;
@@ -481,6 +481,7 @@ fn exec_update(db: &HybridDatabase, q: &UpdateQuery) -> Result<QueryOutput> {
     let (applied, republished) = {
         let mut guard = shard.latch();
         let data = &mut *guard;
+        check_sets(&data.schema, &q.sets)?;
         let point = pk_point_key(data, &q.filter);
         let (mut use_cold, use_hot) = match &point {
             Some(key) => (!hot_point_hit(data, key), true),
@@ -531,6 +532,23 @@ fn exec_update(db: &HybridDatabase, q: &UpdateQuery) -> Result<QueryOutput> {
         return Err(e);
     }
     Ok(QueryOutput::Affected(applied?))
+}
+
+/// An update's assignments checked against the logical schema before any
+/// part is touched, so a refused statement fails and changes nothing
+/// whatever the layout, the path (point or scan) and the rows it matches.
+fn check_sets(schema: &TableSchema, sets: &[(ColumnIdx, Value)]) -> Result<()> {
+    for (col, value) in sets {
+        if schema.is_pk_column(*col) {
+            return Err(Error::InvalidOperation(format!(
+                "cannot update primary-key column {} of {}",
+                schema.column(*col)?.name,
+                schema.name
+            )));
+        }
+        schema.validate_value_at(*col, value)?;
+    }
+    Ok(())
 }
 
 /// Whether any row of a disk-resident cold partition matches the statement:
@@ -697,6 +715,10 @@ fn aggregate_parts<'a>(
         aggregate_part(part, selection.as_ref(), &q.aggregates, grouping)
     });
     let mut groups = Groups::new();
+    // The ungrouped answer has its row even when pruning left no part.
+    if matches!(grouping, Grouping::One) {
+        groups.insert(None, vec![Acc::new(); q.aggregates.len()]);
+    }
     for partial in partials {
         merge_groups(&mut groups, partial, q.aggregates.len());
     }
@@ -2143,6 +2165,114 @@ pub(crate) mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Every `all_placements()` entry plus a hot/cold split with its cold
+    /// side demoted to disk, each holding `rows(30)`.
+    fn placed_dbs() -> Vec<(TablePlacement, HybridDatabase)> {
+        let mut dbs: Vec<_> = all_placements()
+            .into_iter()
+            .map(|p| (p.clone(), db_with(p)))
+            .collect();
+        let split = all_placements().swap_remove(2);
+        let db = db_with(split.clone());
+        crate::mover::demote_cold(&db, "t").unwrap();
+        dbs.push((split, db));
+        dbs
+    }
+
+    /// A hot/cold table refuses a key its cold partition holds, resident or
+    /// on disk, instead of taking it as a second row.
+    #[test]
+    fn insert_of_a_cold_key_is_a_duplicate() {
+        for (placement, db) in placed_dbs() {
+            let insert = |id: i64| {
+                let row = rows(id + 1).pop().unwrap();
+                db.execute(&Query::Insert(InsertQuery {
+                    table: "t".into(),
+                    rows: vec![row],
+                }))
+            };
+            let err = insert(5);
+            assert!(
+                matches!(err, Err(Error::DuplicateKey(_))),
+                "{placement:?}: {err:?}"
+            );
+            assert!(insert(25).is_err(), "{placement:?}: hot key 25");
+            insert(40).unwrap();
+            assert_eq!(db.row_count("t").unwrap(), 31, "{placement:?}");
+        }
+    }
+
+    /// A refused assignment (key column, wrong type) fails and changes
+    /// nothing on every layout, whatever the filter matches: a point miss
+    /// or a pruned partition does not answer `Affected(0)`, and a vertical
+    /// pair does not apply its row-fragment half first.
+    #[test]
+    fn refused_update_fails_whatever_it_matches() {
+        for (placement, db) in placed_dbs() {
+            let before = db.with_table("t", |d| d.snapshot_rows(db.segment_store()));
+            for sets in [
+                vec![(0, Value::BigInt(7))],
+                vec![(3, Value::Int(1)), (1, Value::Int(2))],
+            ] {
+                for filter in [
+                    vec![ColRange::eq(0, Value::BigInt(99))],
+                    vec![ColRange::eq(0, Value::BigInt(3))],
+                    vec![ColRange::ge(0, Value::BigInt(25))],
+                    vec![],
+                ] {
+                    let q = UpdateQuery {
+                        table: "t".into(),
+                        sets: sets.clone(),
+                        filter,
+                    };
+                    let out = db.execute(&Query::Update(q.clone()));
+                    assert!(out.is_err(), "{placement:?} {q:?}: {out:?}");
+                }
+            }
+            let after = db.with_table("t", |d| d.snapshot_rows(db.segment_store()));
+            assert_eq!(after.unwrap().unwrap(), before.unwrap().unwrap());
+        }
+    }
+
+    /// An empty interval (start past the end) on an indexed row-store
+    /// column selects nothing rather than panicking in `BTreeMap::range`.
+    #[test]
+    fn empty_interval_on_an_indexed_column_selects_nothing() {
+        use std::ops::Bound::{Excluded, Included};
+        let db = db_with(TablePlacement::Single(StoreKind::Row));
+        db.create_index("t", 2).unwrap();
+        let (one, two) = (Value::Int(1), Value::Int(2));
+        for (lo, hi) in [
+            (Included(two.clone()), Included(one.clone())),
+            (Excluded(one.clone()), Excluded(one.clone())),
+            (Excluded(one.clone()), Included(one)),
+        ] {
+            let out = db.execute(&Query::Select(SelectQuery {
+                table: "t".into(),
+                columns: None,
+                filter: vec![ColRange::range(2, lo, hi)],
+            }));
+            assert_eq!(out.unwrap(), QueryOutput::Rows(vec![]));
+        }
+    }
+
+    /// An ungrouped aggregate whose filter prunes every partition still
+    /// answers its one row.
+    #[test]
+    fn ungrouped_aggregate_survives_pruning_every_part() {
+        let empty = ColRange::between(0, Value::BigInt(20), Value::BigInt(-2));
+        for (placement, db) in placed_dbs() {
+            let mut q = AggregateQuery::simple("t", AggFunc::Count, 1);
+            q.filter = vec![empty.clone()];
+            let out = db.execute(&Query::Aggregate(q)).unwrap();
+            let want = vec![GroupRow {
+                key: None,
+                values: vec![0.0],
+            }];
+            assert_eq!(out.aggregates().unwrap(), want, "{placement:?}");
         }
     }
 

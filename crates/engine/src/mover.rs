@@ -97,6 +97,9 @@ pub fn move_table(db: &HybridDatabase, table: &str, target: &TablePlacement) -> 
         target,
         TablePlacement::Partitioned(spec) if spec.cold_tier == Tier::Disk
     );
+    // A placement the builder refuses is refused before the table is
+    // drained, so the table stays as it was.
+    TableData::new(schema.clone(), target)?;
     let had_segment;
     {
         let mut guard = shard.latch();
@@ -408,6 +411,31 @@ mod tests {
         )
         .unwrap();
         db
+    }
+
+    /// A move the builder refuses (a disk-resident vertical split, a split
+    /// column the schema lacks) fails before the table is drained: rows and
+    /// catalog entry stay.
+    #[test]
+    fn refused_move_keeps_the_table() {
+        let db = loaded_db();
+        let split = |split_column, vertical: Option<VerticalSpec>, cold_tier| {
+            TablePlacement::Partitioned(PartitionSpec {
+                horizontal: Some(HorizontalSpec {
+                    split_column,
+                    split_value: Value::BigInt(50),
+                }),
+                vertical,
+                cold_tier,
+            })
+        };
+        let row_cols = Some(VerticalSpec { row_cols: vec![2] });
+        for target in [split(0, row_cols, Tier::Disk), split(7, None, Tier::Memory)] {
+            assert!(move_table(&db, "t", &target).is_err(), "{target:?}");
+            assert_eq!(db.row_count("t").unwrap(), 100, "{target:?}");
+            let placement = db.catalog().entry_by_name("t").unwrap().placement.clone();
+            assert_eq!(placement, TablePlacement::Single(StoreKind::Row));
+        }
     }
 
     fn checksum(db: &HybridDatabase) -> f64 {

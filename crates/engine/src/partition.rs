@@ -813,14 +813,32 @@ impl TableData {
     /// Insert a row. With a horizontal split, *all* inserts go to the hot
     /// row-store partition ("newly arriving tuples are stored in the
     /// row-store partition, which allows for faster inserts").
+    ///
+    /// The key must be new to the whole table: a row the cold partition
+    /// may hold (one below the split, or any row when the split column is
+    /// not the key) is looked up there first — in place, for a segment.
     pub fn insert(&mut self, row: &[Value]) -> Result<u32> {
         let Some(hot) = &mut self.hot else {
             return self.base.insert(row);
         };
         if let Some(hs) = self.spec.as_ref().and_then(|s| s.horizontal.as_ref()) {
-            if row[hs.split_column] < hs.split_value {
-                self.hot_pure = false;
+            self.schema.validate_row(row)?;
+            let old = row[hs.split_column] < hs.split_value;
+            if old || self.schema.primary_key != [hs.split_column] {
+                let key: Vec<Value> = self.schema.pk_values(row).into_iter().cloned().collect();
+                let in_base = match &self.base {
+                    Region::Table(t) => t.point_lookup(&key).is_some(),
+                    Region::Pair(p) => p.point_lookup(&key).is_some(),
+                    Region::Disk(f) => f.reader().locate(&key)?.is_some(),
+                };
+                if in_base {
+                    return Err(Error::DuplicateKey(format!(
+                        "{}: {key:?}",
+                        self.schema.name
+                    )));
+                }
             }
+            self.hot_pure &= !old;
         }
         hot.insert(row)
     }
@@ -1060,6 +1078,9 @@ impl TableDataBuilder {
                         "table {}: a vertically split cold partition cannot be disk-resident",
                         schema.name
                     )));
+                }
+                if let Some(h) = &spec.horizontal {
+                    schema.column(h.split_column)?;
                 }
                 // A disk cold tier starts as an in-memory cold partition;
                 // the mover demotes it to a segment once data exists, and

@@ -2,6 +2,7 @@
 //! optional ordered secondary indexes.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use hsd_types::{ColumnIdx, Error, Result, TableSchema, Value};
@@ -106,11 +107,6 @@ impl RowTable {
         self.secondary.contains_key(&col)
     }
 
-    /// Drop the secondary index on `col`, if any.
-    pub fn drop_index(&mut self, col: ColumnIdx) {
-        self.secondary.remove(&col);
-    }
-
     /// Row indexes matching *all* of `ranges` (conjunction), ascending.
     ///
     /// If a secondary index exists for one of the ranges, that index drives
@@ -134,9 +130,21 @@ impl RowTable {
         match indexed {
             Some(i) => {
                 let driver = &ranges[i];
+                let (lo, hi) = (driver.lo_ref(), driver.hi_ref());
+                // An empty interval (start past the end) matches nothing;
+                // `BTreeMap::range` would panic on it.
+                let empty = match (lo, hi) {
+                    (Bound::Included(a), Bound::Included(b)) => a > b,
+                    (Bound::Included(a) | Bound::Excluded(a), Bound::Excluded(b))
+                    | (Bound::Excluded(a), Bound::Included(b)) => a >= b,
+                    _ => false,
+                };
+                if empty {
+                    return Vec::new();
+                }
                 let index = &self.secondary[&driver.column];
                 let mut out: Vec<u32> = Vec::new();
-                for (_, rows) in index.range((driver.lo_ref(), driver.hi_ref())) {
+                for (_, rows) in index.range((lo, hi)) {
                     out.extend_from_slice(rows);
                 }
                 // Re-check every range (including the driver: the BTree range

@@ -329,6 +329,23 @@ impl TpchGenerator {
         })
     }
 
+    /// Every row of the table named `table` (`region` … `lineitem`), in
+    /// key order; no rows for any other name.
+    pub fn table_rows(&self, table: &str) -> Box<dyn Iterator<Item = Vec<Value>> + '_> {
+        let n = |count: usize| 0..count as u64;
+        match table {
+            "region" => Box::new(n(5).map(|i| self.region_row(i))),
+            "nation" => Box::new(n(25).map(|i| self.nation_row(i))),
+            "supplier" => Box::new(n(self.suppliers()).map(|i| self.supplier_row(i))),
+            "customer" => Box::new(n(self.customers()).map(|i| self.customer_row(i))),
+            "part" => Box::new(n(self.parts()).map(|i| self.part_row(i))),
+            "partsupp" => Box::new(n(self.partsupps()).map(|i| self.partsupp_row(i))),
+            "orders" => Box::new(n(self.orders()).map(|i| self.orders_row(i))),
+            "lineitem" => Box::new(self.lineitem_rows()),
+            _ => Box::new(std::iter::empty()),
+        }
+    }
+
     /// Create all tables in `db` (using `placement_of`) and load the data.
     pub fn load_into(
         &self,
@@ -339,26 +356,9 @@ impl TpchGenerator {
             let name = schema.name.clone();
             db.create_table(schema, placement_of(&name))?;
         }
-        db.bulk_load("region", (0..5).map(|i| self.region_row(i)))?;
-        db.bulk_load("nation", (0..25).map(|i| self.nation_row(i)))?;
-        db.bulk_load(
-            "supplier",
-            (0..self.suppliers() as u64).map(|i| self.supplier_row(i)),
-        )?;
-        db.bulk_load(
-            "customer",
-            (0..self.customers() as u64).map(|i| self.customer_row(i)),
-        )?;
-        db.bulk_load("part", (0..self.parts() as u64).map(|i| self.part_row(i)))?;
-        db.bulk_load(
-            "partsupp",
-            (0..self.partsupps() as u64).map(|i| self.partsupp_row(i)),
-        )?;
-        db.bulk_load(
-            "orders",
-            (0..self.orders() as u64).map(|i| self.orders_row(i)),
-        )?;
-        db.bulk_load("lineitem", self.lineitem_rows())?;
+        for schema in schema::all()? {
+            db.bulk_load(&schema.name, self.table_rows(&schema.name))?;
+        }
         Ok(())
     }
 

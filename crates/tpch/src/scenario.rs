@@ -185,29 +185,9 @@ pub fn load_tenants(
             let name = s.name.clone();
             db.create_table(s, placement_of(&name))?;
         }
-        let load = |base: &str, rows: &mut dyn Iterator<Item = Vec<hsd_types::Value>>| {
-            db.bulk_load(&tenant_table(t, base), rows)
-        };
-        load("region", &mut (0..5).map(|i| g.region_row(i)))?;
-        load("nation", &mut (0..25).map(|i| g.nation_row(i)))?;
-        load(
-            "supplier",
-            &mut (0..g.suppliers() as u64).map(|i| g.supplier_row(i)),
-        )?;
-        load(
-            "customer",
-            &mut (0..g.customers() as u64).map(|i| g.customer_row(i)),
-        )?;
-        load("part", &mut (0..g.parts() as u64).map(|i| g.part_row(i)))?;
-        load(
-            "partsupp",
-            &mut (0..g.partsupps() as u64).map(|i| g.partsupp_row(i)),
-        )?;
-        load(
-            "orders",
-            &mut (0..g.orders() as u64).map(|i| g.orders_row(i)),
-        )?;
-        load("lineitem", &mut g.lineitem_rows())?;
+        for s in schema::all()? {
+            db.bulk_load(&tenant_table(t, &s.name), g.table_rows(&s.name))?;
+        }
     }
     Ok(())
 }

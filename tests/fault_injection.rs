@@ -5,22 +5,72 @@
 //! affected table; transient I/O faults are absorbed by the writer's retry
 //! loop without losing a record.
 //!
-//! The oracle is the live database itself: after every committed statement
-//! the harness checkpoints `(log length, canonical probe of table contents)`
-//! against the in-memory WAL image, then replays truncated copies of that
-//! image through [`HybridDatabase::recover_bytes`] and compares.
+//! The reference is the interpreter: the generated cases record its state
+//! at every statement boundary and recover cuts of the log there
+//! ([`common::case::run`]); the tests below drive the fault paths a
+//! generated stream cannot reach and compare with it as well.
+
+mod common;
 
 use std::ops::Bound;
 
-use proptest::prelude::*;
-
-use hybrid_store_advisor::engine::QueryOutput;
+use common::case::{generate, reshape, run, Case, Durability, Step};
+use common::{assert_state, Model};
 use hybrid_store_advisor::prelude::*;
 use hybrid_store_advisor::storage::wal::HEADER_LEN;
 use hybrid_store_advisor::storage::{
-    scan_frames, FaultFile, FaultPlan, MemBackend, RetryPolicy, SyncPolicy, WalWriter,
+    scan_frames, FaultFile, FaultPlan, MemBackend, RetryPolicy, WalBackend,
 };
 use hybrid_store_advisor::types::Error;
+
+/// Generated cases per test.
+const CASES: u64 = 12;
+
+fn wal_case(seed: u64) -> Case {
+    Case {
+        durability: Durability::Wal,
+        ..generate(seed)
+    }
+}
+
+#[test]
+fn recovery_equals_committed_prefix_at_every_crash_point() {
+    for seed in 4_000..4_000 + CASES {
+        assert!(run(&wal_case(seed)).recoveries > 0);
+    }
+}
+
+/// A demotion record mid-log: the cuts inside its frame recover the
+/// memory-resident placement, the cut after it the demoted one.
+#[test]
+fn cut_inside_demotion_record_recovers_pre_demotion_state() {
+    const SPLIT_IN_MEMORY: usize = 2;
+    for seed in 5_000..5_000 + CASES {
+        let mut case = reshape(wal_case(seed), 0, SPLIT_IN_MEMORY);
+        let at = seed as usize % (case.steps.len() + 1);
+        case.steps.insert(at, Step::Demote("t".into()));
+        run(&case);
+    }
+}
+
+/// Statements that ranged over unbounded predicates replay too — guard
+/// against the codec quietly narrowing half-open ranges.
+#[test]
+fn half_open_range_updates_replay_exactly() {
+    for seed in 6_000..6_000 + CASES {
+        let mut case = wal_case(seed);
+        case.steps.push(Step::Run(Query::Update(UpdateQuery {
+            table: "t".into(),
+            sets: vec![(1, Value::Int(-1))],
+            filter: vec![ColRange::range(
+                0,
+                Bound::Unbounded,
+                Bound::Excluded(Value::BigInt(10)),
+            )],
+        })));
+        run(&case);
+    }
+}
 
 fn schema(name: &str) -> TableSchema {
     TableSchema::new(
@@ -43,234 +93,73 @@ fn row(id: i64, salt: i64) -> Vec<Value> {
     ]
 }
 
-/// Canonical table contents: full scan, sorted by primary key so the probe
-/// is independent of physical layout and merge state.
-fn probe(db: &HybridDatabase, table: &str) -> Vec<Vec<Value>> {
-    let out = db
-        .execute(&Query::Select(SelectQuery {
-            table: table.into(),
-            columns: None,
-            filter: vec![],
-        }))
-        .unwrap();
-    let mut rows = match out {
-        QueryOutput::Rows(r) => r,
-        other => panic!("probe expected rows, got {other:?}"),
-    };
-    rows.sort_by_key(|r| match &r[0] {
-        Value::BigInt(i) => *i,
-        v => panic!("non-bigint key {v:?}"),
-    });
-    rows
+fn insert(table: &str, ids: impl IntoIterator<Item = i64>) -> Query {
+    Query::Insert(InsertQuery {
+        table: table.into(),
+        rows: ids.into_iter().map(|id| row(id, id)).collect(),
+    })
 }
 
-/// A statement of the randomized stream. Every variant appends at most one
-/// WAL frame, so statement checkpoints and frame boundaries coincide and a
-/// cut strictly between two checkpoints always lands mid-frame.
-#[derive(Debug, Clone)]
-enum Stmt {
-    Insert { id: i64, salt: i64 },
-    Update { id: i64, salt: i64 },
-    Merge,
-    Move(TablePlacement),
-    Demote,
-    Promote,
-}
-
-fn apply_stmt(db: &HybridDatabase, s: &Stmt) {
-    // Failed statements (e.g. duplicate-key inserts in the random stream)
-    // commit nothing and log nothing, so they leave the checkpoint as-is.
-    match s {
-        Stmt::Insert { id, salt } => {
-            let _ = db.execute(&Query::Insert(InsertQuery {
-                table: "t".into(),
-                rows: vec![row(*id, *salt)],
-            }));
-        }
-        Stmt::Update { id, salt } => {
-            let _ = db.execute(&Query::Update(UpdateQuery {
-                table: "t".into(),
-                sets: vec![(1, Value::Double(1e6 + *salt as f64 * 0.013))],
-                filter: vec![ColRange::eq(0, Value::BigInt(*id))],
-            }));
-        }
-        Stmt::Merge => {
-            mover::merge_delta(db, "t", MergePartition::Whole).unwrap();
-        }
-        Stmt::Move(placement) => {
-            mover::move_table(db, "t", placement).unwrap();
-        }
-        // Demotion is only legal for horizontally-partitioned tables without
-        // a vertical split; in the random stream the placement may be
-        // anything, so tolerate the rejection (it logs nothing).
-        Stmt::Demote => {
-            let _ = mover::demote_cold(db, "t");
-        }
-        Stmt::Promote => {
-            let _ = mover::promote_cold(db, "t");
-        }
-    }
-}
-
-fn insert_stmt() -> impl Strategy<Value = Stmt> {
-    (100i64..400, 0i64..1000).prop_map(|(id, salt)| Stmt::Insert { id, salt })
-}
-
-fn update_stmt() -> impl Strategy<Value = Stmt> {
-    (0i64..100, 0i64..1000).prop_map(|(id, salt)| Stmt::Update { id, salt })
-}
-
-fn stmt_strategy() -> impl Strategy<Value = Stmt> {
-    let merge = (0u32..1).prop_map(|_| Stmt::Merge);
-    let mv = (0u32..4).prop_map(|i| {
-        Stmt::Move(match i {
-            0 => TablePlacement::Single(StoreKind::Column),
-            1 => TablePlacement::Single(StoreKind::Row),
-            2 => TablePlacement::Partitioned(PartitionSpec {
-                horizontal: Some(HorizontalSpec {
-                    split_column: 0,
-                    split_value: Value::BigInt(48),
-                }),
-                vertical: Some(VerticalSpec { row_cols: vec![2] }),
-                ..Default::default()
-            }),
-            // Straight into a disk-resident cold partition: the move itself
-            // writes a segment, so cuts can land inside its WAL frame.
-            _ => TablePlacement::Partitioned(PartitionSpec {
-                horizontal: Some(HorizontalSpec {
-                    split_column: 0,
-                    split_value: Value::BigInt(48),
-                }),
-                vertical: None,
-                cold_tier: Tier::Disk,
-            }),
-        })
-    });
-    let demote = (0u32..1).prop_map(|_| Stmt::Demote);
-    let promote = (0u32..1).prop_map(|_| Stmt::Promote);
-    // Writes dominate; merges, placement moves, and tier transitions are
-    // sprinkled in so the log mixes data records with
-    // physical-reorganization records.
-    prop_oneof![
-        insert_stmt(),
-        insert_stmt(),
-        insert_stmt(),
-        update_stmt(),
-        update_stmt(),
-        update_stmt(),
-        merge,
-        mv,
-        demote,
-        promote
-    ]
-}
-
-/// Fresh database with an always-synced in-memory WAL attached; returns the
-/// second handle onto the log image.
-fn wal_db() -> (HybridDatabase, MemBackend) {
-    let mem = MemBackend::new();
-    let image = mem.share();
+/// A database logging to `wal` with table `t` (a column store) holding
+/// `rows` rows, and the model of it.
+fn logged_db(wal: WalWriter, rows: i64) -> (HybridDatabase, Model) {
     let db = HybridDatabase::new();
     db.set_merge_config(MergeConfig::disabled());
-    db.attach_wal(WalWriter::new(Box::new(mem), SyncPolicy::Always));
+    db.attach_wal(wal);
     db.create_single(schema("t"), StoreKind::Column).unwrap();
-    db.bulk_load("t", (0..96).map(|i| row(i, i))).unwrap();
-    (db, image)
+    let load: Vec<_> = (0..rows).map(|i| row(i, i)).collect();
+    db.bulk_load("t", load.clone()).unwrap();
+    let mut model = Model::default();
+    model.create(schema("t"), load);
+    (db, model)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Crash-point sweep: cut the log at every statement boundary and at
-    /// offsets strictly inside the following frame. Recovery must yield the
-    /// checkpointed state of the longest committed prefix, report a torn
-    /// tail exactly for the mid-frame cuts, and never come up degraded or
-    /// with a merge still in flight.
-    #[test]
-    fn recovery_equals_committed_prefix_at_every_crash_point(
-        stmts in prop::collection::vec(stmt_strategy(), 4..20)
-    ) {
-        let (db, image) = wal_db();
-        // checkpoints[i] = (log length, probe) after the i-th committed
-        // statement (index 0 = right after create + bulk load).
-        let mut checkpoints = vec![(image.snapshot().len(), probe(&db, "t"))];
-        for s in &stmts {
-            apply_stmt(&db, s);
-            checkpoints.push((image.snapshot().len(), probe(&db, "t")));
-        }
-        let bytes = image.snapshot();
-        prop_assert_eq!(checkpoints.last().unwrap().0, bytes.len());
-
-        for (i, (boundary, expected)) in checkpoints.iter().enumerate() {
-            let next = checkpoints
-                .get(i + 1)
-                .map(|(b, _)| *b)
-                .unwrap_or(bytes.len());
-            // The clean cut, plus cuts one byte in, mid-header, and one
-            // byte short of the next boundary (all inside the next frame).
-            let mut cuts = vec![(*boundary, false)];
-            if next > *boundary {
-                for delta in [1, HEADER_LEN / 2, next - boundary - 1] {
-                    let cut = boundary + delta;
-                    if cut > *boundary && cut < next {
-                        cuts.push((cut, true));
-                    }
-                }
-            }
-            for (cut, torn) in cuts {
-                let (rec, report) = HybridDatabase::recover_bytes(&bytes[..cut]);
-                prop_assert_eq!(report.torn_tail.is_some(), torn, "cut at {} of {}", cut, bytes.len());
-                prop_assert_eq!(report.recovered_len, *boundary as u64);
-                prop_assert!(report.degraded.is_empty(), "unexpected degradation: {:?}", report.degraded);
-                prop_assert!(!rec.merge_status("t").unwrap().1, "in-flight merge survived recovery");
-                prop_assert_eq!(&probe(&rec, "t"), expected, "cut at {} (boundary {})", cut, boundary);
-            }
-        }
-    }
+fn mem_wal(backend: impl WalBackend + 'static) -> WalWriter {
+    WalWriter::new(Box::new(backend), SyncPolicy::Always)
 }
 
-/// Exhaustive byte-level sweep on a small deterministic log: every single
-/// truncation length from 0 to the full image recovers the longest
-/// committed statement prefix.
+/// Every truncation length of a small log, from 0 to the full image,
+/// recovers the longest committed statement prefix. The create record and
+/// the load are separate frames, and the sweep cuts between them too.
 #[test]
 fn recovery_sweeps_every_byte_offset() {
-    // Built inline (not via `wal_db`) so the create record and the bulk
-    // load get *separate* checkpoints — they are distinct WAL frames, and
-    // the byte sweep cuts right between them.
-    let mem = MemBackend::new();
-    let image = mem.share();
+    let image = MemBackend::new();
     let db = HybridDatabase::new();
     db.set_merge_config(MergeConfig::disabled());
-    db.attach_wal(WalWriter::new(Box::new(mem), SyncPolicy::Always));
+    db.attach_wal(mem_wal(image.share()));
     db.create_single(schema("t"), StoreKind::Column).unwrap();
-    let mut checkpoints = vec![(image.snapshot().len(), probe(&db, "t"))];
-    db.bulk_load("t", (0..96).map(|i| row(i, i))).unwrap();
-    checkpoints.push((image.snapshot().len(), probe(&db, "t")));
-    for s in [
-        Stmt::Insert { id: 200, salt: 3 },
-        Stmt::Update { id: 10, salt: 4 },
-        Stmt::Merge,
-        Stmt::Insert { id: 201, salt: 5 },
-    ] {
-        apply_stmt(&db, &s);
-        checkpoints.push((image.snapshot().len(), probe(&db, "t")));
+    let mut model = Model::default();
+    model.create(schema("t"), vec![]);
+    let mut boundaries = vec![(image.snapshot().len(), model.clone())];
+    let load: Vec<_> = (0..96).map(|i| row(i, i)).collect();
+    db.bulk_load("t", load.clone()).unwrap();
+    model.create(schema("t"), load);
+    boundaries.push((image.snapshot().len(), model.clone()));
+    let update = Query::Update(UpdateQuery {
+        table: "t".into(),
+        sets: vec![(1, Value::Double(4.0))],
+        filter: vec![ColRange::eq(0, Value::BigInt(10))],
+    });
+    for q in [insert("t", [200]), update, insert("t", [201])] {
+        db.execute(&q).unwrap();
+        model.execute(&q).unwrap();
+        boundaries.push((image.snapshot().len(), model.clone()));
+        if boundaries.len() == 4 {
+            mover::merge_delta(&db, "t", MergePartition::Whole).unwrap();
+            boundaries.push((image.snapshot().len(), model.clone()));
+        }
     }
     let bytes = image.snapshot();
     for cut in 0..=bytes.len() {
         let (rec, report) = HybridDatabase::recover_bytes(&bytes[..cut]);
-        let (boundary, expected) = checkpoints
-            .iter()
-            .rev()
-            .find(|(b, _)| *b <= cut)
-            .cloned()
-            .unwrap_or((0, vec![]));
+        let last = boundaries.iter().rev().find(|(b, _)| *b <= cut);
+        let boundary = last.map_or(0, |(b, _)| *b);
         assert_eq!(report.recovered_len, boundary as u64, "cut {cut}");
         assert_eq!(report.torn_tail.is_some(), cut != boundary, "cut {cut}");
         assert!(report.degraded.is_empty());
-        if boundary == 0 {
-            assert!(rec.table_names().is_empty());
-        } else {
-            assert_eq!(probe(&rec, "t"), expected, "cut {cut}");
+        match last {
+            None => assert!(rec.table_names().is_empty()),
+            Some((_, model)) => assert_state(&rec, model, "t", &format!("cut {cut}")),
         }
     }
 }
@@ -282,23 +171,25 @@ fn recovery_sweeps_every_byte_offset() {
 /// report until an operator clears it.
 #[test]
 fn interior_corruption_quarantines_only_the_hit_table() {
-    let mem = MemBackend::new();
-    let image = mem.share();
+    let image = MemBackend::new();
     let db = HybridDatabase::new();
     db.set_merge_config(MergeConfig::disabled());
-    db.attach_wal(WalWriter::new(Box::new(mem), SyncPolicy::Always));
-    db.create_single(schema("a"), StoreKind::Column).unwrap();
-    db.create_single(schema("b"), StoreKind::Row).unwrap();
-    db.bulk_load("a", (0..8).map(|i| row(i, i))).unwrap();
-    db.bulk_load("b", (0..8).map(|i| row(i, i))).unwrap();
+    db.attach_wal(mem_wal(image.share()));
+    let mut model = Model::default();
+    for (name, store) in [("a", StoreKind::Column), ("b", StoreKind::Row)] {
+        db.create_single(schema(name), store).unwrap();
+        let load: Vec<_> = (0..8).map(|i| row(i, i)).collect();
+        db.bulk_load(name, load.clone()).unwrap();
+        model.create(schema(name), load);
+    }
     // One insert per table *before* the corruption victim, so `b` has a
     // committed prefix to serve, then the victim, then more traffic.
     for (t, id) in [("a", 100), ("b", 100), ("b", 101), ("a", 101), ("b", 102)] {
-        db.execute(&Query::Insert(InsertQuery {
-            table: t.into(),
-            rows: vec![row(id, id)],
-        }))
-        .unwrap();
+        db.execute(&insert(t, [id])).unwrap();
+        // `b` keeps what it had before its second insert.
+        if (t, id) != ("b", 101) && (t, id) != ("b", 102) {
+            model.execute(&insert(t, [id])).unwrap();
+        }
     }
     let mut bytes = image.snapshot();
     let b_tag = hybrid_store_advisor::engine::durability::table_tag("b");
@@ -323,74 +214,49 @@ fn interior_corruption_quarantines_only_the_hit_table() {
         report.torn_tail.is_none(),
         "interior corruption is not a torn tail"
     );
-
-    // `b` serves its committed prefix read-only: bulk load + insert 100
-    // replayed, everything at and after the flipped record quarantined.
+    for t in ["a", "b"] {
+        assert_state(&rec, &model, t, "after the bit flip");
+    }
+    // `b` serves its committed prefix read-only; `a` stays writable.
     assert!(rec.is_degraded("b"));
-    let b_rows = probe(&rec, "b");
-    assert_eq!(b_rows.len(), 9);
-    let write = rec.execute(&Query::Insert(InsertQuery {
-        table: "b".into(),
-        rows: vec![row(500, 0)],
-    }));
+    let write = rec.execute(&insert("b", [500]));
     assert!(
         matches!(write, Err(Error::Degraded(_))),
         "write to quarantined table must fail: {write:?}"
     );
-
-    // `a` is untouched: both inserts present, still writable.
     assert!(!rec.is_degraded("a"));
-    assert_eq!(probe(&rec, "a").len(), 10);
-    rec.execute(&Query::Insert(InsertQuery {
-        table: "a".into(),
-        rows: vec![row(500, 0)],
-    }))
-    .unwrap();
-
+    rec.execute(&insert("a", [500])).unwrap();
     // Operator override: acknowledging the damage restores writability.
     assert!(rec.clear_degraded("b"));
-    rec.execute(&Query::Insert(InsertQuery {
-        table: "b".into(),
-        rows: vec![row(500, 0)],
-    }))
-    .unwrap();
+    rec.execute(&insert("b", [500])).unwrap();
 }
 
 /// Transient `EINTR`-style append faults are retried by the writer and the
 /// log stays byte-identical to a fault-free run: recovery reproduces the
-/// live database exactly and the retries are visible in the stats.
+/// interpreter's state and the retries are visible in the stats.
 #[test]
 fn transient_write_faults_are_retried_without_losing_records() {
-    let mem = MemBackend::new();
-    let image = mem.share();
+    let image = MemBackend::new();
     let faulty = FaultFile::new(
-        Box::new(mem),
+        Box::new(image.share()),
         FaultPlan {
             transient_failures: 3,
             short_write_cap: Some(11),
             ..FaultPlan::default()
         },
     );
-    let db = HybridDatabase::new();
-    db.set_merge_config(MergeConfig::disabled());
-    db.attach_wal(WalWriter::with_retry(
-        Box::new(faulty),
-        SyncPolicy::Always,
-        RetryPolicy::default(),
-    ));
-    db.create_single(schema("t"), StoreKind::Column).unwrap();
-    db.bulk_load("t", (0..32).map(|i| row(i, i))).unwrap();
+    let wal = WalWriter::with_retry(Box::new(faulty), SyncPolicy::Always, RetryPolicy::default());
+    let (db, mut model) = logged_db(wal, 32);
     for id in 100..110 {
-        apply_stmt(&db, &Stmt::Insert { id, salt: id });
+        db.execute(&insert("t", [id])).unwrap();
+        model.execute(&insert("t", [id])).unwrap();
     }
     let stats = db.wal_stats().unwrap();
     assert!(stats.retries >= 3, "retries: {}", stats.retries);
     assert!(stats.records >= 12);
-
-    let bytes = image.snapshot();
-    let (rec, report) = HybridDatabase::recover_bytes(&bytes);
+    let (rec, report) = HybridDatabase::recover_bytes(&image.snapshot());
     assert!(report.is_clean(), "{report:?}");
-    assert_eq!(probe(&rec, "t"), probe(&db, "t"));
+    assert_state(&rec, &model, "t", "after retried appends");
 }
 
 /// Simulated media death mid-record: the failed statement surfaces an I/O
@@ -399,40 +265,28 @@ fn transient_write_faults_are_retried_without_losing_records() {
 #[test]
 fn media_death_mid_record_loses_only_the_uncommitted_statement() {
     // First, measure the clean log so the crash can be planted mid-frame.
-    let (oracle, oracle_image) = wal_db();
-    let boundary = oracle_image.snapshot().len() as u64;
-    apply_stmt(&oracle, &Stmt::Insert { id: 200, salt: 1 });
+    let clean = MemBackend::new();
+    drop(logged_db(mem_wal(clean.share()), 96));
+    let boundary = clean.snapshot().len() as u64;
 
-    let mem = MemBackend::new();
-    let image = mem.share();
+    let image = MemBackend::new();
     let faulty = FaultFile::new(
-        Box::new(mem),
+        Box::new(image.share()),
         FaultPlan {
             crash_after_bytes: Some(boundary + HEADER_LEN as u64 + 3),
             ..FaultPlan::default()
         },
     );
-    let db = HybridDatabase::new();
-    db.set_merge_config(MergeConfig::disabled());
-    db.attach_wal(WalWriter::new(Box::new(faulty), SyncPolicy::Always));
-    db.create_single(schema("t"), StoreKind::Column).unwrap();
-    db.bulk_load("t", (0..96).map(|i| row(i, i))).unwrap();
-    let expected = probe(&db, "t");
-
-    let dead = db.execute(&Query::Insert(InsertQuery {
-        table: "t".into(),
-        rows: vec![row(200, 1)],
-    }));
+    let (db, model) = logged_db(mem_wal(faulty), 96);
+    let dead = db.execute(&insert("t", [200]));
     assert!(
         matches!(dead, Err(Error::Io(_))),
         "append past media death must fail the statement: {dead:?}"
     );
-
-    let bytes = image.snapshot();
-    let (rec, report) = HybridDatabase::recover_bytes(&bytes);
+    let (rec, report) = HybridDatabase::recover_bytes(&image.snapshot());
     assert!(report.torn_tail.is_some());
     assert_eq!(report.recovered_len, boundary);
-    assert_eq!(probe(&rec, "t"), expected);
+    assert_state(&rec, &model, "t", "after media death");
 }
 
 /// File-backed round trip through [`HybridDatabase::open`]: recovery after
@@ -443,14 +297,10 @@ fn file_recovery_truncates_torn_tail_and_resumes_appends() {
     let dir = std::env::temp_dir().join(format!("hsd_wal_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("t.wal");
-    let _ = std::fs::remove_file(&path);
-
-    let (db, image) = wal_db();
-    let expected = {
-        let db = db;
-        apply_stmt(&db, &Stmt::Insert { id: 300, salt: 9 });
-        probe(&db, "t")
-    };
+    let image = MemBackend::new();
+    let (db, mut model) = logged_db(mem_wal(image.share()), 96);
+    db.execute(&insert("t", [300])).unwrap();
+    model.execute(&insert("t", [300])).unwrap();
     let mut bytes = image.snapshot();
     let committed = bytes.len();
     bytes.extend_from_slice(&[0xAB; 9]); // torn garbage past the last frame
@@ -460,30 +310,16 @@ fn file_recovery_truncates_torn_tail_and_resumes_appends() {
     assert!(report.torn_tail.is_some());
     assert_eq!(report.recovered_len, committed as u64);
     assert_eq!(std::fs::metadata(&path).unwrap().len(), committed as u64);
-    assert_eq!(probe(&rec, "t"), expected);
-
+    assert_state(&rec, &model, "t", "after truncation");
     // The reopened database keeps logging: one more statement, reopen
     // again, and the new record is there.
-    apply_stmt(&rec, &Stmt::Insert { id: 301, salt: 2 });
-    let after = probe(&rec, "t");
+    rec.execute(&insert("t", [301])).unwrap();
+    model.execute(&insert("t", [301])).unwrap();
     drop(rec);
     let (rec2, report2) = HybridDatabase::recover(&path).unwrap();
     assert!(report2.is_clean(), "{report2:?}");
-    assert_eq!(probe(&rec2, "t"), after);
-    let _ = std::fs::remove_file(&path);
-}
-
-/// Horizontal split of the crash-test table, cold partition on the given
-/// tier.
-fn split_at_48(cold_tier: Tier) -> TablePlacement {
-    TablePlacement::Partitioned(PartitionSpec {
-        horizontal: Some(HorizontalSpec {
-            split_column: 0,
-            split_value: Value::BigInt(48),
-        }),
-        vertical: None,
-        cold_tier,
-    })
+    assert_state(&rec2, &model, "t", "after the second reopen");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn cold_tier_of(db: &HybridDatabase, table: &str) -> Tier {
@@ -493,44 +329,11 @@ fn cold_tier_of(db: &HybridDatabase, table: &str) -> Tier {
     }
 }
 
-/// Byte-level sweep across a demotion record: every cut strictly inside the
-/// `Demote` frame recovers the pre-demotion (memory-resident) placement and
-/// the full table contents; the complete image replays the demotion and
-/// comes back with the cold partition disk-resident.
-#[test]
-fn cut_inside_demotion_record_recovers_pre_demotion_state() {
-    let (db, image) = wal_db();
-    mover::move_table(&db, "t", &split_at_48(Tier::Memory)).unwrap();
-    let expected = probe(&db, "t");
-    let boundary = image.snapshot().len();
-    assert!(mover::demote_cold(&db, "t").unwrap() > 0);
-    let full = image.snapshot();
-    assert!(full.len() > boundary, "demotion must append a WAL record");
-
-    for cut in boundary..full.len() {
-        let (rec, report) = HybridDatabase::recover_bytes(&full[..cut]);
-        assert_eq!(report.recovered_len, boundary as u64, "cut {cut}");
-        assert_eq!(report.torn_tail.is_some(), cut != boundary, "cut {cut}");
-        assert!(
-            report.degraded.is_empty(),
-            "cut {cut}: {:?}",
-            report.degraded
-        );
-        assert_eq!(cold_tier_of(&rec, "t"), Tier::Memory, "cut {cut}");
-        assert_eq!(probe(&rec, "t"), expected, "cut {cut}");
-    }
-
-    let (rec, report) = HybridDatabase::recover_bytes(&full);
-    assert!(report.is_clean(), "{report:?}");
-    assert_eq!(cold_tier_of(&rec, "t"), Tier::Disk);
-    assert_eq!(probe(&rec, "t"), expected);
-}
-
 /// Damaged checkpoint images: a torn or bit-flipped newest checkpoint must
 /// fall back to the previous image (paying a longer WAL replay), and with
 /// every image damaged recovery degrades to full-log replay — in all cases
-/// reproducing the live database exactly. The newer image holds a
-/// disk-tier placement, so restore also exercises segment re-publication.
+/// landing on the interpreter's state. The newer image holds a disk-tier
+/// placement, so restore also exercises segment re-publication.
 #[test]
 fn damaged_checkpoints_fall_back_to_previous_image_then_full_replay() {
     let dir = std::env::temp_dir().join(format!("hsd_cp_damage_{}", std::process::id()));
@@ -542,102 +345,78 @@ fn damaged_checkpoints_fall_back_to_previous_image_then_full_replay() {
     let (db, _) = HybridDatabase::open_dir(&dir, cfg()).unwrap();
     db.set_merge_config(MergeConfig::disabled());
     db.create_single(schema("t"), StoreKind::Column).unwrap();
-    db.bulk_load("t", (0..96).map(|i| row(i, i))).unwrap();
-    for id in 100..120 {
-        apply_stmt(&db, &Stmt::Insert { id, salt: id });
-    }
+    let load: Vec<_> = (0..96).map(|i| row(i, i)).collect();
+    db.bulk_load("t", load.clone()).unwrap();
+    let mut model = Model::default();
+    model.create(schema("t"), load);
+    let mut inserts = |ids: std::ops::Range<i64>| {
+        for id in ids {
+            db.execute(&insert("t", [id])).unwrap();
+            model.execute(&insert("t", [id])).unwrap();
+        }
+    };
+    inserts(100..120);
     let cp1 = db.checkpoint().unwrap();
     // Demote the cold partition between the two checkpoints so the newer
     // image captures a disk-tier placement.
-    mover::move_table(&db, "t", &split_at_48(Tier::Disk)).unwrap();
-    for id in 120..140 {
-        apply_stmt(&db, &Stmt::Insert { id, salt: id });
-    }
+    let split = TablePlacement::Partitioned(PartitionSpec {
+        horizontal: Some(HorizontalSpec {
+            split_column: 0,
+            split_value: Value::BigInt(48),
+        }),
+        vertical: None,
+        cold_tier: Tier::Disk,
+    });
+    mover::move_table(&db, "t", &split).unwrap();
+    inserts(120..140);
     let cp2 = db.checkpoint().unwrap();
-    for id in 140..150 {
-        apply_stmt(&db, &Stmt::Insert { id, salt: id });
-    }
+    inserts(140..150);
     db.sync_wal().unwrap();
-    let expected = probe(&db, "t");
     drop(db);
 
-    let newest = dir
-        .join("checkpoints")
-        .join(format!("checkpoint_{:06}", cp2.seq));
-    let older = dir
-        .join("checkpoints")
-        .join(format!("checkpoint_{:06}", cp1.seq));
+    let image = |seq: u64| dir.join("checkpoints").join(format!("checkpoint_{seq:06}"));
+    let (newest, older) = (image(cp2.seq), image(cp1.seq));
     let pristine_newest = std::fs::read(&newest).unwrap();
     let pristine_older = std::fs::read(&older).unwrap();
+    let reopen = |ctx: &str| {
+        let (rec, report) = HybridDatabase::open_dir(&dir, cfg()).unwrap();
+        assert_eq!(cold_tier_of(&rec, "t"), Tier::Disk, "{ctx}");
+        assert_state(&rec, &model, "t", ctx);
+        report
+    };
 
     // Clean baseline: the newest image restores and only the suffix
     // written after it replays.
-    let clean_replayed = {
-        let (rec, report) = HybridDatabase::open_dir(&dir, cfg()).unwrap();
-        assert_eq!(report.checkpoint_seq, Some(cp2.seq));
-        assert_eq!(report.checkpoints_skipped, 0);
-        assert_eq!(cold_tier_of(&rec, "t"), Tier::Disk);
-        assert_eq!(probe(&rec, "t"), expected);
-        report.records_replayed
-    };
+    let report = reopen("clean");
+    assert_eq!(report.checkpoint_seq, Some(cp2.seq));
+    assert_eq!(report.checkpoints_skipped, 0);
+    let clean_replayed = report.records_replayed;
 
     // Torn (several truncation lengths) and bit-flipped newest image:
     // recovery skips it, restores the previous checkpoint, and pays a
     // longer replay — yet lands on the same state.
     let mut flipped = pristine_newest.clone();
     flipped[pristine_newest.len() / 3] ^= 0x40;
-    let damaged = [
-        pristine_newest[..0].to_vec(),
-        pristine_newest[..7].to_vec(),
-        pristine_newest[..pristine_newest.len() / 2].to_vec(),
-        pristine_newest[..pristine_newest.len() - 1].to_vec(),
-        flipped,
-    ];
-    for bytes in &damaged {
+    let (p, n) = (&pristine_newest, pristine_newest.len());
+    for bytes in [&p[..0], &p[..7], &p[..n / 2], &p[..n - 1], &flipped[..]] {
         std::fs::write(&newest, bytes).unwrap();
-        let (rec, report) = HybridDatabase::open_dir(&dir, cfg()).unwrap();
-        assert_eq!(report.checkpoint_seq, Some(cp1.seq), "len {}", bytes.len());
-        assert_eq!(report.checkpoints_skipped, 1, "len {}", bytes.len());
+        let report = reopen(&format!("newest image cut to {}", bytes.len()));
+        assert_eq!(report.checkpoint_seq, Some(cp1.seq));
+        assert_eq!(report.checkpoints_skipped, 1);
         assert!(
             report.records_replayed > clean_replayed,
-            "fallback must replay a longer suffix ({} vs {})",
+            "fallback must replay a longer suffix ({} vs {clean_replayed})",
             report.records_replayed,
-            clean_replayed
         );
-        assert_eq!(cold_tier_of(&rec, "t"), Tier::Disk);
-        assert_eq!(probe(&rec, "t"), expected, "len {}", bytes.len());
     }
 
     // Both images damaged: full-log replay from byte zero.
-    std::fs::write(&newest, &pristine_newest[..pristine_newest.len() / 2]).unwrap();
+    std::fs::write(&newest, &pristine_newest[..n / 2]).unwrap();
     std::fs::write(&older, &pristine_older[..pristine_older.len() / 2]).unwrap();
-    let (rec, report) = HybridDatabase::open_dir(&dir, cfg()).unwrap();
+    let report = reopen("both images damaged");
     assert_eq!(report.checkpoint_seq, None);
     assert_eq!(report.checkpoints_skipped, 2);
     assert_eq!(report.checkpoint_wal_len, 0);
     assert!(report.records_replayed > clean_replayed);
-    assert_eq!(cold_tier_of(&rec, "t"), Tier::Disk);
-    assert_eq!(probe(&rec, "t"), expected);
-    drop(rec);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Statements that ranged over unbounded predicates replay too — guard
-/// against the codec quietly narrowing half-open ranges.
-#[test]
-fn half_open_range_updates_replay_exactly() {
-    let (db, image) = wal_db();
-    db.execute(&Query::Update(UpdateQuery {
-        table: "t".into(),
-        sets: vec![(1, Value::Double(-1.0))],
-        filter: vec![ColRange::range(
-            0,
-            Bound::Unbounded,
-            Bound::Excluded(Value::BigInt(10)),
-        )],
-    }))
-    .unwrap();
-    let (rec, report) = HybridDatabase::recover_bytes(&image.snapshot());
-    assert!(report.is_clean());
-    assert_eq!(probe(&rec, "t"), probe(&db, "t"));
 }

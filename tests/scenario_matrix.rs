@@ -1,26 +1,27 @@
 //! The HTAP scenario matrix, end-to-end at smoke scale: every named
 //! scenario (uniform, zipf-skew, flash-crowd, phase-shift, tenant-churn)
 //! is generated deterministically, the budget-constrained advisor picks a
-//! layout for it, and the full statement stream executes under both that
-//! layout and an all-row reference — the logical results must agree
-//! statement for statement. This is the transparency property under
-//! realistic HTAP pressure: skew, bursts, phase shifts, and tenant churn
-//! must never change *what* a query answers, only how fast.
+//! layout for it, and the full statement stream executes under that layout
+//! — every answer and the final tables must be the reference
+//! interpreter's. This is the transparency property under realistic HTAP
+//! pressure: skew, bursts, phase shifts, and tenant churn must never
+//! change *what* a query answers, only how fast.
 //!
 //! CI also runs this suite in the threaded debug-assertion stress step
 //! (`RUST_TEST_THREADS=8`), so the five scenarios exercise the shared
 //! engine concurrently.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+mod common;
 
+use std::collections::BTreeMap;
+
+use common::case::{fixed, run, TableCase};
 use hybrid_store_advisor::advisor::cost::AdjustmentFn;
-use hybrid_store_advisor::engine::{GroupRow, QueryOutput};
 use hybrid_store_advisor::prelude::*;
 use hybrid_store_advisor::tpch::scenario::{
-    generate_scenario, load_tenants, MixedWorkload, Scenario, ScenarioConfig,
+    generate_scenario, load_tenants, tenant_table, MixedWorkload, Scenario, ScenarioConfig,
 };
-use hybrid_store_advisor::tpch::TpchGenerator;
+use hybrid_store_advisor::tpch::{schema, TpchGenerator};
 
 /// A cost model with the canonical asymmetries (CS cheaper scans, RS
 /// cheaper writes), as a fully deterministic stand-in for calibration.
@@ -45,35 +46,6 @@ fn model() -> CostModel {
     m
 }
 
-/// Aggregation results accumulate in store-specific orders, so floating
-/// sums may differ in the last ulps; everything else must match exactly.
-fn assert_outputs_close(a: &QueryOutput, b: &QueryOutput, ctx: &str) {
-    match (a, b) {
-        (QueryOutput::Aggregates(x), QueryOutput::Aggregates(y)) => {
-            assert_eq!(x.len(), y.len(), "group count diverges: {ctx}");
-            for (
-                GroupRow {
-                    key: ka,
-                    values: va,
-                },
-                GroupRow {
-                    key: kb,
-                    values: vb,
-                },
-            ) in x.iter().zip(y)
-            {
-                assert_eq!(ka, kb, "group keys diverge: {ctx}");
-                assert_eq!(va.len(), vb.len(), "aggregate count diverges: {ctx}");
-                for (p, q) in va.iter().zip(vb) {
-                    let tol = 1e-9 * p.abs().max(q.abs()).max(1.0);
-                    assert!((p - q).abs() <= tol, "{p} vs {q} diverges: {ctx}");
-                }
-            }
-        }
-        _ => assert_eq!(a, b, "outputs diverge: {ctx}"),
-    }
-}
-
 fn smoke_cfg(scenario: Scenario) -> ScenarioConfig {
     ScenarioConfig {
         scenario,
@@ -85,41 +57,28 @@ fn smoke_cfg(scenario: Scenario) -> ScenarioConfig {
     }
 }
 
-/// Load the multi-tenant catalog all-row and snapshot schemas + stats.
-fn reference_db(
-    g: &TpchGenerator,
-    tenants: usize,
-) -> (
-    HybridDatabase,
-    Vec<Arc<TableSchema>>,
-    BTreeMap<String, TableStats>,
-) {
-    let db = HybridDatabase::new();
-    load_tenants(g, &db, tenants, |_| TablePlacement::Single(StoreKind::Row)).unwrap();
-    let schemas: Vec<Arc<TableSchema>> = db
-        .catalog()
-        .entries()
-        .iter()
-        .map(|e| e.schema.clone())
-        .collect();
-    let stats = db
-        .catalog()
-        .entries()
-        .iter()
-        .map(|e| (e.schema.name.clone(), e.stats.clone()))
-        .collect();
-    (db, schemas, stats)
-}
-
-/// End-to-end: advisor-chosen (budget-constrained) layout vs the all-row
-/// reference, executing the identical stream on both.
+/// End-to-end: the advisor-chosen (budget-constrained) layout runs the
+/// stream against the interpreter.
 fn run_scenario(scenario: Scenario) {
     let g = TpchGenerator::new(0.0005, 11);
     let cfg = smoke_cfg(scenario);
     let wl: MixedWorkload = generate_scenario(&g, &cfg);
     assert_eq!(wl.statements.len(), cfg.statements);
 
-    let (reference, schemas, stats) = reference_db(&g, cfg.tenants);
+    // The advisor's inputs: schemas and statistics of the loaded tenants.
+    let loaded = HybridDatabase::new();
+    load_tenants(&g, &loaded, cfg.tenants, |_| {
+        TablePlacement::Single(StoreKind::Row)
+    })
+    .unwrap();
+    let catalog = loaded.catalog();
+    let schemas: Vec<_> = catalog.entries().iter().map(|e| e.schema.clone()).collect();
+    let stats: BTreeMap<_, _> = catalog
+        .entries()
+        .iter()
+        .map(|e| (e.schema.name.clone(), e.stats.clone()))
+        .collect();
+    drop(catalog);
 
     // Budget three quarters of the all-row footprint, so the knapsack path
     // is live in at least some scenarios (loose budgets fall back to the
@@ -133,33 +92,24 @@ fn run_scenario(scenario: Scenario) {
     let rec = advisor
         .recommend_offline(&schemas, &stats, &wl.workload(), true)
         .unwrap();
-    assert!(
-        rec.budget_feasible,
-        "{}: budget infeasible",
-        scenario.name()
-    );
+    let name = scenario.name();
+    assert!(rec.budget_feasible, "{name}: budget infeasible");
     assert!(
         rec.footprint_bytes <= 0.75 * row_fp + 1e-6,
-        "{}: footprint exceeds budget",
-        scenario.name()
+        "{name}: footprint exceeds budget"
     );
 
-    let advised = HybridDatabase::new();
-    load_tenants(&g, &advised, cfg.tenants, |_| {
-        TablePlacement::Single(StoreKind::Row)
-    })
-    .unwrap();
-    mover::apply_layout(&advised, &rec.layout).unwrap();
-
-    for (i, s) in wl.statements.iter().enumerate() {
-        let expect = reference.execute(&s.query).unwrap();
-        let got = advised.execute(&s.query).unwrap();
-        assert_outputs_close(
-            &got,
-            &expect,
-            &format!("{} statement #{i} (tenant {})", scenario.name(), s.tenant),
-        );
+    let mut tables = Vec::new();
+    for t in 0..cfg.tenants {
+        for mut s in schema::all().unwrap() {
+            let rows = g.table_rows(&s.name).collect();
+            s.name = tenant_table(t, &s.name);
+            let placement = rec.layout.placement(&s.name);
+            tables.push(TableCase::new(s, rows, placement));
+        }
     }
+    let queries: Vec<Query> = wl.statements.iter().map(|s| s.query.clone()).collect();
+    run(&fixed(tables, &queries));
 }
 
 #[test]
