@@ -84,6 +84,11 @@ pub fn apply_layout(db: &HybridDatabase, layout: &StorageLayout) -> Result<Vec<S
 /// rebuild), and the catalog annotation is updated only after the latch is
 /// released — the mandatory lock order acquires catalog locks strictly
 /// outside shard latches.
+///
+/// A disk-tier target whose segment cannot be published keeps the rebuilt
+/// cold partition in memory: the move is logged and cataloged with a
+/// memory tier, and the publish error is returned (as a failed
+/// write-through republish does).
 pub fn move_table(db: &HybridDatabase, table: &str, target: &TablePlacement) -> Result<()> {
     db.check_writable(table)?;
     let (schema, indexed) = {
@@ -101,7 +106,7 @@ pub fn move_table(db: &HybridDatabase, table: &str, target: &TablePlacement) -> 
     // drained, so the table stays as it was.
     TableData::new(schema.clone(), target)?;
     let had_segment;
-    {
+    let (placement, demoted) = {
         let mut guard = shard.latch();
         // A disk-resident cold partition is promoted back to memory before
         // the drain (the Move record re-derives everything from the logical
@@ -110,29 +115,36 @@ pub fn move_table(db: &HybridDatabase, table: &str, target: &TablePlacement) -> 
         had_segment = promote_in_place(&mut guard, &store)?;
         // Drain the existing physical data straight into the target's
         // builders (draining cannot fail: the cold partition was promoted
-        // just above). Built column stores carry no delta tail; row-store
-        // parts get the catalog's secondary indexes back.
+        // just above; nor can the build: the rows are the table's own,
+        // valid and unique under its schema, and the placement was checked
+        // above). Built column stores carry no delta tail; row-store parts
+        // get the catalog's secondary indexes back.
         let old = guard.take();
-        let mut fresh = TableData::build(schema, target, &indexed, old)?;
-        if target_is_disk {
-            demote_in_place(&mut fresh, table, &store)?;
+        *guard = TableData::build(schema, target, &indexed, old)?;
+        let demoted = match target_is_disk {
+            true => demote_in_place(&mut guard, table, &store).map(drop),
+            false => Ok(()),
+        };
+        if let (Err(_), Some(spec)) = (&demoted, &mut guard.spec) {
+            spec.cold_tier = Tier::Memory;
         }
-        *guard = fresh;
+        let placement = guard.placement();
         db.log_record(&WalRecord::Move {
             table: table.to_string(),
-            placement: target.clone(),
+            placement: placement.clone(),
         })?;
-    }
+        (placement, demoted)
+    };
     // The segment file is a derived cache; dropping it outside the latch is
-    // safe (demotion re-published under the same name if the target is
-    // disk-resident too).
-    if had_segment && !target_is_disk {
+    // safe (demotion re-published under the same name if the table stays
+    // disk-resident).
+    if had_segment && (demoted.is_err() || !target_is_disk) {
         store.remove(&cold_segment_name(table))?;
     }
     let id = db.catalog().id_of(table)?;
-    db.catalog_mut().set_placement(id, target.clone())?;
+    db.catalog_mut().set_placement(id, placement)?;
     db.refresh_stats(table)?;
-    Ok(())
+    demoted
 }
 
 /// If `data`'s cold partition is disk-resident, load it back into memory in
@@ -879,17 +891,81 @@ mod tests {
         );
     }
 
+    fn cold_tier(db: &HybridDatabase) -> Tier {
+        match &db.catalog().entry_by_name("t").unwrap().placement {
+            TablePlacement::Partitioned(spec) => spec.cold_tier,
+            other => panic!("expected a partitioned placement, got {other:?}"),
+        }
+    }
+
+    /// A move to the disk tier whose segment cannot be published keeps
+    /// every row, in memory, and says so in the catalog and the log —
+    /// whether the table was in memory or already on disk under another
+    /// split.
+    #[test]
+    fn failed_demotion_keeps_the_rows_in_memory() {
+        use crate::durability::DurabilityConfig;
+        let dir = std::env::temp_dir().join(format!("hsd_move_demote_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let split_at = |key| {
+            TablePlacement::Partitioned(PartitionSpec {
+                horizontal: Some(HorizontalSpec {
+                    split_column: 0,
+                    split_value: Value::BigInt(key),
+                }),
+                vertical: None,
+                cold_tier: Tier::Disk,
+            })
+        };
+        let before;
+        {
+            let (db, _) = HybridDatabase::open_dir(&dir, DurabilityConfig::default()).unwrap();
+            db.create_single(schema(), StoreKind::Row).unwrap();
+            db.bulk_load(
+                "t",
+                (0..100).map(|i| vec![Value::BigInt(i), Value::Double(i as f64), Value::Int(0)]),
+            )
+            .unwrap();
+            before = checksum(&db);
+            // The next publish cannot create its temp file.
+            let blocker = dir.join("segments").join("t.cold.seg.tmp");
+            std::fs::create_dir_all(&blocker).unwrap();
+            let refused = |key| {
+                let err = move_table(&db, "t", &split_at(key)).unwrap_err();
+                assert!(matches!(err, Error::Io(_)), "{err}");
+                assert_eq!(db.row_count("t").unwrap(), 100);
+                assert_eq!(checksum(&db), before);
+                assert!(!cold_is_disk(&db));
+                assert_eq!(cold_tier(&db), Tier::Memory);
+                assert_eq!(db.disk_bytes("t").unwrap(), 0);
+                assert!(db.segment_store().get(&cold_segment_name("t")).is_err());
+            };
+            refused(90);
+            // Published once the store works again; then a disk-resident
+            // table fails to move to another split.
+            std::fs::remove_dir(&blocker).unwrap();
+            move_table(&db, "t", &split_at(95)).unwrap();
+            assert!(cold_is_disk(&db));
+            std::fs::create_dir(&blocker).unwrap();
+            refused(50);
+            db.sync_wal().unwrap();
+            std::fs::remove_dir(&blocker).unwrap();
+        }
+        let (db, report) = HybridDatabase::open_dir(&dir, DurabilityConfig::default()).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(checksum(&db), before);
+        assert_eq!(cold_tier(&db), Tier::Memory);
+        assert!(!cold_is_disk(&db));
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn failed_republish_keeps_data_flag_and_log_consistent() {
         use crate::durability::DurabilityConfig;
         use hsd_storage::ColRange;
         let dir = std::env::temp_dir().join(format!("hsd_republish_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cold_tier =
-            |db: &HybridDatabase| match &db.catalog().entry_by_name("t").unwrap().placement {
-                TablePlacement::Partitioned(spec) => spec.cold_tier,
-                other => panic!("expected a partitioned placement, got {other:?}"),
-            };
         let expect;
         {
             let (db, _) = HybridDatabase::open_dir(&dir, DurabilityConfig::default()).unwrap();

@@ -75,7 +75,13 @@ pub struct TableCase {
 #[derive(Debug, Clone)]
 pub enum Step {
     Run(Query),
-    Move(String, TablePlacement),
+    /// A move of `table` to `to`; a `refused` one must fail and leave the
+    /// table as it was.
+    Move {
+        table: String,
+        to: TablePlacement,
+        refused: bool,
+    },
     Demote(String),
     Promote(String),
     Merge(String),
@@ -113,17 +119,25 @@ pub fn generate(seed: u64) -> Case {
             let t = &tables[usize::from(r.chance(25))];
             let name = t.schema.name.clone();
             match r.below(40) {
-                0 => Step::Move(name, placement(r, t, None)),
-                // A placement the engine refuses: the table must stay.
-                7 => match placement(r, t, Some(5)) {
-                    TablePlacement::Partitioned(spec) => Step::Move(
-                        name,
-                        TablePlacement::Partitioned(PartitionSpec {
-                            cold_tier: Tier::Disk,
-                            ..spec
-                        }),
-                    ),
-                    single => Step::Move(name, single),
+                0 => Step::Move {
+                    table: name,
+                    to: placement(r, t, None),
+                    refused: false,
+                },
+                // A hot/cold split whose cold side is split vertically
+                // cannot be disk-resident.
+                7 => Step::Move {
+                    table: name,
+                    to: match placement(r, t, Some(5)) {
+                        TablePlacement::Partitioned(spec) => {
+                            TablePlacement::Partitioned(PartitionSpec {
+                                cold_tier: Tier::Disk,
+                                ..spec
+                            })
+                        }
+                        single => unreachable!("shape 5 is partitioned: {single:?}"),
+                    },
+                    refused: true,
                 },
                 1 => Step::Demote(name),
                 2 => Step::Promote(name),
@@ -442,6 +456,50 @@ pub fn reshape(mut case: Case, table: usize, shape: usize) -> Case {
     case
 }
 
+/// `case` followed by a row inserted into `d` and a fact row referencing
+/// it, then a join of `t` with `d` grouped by a dimension column and an
+/// ungrouped one: every such case joins two non-empty tables at least once.
+pub fn with_joins(mut case: Case) -> Case {
+    let r = &mut Rng::for_case(case.seed, 2);
+    // Above every key the generator draws.
+    const KEY: i64 = 1_000_000;
+    let (t, d) = (&case.tables[0].schema, &case.tables[1].schema);
+    let mut fact = row(r, t, KEY, 1);
+    fact[1] = Value::Int(KEY as i32);
+    let insert = |table: &str, row| {
+        Step::Run(Query::Insert(InsertQuery {
+            table: table.into(),
+            rows: vec![row],
+        }))
+    };
+    let last = t.arity() - 1;
+    let join = |group_by_dim| {
+        Step::Run(Query::Aggregate(AggregateQuery {
+            table: "t".into(),
+            aggregates: AggFunc::ALL
+                .iter()
+                .map(|&func| Aggregate { func, column: last })
+                .collect(),
+            group_by: None,
+            filter: vec![],
+            join: Some(JoinSpec {
+                dim_table: "d".into(),
+                fact_fk: 1,
+                dim_pk: 0,
+                group_by_dim,
+            }),
+        }))
+    };
+    let steps = [
+        insert("d", row(r, d, KEY, 1)),
+        insert("t", fact),
+        join(Some(1)),
+        join(None),
+    ];
+    case.steps.extend(steps);
+    case
+}
+
 impl TableCase {
     /// `rows` loaded into a row store and moved to `placement`.
     pub fn new(schema: TableSchema, rows: Vec<Vec<Value>>, placement: TablePlacement) -> Self {
@@ -477,8 +535,14 @@ pub struct Outcome {
     pub recoveries: usize,
     /// Of those, cuts at a boundary where a merge was in flight.
     pub cuts_mid_merge: usize,
+    /// Of those, cuts inside a demotion record.
+    pub cuts_in_demote: usize,
     /// Statements run while a merge was in flight.
     pub stmts_mid_merge: usize,
+    /// Reopens after a crash while a merge was in flight.
+    pub crashes_mid_merge: usize,
+    /// Joins run while both of their tables held rows.
+    pub joins: usize,
 }
 
 /// The maintenance worker: paced slices between statements, or (two
@@ -522,14 +586,17 @@ impl Worker {
         }
     }
 
-    /// Drain the queue and stop; returns the merge jobs completed.
-    fn finish(self, db: &HybridDatabase) -> u64 {
+    /// Stop, draining the queue first or (a crash) dropping it; returns
+    /// the merge jobs completed.
+    fn finish(self, db: &HybridDatabase, drain: bool) -> u64 {
         match self {
             Worker::Inline(mut w) => {
-                w.drain(db).unwrap();
+                if drain {
+                    w.drain(db).unwrap();
+                }
                 w.stats().jobs_completed
             }
-            Worker::Thread(w) => w.stop(true).jobs_completed,
+            Worker::Thread(w) => w.stop(drain).jobs_completed,
         }
     }
 }
@@ -633,6 +700,15 @@ pub fn run(case: &Case) -> Outcome {
         match step {
             Step::Run(q) => {
                 outcome.stmts_mid_merge += usize::from(in_flight(&db, &model));
+                if let Query::Aggregate(AggregateQuery {
+                    join: Some(j),
+                    table,
+                    ..
+                }) = q
+                {
+                    let holds_rows = |t: &str| !model.tables[t].rows.is_empty();
+                    outcome.joins += usize::from(holds_rows(table) && holds_rows(&j.dim_table));
+                }
                 let got = db.execute(q);
                 assert_outputs_close(&got, &model.execute(q), &ctx);
                 if case.merge == MergeState::InFlight {
@@ -656,13 +732,28 @@ pub fn run(case: &Case) -> Outcome {
                     w.tick(&db).unwrap();
                 }
             }
-            // Layout and maintenance steps change no answer; the ones a
-            // placement refuses must leave the table as it was.
-            Step::Move(t, p) => {
-                let _ = mover::move_table(&db, t, p);
+            // Layout and maintenance steps change no answer; the ones the
+            // engine refuses must leave every placement as it was.
+            Step::Move { table, to, refused } => {
+                let before = db.current_layout();
+                match (mover::move_table(&db, table, to), refused) {
+                    (Ok(()), false) => {}
+                    (Err(_), true) => assert_eq!(db.current_layout(), before, "{ctx}"),
+                    (moved, _) => panic!("{ctx}: {moved:?}"),
+                }
             }
+            // Only a cold partition not split vertically can be demoted.
             Step::Demote(t) => {
-                let _ = mover::demote_cold(&db, t);
+                let before = db.current_layout();
+                let demotable = matches!(
+                    before.placement(t),
+                    TablePlacement::Partitioned(s) if s.vertical.is_none()
+                );
+                match (mover::demote_cold(&db, t), demotable) {
+                    (Ok(_), true) => {}
+                    (Err(_), false) => assert_eq!(db.current_layout(), before, "{ctx}"),
+                    (demoted, _) => panic!("{ctx}: {demoted:?}"),
+                }
             }
             Step::Promote(t) => mover::promote_cold(&db, t).unwrap(),
             Step::Merge(t) => {
@@ -675,8 +766,13 @@ pub fn run(case: &Case) -> Outcome {
             Step::Checkpoint if case.durability == Durability::Dir => {
                 db.checkpoint().unwrap();
             }
+            // Over a log a reopen is a crash: the worker's queue and every
+            // merge in flight are lost. A data directory shuts down cleanly.
             Step::Reopen if case.durability != Durability::Volatile => {
-                outcome.merges += worker.finish(&db);
+                let crash = case.durability == Durability::Wal;
+                let merging = in_flight(&db, &model);
+                outcome.crashes_mid_merge += usize::from(crash && merging);
+                outcome.merges += worker.finish(&db, !crash);
                 drop(db);
                 db = Arc::new(open());
                 for t in model.tables.keys() {
@@ -696,7 +792,7 @@ pub fn run(case: &Case) -> Outcome {
             ));
         }
     }
-    outcome.merges += worker.finish(&db);
+    outcome.merges += worker.finish(&db, true);
     // Merges still in flight complete: their swaps must keep every write.
     if case.merge == MergeState::InFlight {
         for t in model.tables.keys() {
@@ -713,9 +809,11 @@ pub fn run(case: &Case) -> Outcome {
     if case.durability == Durability::Wal {
         let bytes = image.snapshot();
         for (i, (boundary, model, layout, in_flight)) in boundaries.iter().enumerate() {
-            let cuts = check_crash_cuts(&bytes, *boundary, i, model, layout, &ctx(&"crash"));
+            let (cuts, in_demote) =
+                check_crash_cuts(&bytes, *boundary, i, model, layout, &ctx(&"crash"));
             outcome.recoveries += cuts;
             outcome.cuts_mid_merge += if *in_flight { cuts } else { 0 };
+            outcome.cuts_in_demote += in_demote;
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -727,7 +825,8 @@ pub fn run(case: &Case) -> Outcome {
 /// mid-header or one byte short of its end, in turn by `index`): each cut
 /// recovers exactly the rows, indexes and placements at the boundary,
 /// reports a torn tail exactly when it lands mid-frame, and never comes up
-/// degraded or with a merge in flight. Returns the cuts checked.
+/// degraded or with a merge in flight. Returns the cuts checked and how
+/// many of them fell inside a demotion record.
 fn check_crash_cuts(
     bytes: &[u8],
     boundary: usize,
@@ -735,27 +834,27 @@ fn check_crash_cuts(
     model: &Model,
     layout: &StorageLayout,
     ctx: &str,
-) -> usize {
+) -> (usize, usize) {
     let frames = scan_frames(bytes).frames;
     let end = |f: &Frame| f.offset as usize + HEADER_LEN + f.payload.len();
     let next = frames.iter().find(|f| end(f) > boundary);
+    let demote = next.is_some_and(|f| {
+        matches!(
+            WalRecord::from_payload(&f.payload),
+            Ok(WalRecord::Demote { .. })
+        )
+    });
     // Every byte of a demotion record; a sample of any other.
     let cuts: Vec<usize> = match next {
         None => vec![],
-        Some(f)
-            if matches!(
-                WalRecord::from_payload(&f.payload),
-                Ok(WalRecord::Demote { .. })
-            ) =>
-        {
-            (boundary + 1..end(f)).collect()
-        }
+        Some(f) if demote => (boundary + 1..end(f)).collect(),
         Some(f) => vec![boundary + [1, HEADER_LEN / 2, end(f) - boundary - 1][index % 3]],
     };
     let mut cuts: Vec<usize> = cuts
         .into_iter()
         .filter(|&c| next.is_some_and(|f| c > boundary && c < end(f)))
         .collect();
+    let in_demote = if demote { cuts.len() } else { 0 };
     cuts.push(boundary);
     for &cut in &cuts {
         let (rec, report) = HybridDatabase::recover_bytes(&bytes[..cut]);
@@ -769,5 +868,5 @@ fn check_crash_cuts(
             assert_state(&rec, model, t, &ctx);
         }
     }
-    cuts.len()
+    (cuts.len(), in_demote)
 }

@@ -167,6 +167,32 @@ impl Model {
     }
 }
 
+/// The fixed table of the tests a generated case cannot express: key
+/// `id`, keyfigure `kf`, small-domain `grp` and `st`.
+pub fn kv_schema(name: &str) -> TableSchema {
+    let cols = vec![
+        ColumnDef::new("id", ColumnType::BigInt),
+        ColumnDef::new("kf", ColumnType::Double),
+        ColumnDef::new("grp", ColumnType::Integer),
+        ColumnDef::new("st", ColumnType::Integer),
+    ];
+    TableSchema::new(name, cols, vec![0]).unwrap()
+}
+
+/// Rows `ids` of [`kv_schema`], keyfigure `kf(id)`.
+pub fn kv_rows(ids: std::ops::Range<i64>, kf: impl Fn(i64) -> f64) -> Vec<Vec<Value>> {
+    let int = |v: i64| Value::Int(v as i32);
+    ids.map(|i| {
+        vec![
+            Value::BigInt(i),
+            Value::Double(kf(i)),
+            int(i % 5),
+            int(i % 3),
+        ]
+    })
+    .collect()
+}
+
 /// The primary-key values of `row`.
 pub fn key(schema: &TableSchema, row: &[Value]) -> Vec<Value> {
     schema.primary_key.iter().map(|&c| row[c].clone()).collect()

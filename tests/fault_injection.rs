@@ -15,7 +15,7 @@ mod common;
 use std::ops::Bound;
 
 use common::case::{generate, reshape, run, Case, Durability, Step};
-use common::{assert_state, Model};
+use common::{assert_state, kv_rows, kv_schema, Model};
 use hybrid_store_advisor::prelude::*;
 use hybrid_store_advisor::storage::wal::HEADER_LEN;
 use hybrid_store_advisor::storage::{
@@ -47,9 +47,14 @@ fn cut_inside_demotion_record_recovers_pre_demotion_state() {
     const SPLIT_IN_MEMORY: usize = 2;
     for seed in 5_000..5_000 + CASES {
         let mut case = reshape(wal_case(seed), 0, SPLIT_IN_MEMORY);
-        let at = seed as usize % (case.steps.len() + 1);
+        // Before any step that can change the placement, so the table is
+        // still split in memory and the demotion logs a record.
+        let moves = |s: &Step| matches!(s, Step::Move { .. } | Step::Demote(_));
+        let first = case.steps.iter().position(moves);
+        let at = seed as usize % (first.unwrap_or(case.steps.len()) + 1);
         case.steps.insert(at, Step::Demote("t".into()));
-        run(&case);
+        let cut = run(&case).cuts_in_demote;
+        assert!(cut > 0, "seed {seed}: no cut inside the demotion record");
     }
 }
 
@@ -72,45 +77,29 @@ fn half_open_range_updates_replay_exactly() {
     }
 }
 
-fn schema(name: &str) -> TableSchema {
-    TableSchema::new(
-        name,
-        vec![
-            ColumnDef::new("id", ColumnType::BigInt),
-            ColumnDef::new("kf", ColumnType::Double),
-            ColumnDef::new("grp", ColumnType::Integer),
-        ],
-        vec![0],
-    )
-    .unwrap()
+/// The rows of `ids`, keyfigure `id / 8`.
+fn rows(ids: std::ops::Range<i64>) -> Vec<Vec<Value>> {
+    kv_rows(ids, |id| id as f64 * 0.125)
 }
 
-fn row(id: i64, salt: i64) -> Vec<Value> {
-    vec![
-        Value::BigInt(id),
-        Value::Double(salt as f64 * 0.125),
-        Value::Int((id % 7) as i32),
-    ]
-}
-
-fn insert(table: &str, ids: impl IntoIterator<Item = i64>) -> Query {
+fn insert(table: &str, id: i64) -> Query {
     Query::Insert(InsertQuery {
         table: table.into(),
-        rows: ids.into_iter().map(|id| row(id, id)).collect(),
+        rows: rows(id..id + 1),
     })
 }
 
 /// A database logging to `wal` with table `t` (a column store) holding
-/// `rows` rows, and the model of it.
-fn logged_db(wal: WalWriter, rows: i64) -> (HybridDatabase, Model) {
+/// `n` rows, and the model of it.
+fn logged_db(wal: WalWriter, n: i64) -> (HybridDatabase, Model) {
     let db = HybridDatabase::new();
     db.set_merge_config(MergeConfig::disabled());
     db.attach_wal(wal);
-    db.create_single(schema("t"), StoreKind::Column).unwrap();
-    let load: Vec<_> = (0..rows).map(|i| row(i, i)).collect();
+    db.create_single(kv_schema("t"), StoreKind::Column).unwrap();
+    let load = rows(0..n);
     db.bulk_load("t", load.clone()).unwrap();
     let mut model = Model::default();
-    model.create(schema("t"), load);
+    model.create(kv_schema("t"), load);
     (db, model)
 }
 
@@ -127,20 +116,20 @@ fn recovery_sweeps_every_byte_offset() {
     let db = HybridDatabase::new();
     db.set_merge_config(MergeConfig::disabled());
     db.attach_wal(mem_wal(image.share()));
-    db.create_single(schema("t"), StoreKind::Column).unwrap();
+    db.create_single(kv_schema("t"), StoreKind::Column).unwrap();
     let mut model = Model::default();
-    model.create(schema("t"), vec![]);
+    model.create(kv_schema("t"), vec![]);
     let mut boundaries = vec![(image.snapshot().len(), model.clone())];
-    let load: Vec<_> = (0..96).map(|i| row(i, i)).collect();
+    let load = rows(0..96);
     db.bulk_load("t", load.clone()).unwrap();
-    model.create(schema("t"), load);
+    model.create(kv_schema("t"), load);
     boundaries.push((image.snapshot().len(), model.clone()));
     let update = Query::Update(UpdateQuery {
         table: "t".into(),
         sets: vec![(1, Value::Double(4.0))],
         filter: vec![ColRange::eq(0, Value::BigInt(10))],
     });
-    for q in [insert("t", [200]), update, insert("t", [201])] {
+    for q in [insert("t", 200), update, insert("t", 201)] {
         db.execute(&q).unwrap();
         model.execute(&q).unwrap();
         boundaries.push((image.snapshot().len(), model.clone()));
@@ -177,18 +166,18 @@ fn interior_corruption_quarantines_only_the_hit_table() {
     db.attach_wal(mem_wal(image.share()));
     let mut model = Model::default();
     for (name, store) in [("a", StoreKind::Column), ("b", StoreKind::Row)] {
-        db.create_single(schema(name), store).unwrap();
-        let load: Vec<_> = (0..8).map(|i| row(i, i)).collect();
+        db.create_single(kv_schema(name), store).unwrap();
+        let load = rows(0..8);
         db.bulk_load(name, load.clone()).unwrap();
-        model.create(schema(name), load);
+        model.create(kv_schema(name), load);
     }
     // One insert per table *before* the corruption victim, so `b` has a
     // committed prefix to serve, then the victim, then more traffic.
     for (t, id) in [("a", 100), ("b", 100), ("b", 101), ("a", 101), ("b", 102)] {
-        db.execute(&insert(t, [id])).unwrap();
+        db.execute(&insert(t, id)).unwrap();
         // `b` keeps what it had before its second insert.
         if (t, id) != ("b", 101) && (t, id) != ("b", 102) {
-            model.execute(&insert(t, [id])).unwrap();
+            model.execute(&insert(t, id)).unwrap();
         }
     }
     let mut bytes = image.snapshot();
@@ -219,16 +208,16 @@ fn interior_corruption_quarantines_only_the_hit_table() {
     }
     // `b` serves its committed prefix read-only; `a` stays writable.
     assert!(rec.is_degraded("b"));
-    let write = rec.execute(&insert("b", [500]));
+    let write = rec.execute(&insert("b", 500));
     assert!(
         matches!(write, Err(Error::Degraded(_))),
         "write to quarantined table must fail: {write:?}"
     );
     assert!(!rec.is_degraded("a"));
-    rec.execute(&insert("a", [500])).unwrap();
+    rec.execute(&insert("a", 500)).unwrap();
     // Operator override: acknowledging the damage restores writability.
     assert!(rec.clear_degraded("b"));
-    rec.execute(&insert("b", [500])).unwrap();
+    rec.execute(&insert("b", 500)).unwrap();
 }
 
 /// Transient `EINTR`-style append faults are retried by the writer and the
@@ -248,8 +237,8 @@ fn transient_write_faults_are_retried_without_losing_records() {
     let wal = WalWriter::with_retry(Box::new(faulty), SyncPolicy::Always, RetryPolicy::default());
     let (db, mut model) = logged_db(wal, 32);
     for id in 100..110 {
-        db.execute(&insert("t", [id])).unwrap();
-        model.execute(&insert("t", [id])).unwrap();
+        db.execute(&insert("t", id)).unwrap();
+        model.execute(&insert("t", id)).unwrap();
     }
     let stats = db.wal_stats().unwrap();
     assert!(stats.retries >= 3, "retries: {}", stats.retries);
@@ -278,7 +267,7 @@ fn media_death_mid_record_loses_only_the_uncommitted_statement() {
         },
     );
     let (db, model) = logged_db(mem_wal(faulty), 96);
-    let dead = db.execute(&insert("t", [200]));
+    let dead = db.execute(&insert("t", 200));
     assert!(
         matches!(dead, Err(Error::Io(_))),
         "append past media death must fail the statement: {dead:?}"
@@ -299,8 +288,8 @@ fn file_recovery_truncates_torn_tail_and_resumes_appends() {
     let path = dir.join("t.wal");
     let image = MemBackend::new();
     let (db, mut model) = logged_db(mem_wal(image.share()), 96);
-    db.execute(&insert("t", [300])).unwrap();
-    model.execute(&insert("t", [300])).unwrap();
+    db.execute(&insert("t", 300)).unwrap();
+    model.execute(&insert("t", 300)).unwrap();
     let mut bytes = image.snapshot();
     let committed = bytes.len();
     bytes.extend_from_slice(&[0xAB; 9]); // torn garbage past the last frame
@@ -313,8 +302,8 @@ fn file_recovery_truncates_torn_tail_and_resumes_appends() {
     assert_state(&rec, &model, "t", "after truncation");
     // The reopened database keeps logging: one more statement, reopen
     // again, and the new record is there.
-    rec.execute(&insert("t", [301])).unwrap();
-    model.execute(&insert("t", [301])).unwrap();
+    rec.execute(&insert("t", 301)).unwrap();
+    model.execute(&insert("t", 301)).unwrap();
     drop(rec);
     let (rec2, report2) = HybridDatabase::recover(&path).unwrap();
     assert!(report2.is_clean(), "{report2:?}");
@@ -344,15 +333,15 @@ fn damaged_checkpoints_fall_back_to_previous_image_then_full_replay() {
     };
     let (db, _) = HybridDatabase::open_dir(&dir, cfg()).unwrap();
     db.set_merge_config(MergeConfig::disabled());
-    db.create_single(schema("t"), StoreKind::Column).unwrap();
-    let load: Vec<_> = (0..96).map(|i| row(i, i)).collect();
+    db.create_single(kv_schema("t"), StoreKind::Column).unwrap();
+    let load = rows(0..96);
     db.bulk_load("t", load.clone()).unwrap();
     let mut model = Model::default();
-    model.create(schema("t"), load);
+    model.create(kv_schema("t"), load);
     let mut inserts = |ids: std::ops::Range<i64>| {
         for id in ids {
-            db.execute(&insert("t", [id])).unwrap();
-            model.execute(&insert("t", [id])).unwrap();
+            db.execute(&insert("t", id)).unwrap();
+            model.execute(&insert("t", id)).unwrap();
         }
     };
     inserts(100..120);

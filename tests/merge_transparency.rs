@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use common::case::{generate, run, Case, Durability, MergeState, Step, TableCase};
-use common::{assert_state, Model};
+use common::{assert_state, kv_rows, kv_schema, Model};
 use hybrid_store_advisor::prelude::*;
 
 const ROWS: i64 = 96;
@@ -34,33 +34,6 @@ fn merge_policies_are_observationally_equivalent() {
             });
         }
     }
-}
-
-fn schema() -> TableSchema {
-    TableSchema::new(
-        "t",
-        vec![
-            ColumnDef::new("id", ColumnType::BigInt),
-            ColumnDef::new("kf", ColumnType::Double),
-            ColumnDef::new("grp", ColumnType::Integer),
-            ColumnDef::new("st", ColumnType::Integer),
-        ],
-        vec![0],
-    )
-    .unwrap()
-}
-
-fn rows(kf: impl Fn(i64) -> f64) -> Vec<Vec<Value>> {
-    (0..ROWS)
-        .map(|i| {
-            vec![
-                Value::BigInt(i),
-                Value::Double(kf(i)),
-                Value::Int((i % 5) as i32),
-                Value::Int((i % 3) as i32),
-            ]
-        })
-        .collect()
 }
 
 /// Hot/cold split at three quarters, the cold side split vertically.
@@ -89,10 +62,10 @@ fn run_concurrent_generations(
     generations: u32,
 ) {
     let db = HybridDatabase::new();
-    db.create_single(schema(), StoreKind::Row).unwrap();
+    db.create_single(kv_schema("t"), StoreKind::Row).unwrap();
     // Uniform keyfigure start (generation 0), so Min == Max holds from the
     // first snapshot onwards.
-    db.bulk_load("t", rows(|_| 0.0)).unwrap();
+    db.bulk_load("t", kv_rows(0..ROWS, |_| 0.0)).unwrap();
     mover::move_table(&db, "t", placement).unwrap();
     db.set_merge_config(MergeConfig::disabled());
     let shared: SharedDatabase = Arc::new(db);
@@ -167,7 +140,7 @@ fn run_concurrent_generations(
         "no merge work overlapped the scans — the test lost its subject"
     );
     let mut model = Model::default();
-    model.create(schema(), rows(|_| generations as f64));
+    model.create(kv_schema("t"), kv_rows(0..ROWS, |_| generations as f64));
     assert_state(&shared, &model, "t", &format!("{placement:?}"));
 }
 
@@ -187,8 +160,9 @@ fn concurrent_snapshots_are_never_torn() {
 
 /// The scheduled merge state genuinely merges: on a scan-heavy stream the
 /// eager advisor hands merges to the worker, which completes them on the
-/// single column store and (cold-fragment jobs) on the hot/cold layout;
-/// on a WAL, crash cuts land while a merge is in flight and recover.
+/// single column store and (cold-fragment jobs) on the hot/cold layout.
+/// On a WAL, crash cuts land while a merge is in flight and recover, and
+/// the database crashes mid-merge, recovers and runs on.
 #[test]
 fn eager_advisor_merges_during_scan_heavy_sequence() {
     let steps: Vec<Step> = (0..48)
@@ -203,19 +177,27 @@ fn eager_advisor_merges_during_scan_heavy_sequence() {
             })
         })
         .collect();
-    for (placement, durability) in [
+    // On the log, a crash a third of the way in.
+    let mut crashing = steps.clone();
+    crashing.insert(steps.len() / 3, Step::Reopen);
+    for (placement, durability, steps) in [
         (
             TablePlacement::Single(StoreKind::Column),
             Durability::Volatile,
+            &steps,
         ),
-        (hot_cold(), Durability::Volatile),
-        (TablePlacement::Single(StoreKind::Column), Durability::Wal),
+        (hot_cold(), Durability::Volatile, &steps),
+        (
+            TablePlacement::Single(StoreKind::Column),
+            Durability::Wal,
+            &crashing,
+        ),
     ] {
         let case = Case {
             seed: 0,
             tables: vec![TableCase::new(
-                schema(),
-                rows(|i| (i % 11) as f64),
+                kv_schema("t"),
+                kv_rows(0..ROWS, |i| (i % 11) as f64),
                 placement.clone(),
             )],
             steps: steps.clone(),
@@ -226,12 +208,16 @@ fn eager_advisor_merges_during_scan_heavy_sequence() {
         let outcome = run(&case);
         assert!(
             outcome.merges > 0,
-            "{placement:?}: no scheduled merge completed"
+            "{placement:?}, {durability:?}: no scheduled merge completed"
         );
         if durability == Durability::Wal {
             assert!(
                 outcome.cuts_mid_merge > 0,
                 "no crash cut hit a merge in flight"
+            );
+            assert!(
+                outcome.crashes_mid_merge > 0,
+                "the database never crashed mid-merge"
             );
         }
     }
